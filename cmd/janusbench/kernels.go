@@ -39,24 +39,16 @@ type kernelsReport struct {
 
 type matmulResult struct {
 	Size            int     `json:"size"`
-	NaiveNs         float64 `json:"naive_ns"`
 	BlockedNs       float64 `json:"blocked_ns"`
 	ParallelNs      float64 `json:"parallel_ns"`
-	BlockedSpeedup  float64 `json:"blocked_speedup"`
 	ParallelSpeedup float64 `json:"parallel_speedup"`
 }
 
 type planAB struct {
-	// NaivePerSec is the pre-optimization baseline: scalar-loop kernels AND
-	// no memory plan (the state this PR replaced, reproduced via
-	// tensor.SetNaiveKernels for A/B on the current tree).
-	NaivePerSec   float64 `json:"naive_per_sec"`
 	PlanOffPerSec float64 `json:"plan_off_per_sec"`
 	PlanOnPerSec  float64 `json:"plan_on_per_sec"`
-	// Speedup is plan-on vs plan-off (isolates the memory plan);
-	// SpeedupVsNaive is the full fast path vs the pre-optimization baseline.
-	Speedup        float64 `json:"speedup"`
-	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
+	// Speedup is plan-on vs plan-off (isolates the memory plan).
+	Speedup float64 `json:"speedup"`
 	// Per-call (forward) / per-step (train) latency percentiles of the
 	// plan-on fast path, in milliseconds.
 	PlanOnP50Ms float64 `json:"plan_on_p50_ms"`
@@ -121,34 +113,32 @@ type elementwiseResult struct {
 }
 
 // kernelsBench regenerates the DESIGN.md kernel/memory-plan table: blocked
-// vs naive matmul, plan-on vs plan-off LeNet forward and train-step replay,
-// and the steady-state allocation profile of elementwise replay.
+// vs blocked+parallel matmul, plan-on vs plan-off LeNet forward and
+// train-step replay, and the steady-state allocation profile of elementwise
+// replay.
 func kernelsBench(warmup, steps int, jsonPath string) {
 	rep := kernelsReport{Mode: "kernels", CPUs: runtime.NumCPU()}
 
-	fmt.Printf("--- matmul: naive vs blocked vs blocked+parallel (%d CPUs) ---\n", rep.CPUs)
-	fmt.Printf("%6s %12s %12s %12s %9s %9s\n", "size", "naive", "blocked", "parallel", "blk/nv", "par/nv")
+	fmt.Printf("--- matmul: blocked vs blocked+parallel (%d CPUs) ---\n", rep.CPUs)
+	fmt.Printf("%6s %12s %12s %9s\n", "size", "blocked", "parallel", "par/blk")
 	for _, n := range []int{64, 128, 256} {
 		r := matmulBench(n)
 		rep.MatMul = append(rep.MatMul, r)
-		fmt.Printf("%6d %10.0fns %10.0fns %10.0fns %8.2fx %8.2fx\n",
-			n, r.NaiveNs, r.BlockedNs, r.ParallelNs, r.BlockedSpeedup, r.ParallelSpeedup)
+		fmt.Printf("%6d %10.0fns %10.0fns %8.2fx\n", n, r.BlockedNs, r.ParallelNs, r.ParallelSpeedup)
 	}
 
-	fmt.Printf("\n--- LeNet forward replay (inference Call: naive / plan-off / plan-on) ---\n")
+	fmt.Printf("\n--- LeNet forward replay (inference Call: plan-off / plan-on) ---\n")
 	rep.LeNetForward = lenetForwardBench()
-	fmt.Printf("naive %8.0f   plan-off %8.0f   plan-on %8.0f calls/s   plan %.2fx, total %.2fx\n",
-		rep.LeNetForward.NaivePerSec, rep.LeNetForward.PlanOffPerSec, rep.LeNetForward.PlanOnPerSec,
-		rep.LeNetForward.Speedup, rep.LeNetForward.SpeedupVsNaive)
+	fmt.Printf("plan-off %8.0f   plan-on %8.0f calls/s   plan %.2fx\n",
+		rep.LeNetForward.PlanOffPerSec, rep.LeNetForward.PlanOnPerSec, rep.LeNetForward.Speedup)
 	fmt.Printf("plan-on call latency: p50 %.3fms  p95 %.3fms  p99 %.3fms\n",
 		rep.LeNetForward.PlanOnP50Ms, rep.LeNetForward.PlanOnP95Ms, rep.LeNetForward.PlanOnP99Ms)
 
-	fmt.Printf("\n--- LeNet train-step replay (zero device time: naive / plan-off / plan-on) ---\n")
+	fmt.Printf("\n--- LeNet train-step replay (zero device time: plan-off / plan-on) ---\n")
 	rep.TrainStep = trainStepBench(warmup, steps)
-	fmt.Printf("naive %8.1f   plan-off %8.1f (loss %.3f)   plan-on %8.1f items/s (loss %.3f)   plan %.2fx, total %.2fx\n",
-		rep.TrainStep.NaivePerSec, rep.TrainStep.PlanOffPerSec, rep.TrainStep.FinalLossOff,
-		rep.TrainStep.PlanOnPerSec, rep.TrainStep.FinalLossOn,
-		rep.TrainStep.Speedup, rep.TrainStep.SpeedupVsNaive)
+	fmt.Printf("plan-off %8.1f (loss %.3f)   plan-on %8.1f items/s (loss %.3f)   plan %.2fx\n",
+		rep.TrainStep.PlanOffPerSec, rep.TrainStep.FinalLossOff,
+		rep.TrainStep.PlanOnPerSec, rep.TrainStep.FinalLossOn, rep.TrainStep.Speedup)
 	fmt.Printf("plan-on step latency: p50 %.3fms  p95 %.3fms  p99 %.3fms\n",
 		rep.TrainStep.PlanOnP50Ms, rep.TrainStep.PlanOnP95Ms, rep.TrainStep.PlanOnP99Ms)
 
@@ -208,14 +198,12 @@ func matmulBench(n int) matmulResult {
 	b := rng.Randn(n, n)
 	dst := tensor.Zeros(n, n)
 	r := matmulResult{Size: n}
-	r.NaiveNs = timeIt(60*time.Millisecond, func() { tensor.MatMulNaive(a, b) })
 	prev := tensor.SetKernelParallelism(1)
 	r.BlockedNs = timeIt(60*time.Millisecond, func() { tensor.MatMulInto(dst, a, b) })
 	tensor.SetKernelParallelism(runtime.NumCPU())
 	r.ParallelNs = timeIt(60*time.Millisecond, func() { tensor.MatMulInto(dst, a, b) })
 	tensor.SetKernelParallelism(prev)
-	r.BlockedSpeedup = r.NaiveNs / r.BlockedNs
-	r.ParallelSpeedup = r.NaiveNs / r.ParallelNs
+	r.ParallelSpeedup = r.BlockedNs / r.ParallelNs
 	return r
 }
 
@@ -236,9 +224,7 @@ def lenet_fwd(x):
 // lenetForwardBench times steady-state inference replay; the measurement is
 // duration-bounded (timeIt), not step-count-bounded.
 func lenetForwardBench() planAB {
-	run := func(noPlan, naive bool) (float64, []float64) {
-		prev := tensor.SetNaiveKernels(naive)
-		defer tensor.SetNaiveKernels(prev)
+	run := func(noPlan bool) (float64, []float64) {
 		cfg := core.DefaultJanusConfig()
 		cfg.ProfileIters = 1
 		cfg.PyOverheadNs = -1
@@ -275,17 +261,13 @@ func lenetForwardBench() planAB {
 	}
 	var out planAB
 	var samples []float64
-	out.NaivePerSec, _ = run(true, true)
-	out.PlanOffPerSec, _ = run(true, false)
-	out.PlanOnPerSec, samples = run(false, false)
+	out.PlanOffPerSec, _ = run(true)
+	out.PlanOnPerSec, samples = run(false)
 	out.PlanOnP50Ms = pctile(samples, 0.50)
 	out.PlanOnP95Ms = pctile(samples, 0.95)
 	out.PlanOnP99Ms = pctile(samples, 0.99)
 	if out.PlanOffPerSec > 0 {
 		out.Speedup = out.PlanOnPerSec / out.PlanOffPerSec
-	}
-	if out.NaivePerSec > 0 {
-		out.SpeedupVsNaive = out.PlanOnPerSec / out.NaivePerSec
 	}
 	return out
 }
@@ -326,9 +308,7 @@ func trainStepBench(warmup, steps int) trainAB {
 		fmt.Println(err)
 		return trainAB{}
 	}
-	measure := func(noPlan, naive bool) (float64, float64, []float64) {
-		prev := tensor.SetNaiveKernels(naive)
-		defer tensor.SetNaiveKernels(prev)
+	measure := func(noPlan bool) (float64, float64, []float64) {
 		cfg := core.DefaultJanusConfig()
 		cfg.LR = 0.05
 		cfg.PyOverheadNs = -1 // zero simulated device/dispatch time: host-bound
@@ -339,18 +319,14 @@ func trainStepBench(warmup, steps int) trainAB {
 		return th, loss, stepMs
 	}
 	var out trainAB
-	out.NaivePerSec, _, _ = measure(true, true)
-	out.PlanOffPerSec, out.FinalLossOff, _ = measure(true, false)
+	out.PlanOffPerSec, out.FinalLossOff, _ = measure(true)
 	var stepMs []float64
-	out.PlanOnPerSec, out.FinalLossOn, stepMs = measure(false, false)
+	out.PlanOnPerSec, out.FinalLossOn, stepMs = measure(false)
 	out.PlanOnP50Ms = pctile(stepMs, 0.50)
 	out.PlanOnP95Ms = pctile(stepMs, 0.95)
 	out.PlanOnP99Ms = pctile(stepMs, 0.99)
 	if out.PlanOffPerSec > 0 {
 		out.Speedup = out.PlanOnPerSec / out.PlanOffPerSec
-	}
-	if out.NaivePerSec > 0 {
-		out.SpeedupVsNaive = out.PlanOnPerSec / out.NaivePerSec
 	}
 	return out
 }

@@ -50,7 +50,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pool := flag.Int("pool", 0, "pool size: engine workers serving concurrent requests (default 4)")
-	workers := flag.Int("workers", 0, "deprecated alias for -pool")
 	engineWorkers := flag.Int("engine-workers", 0, "per-graph executor parallelism inside one request (default 4)")
 	maxBatch := flag.Int("max-batch", 8, "max inference requests coalesced per batch")
 	batchLatency := flag.Duration("batch-latency", 2*time.Millisecond, "max wait for batch-mates")
@@ -71,9 +70,6 @@ func main() {
 	flag.Parse()
 
 	poolSize := *pool
-	if poolSize == 0 {
-		poolSize = *workers
-	}
 	if poolSize == 0 {
 		poolSize = 4
 	}

@@ -476,9 +476,8 @@ func (t *Tape) Conv2D(x, w *Node, stride, pad int) *Node {
 	out := t.NewNode(tensor.Conv2D(x.Value, w.Value, stride, pad))
 	xv, wv := x.Value, w.Value
 	t.Record(out, func(g *tensor.Tensor) {
-		gx, gw := tensor.Conv2DGrad(xv, wv, g, stride, pad)
-		t.accum(x, gx)
-		t.accum(w, gw)
+		t.accum(x, tensor.Conv2DGradInput(xv, wv, g, stride, pad))
+		t.accum(w, tensor.Conv2DGradFilter(xv, wv, g, stride, pad))
 	})
 	return out
 }

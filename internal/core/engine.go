@@ -499,27 +499,30 @@ func (e *Engine) optimizeStep(fn *minipy.FuncVal) (minipy.Value, error) {
 	}
 	switch e.cfg.Mode {
 	case Imperative:
-		return e.imperativeStep(fn, nil)
+		return e.imperative(fn, nil, nil, true)
 	case Janus:
-		return e.janusStep(fn)
+		return e.speculativeStep(fn, nil, true)
 	case Trace:
 		return e.traceStep(fn)
 	}
 	return nil, fmt.Errorf("core: unknown mode %d", e.cfg.Mode)
 }
 
-// imperativeStep runs fn on the interpreter under a fresh gradient tape and
-// applies the optimizer. prof, when non-nil, observes the execution.
-func (e *Engine) imperativeStep(fn *minipy.FuncVal, prof *profile.Profile) (minipy.Value, error) {
+// imperative runs fn(args...) on the interpreter under a fresh gradient
+// tape. train marks an optimize() step: fn must return a tensor loss, whose
+// gradients go to the optimizer (or the gradient sink). prof, when non-nil,
+// observes the execution for the speculative converter; callers must hold
+// the funcState lock in that case.
+func (e *Engine) imperative(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile, train bool) (minipy.Value, error) {
 	sp := obs.StartSpan(e.runCtx, "imperative")
 	t0 := time.Now()
-	v, err := e.runImperativeStep(fn, prof)
+	v, err := e.runImperative(fn, args, prof, train)
 	e.stats.phaseImperative.Since(t0)
 	sp.End()
 	return v, err
 }
 
-func (e *Engine) runImperativeStep(fn *minipy.FuncVal, prof *profile.Profile) (minipy.Value, error) {
+func (e *Engine) runImperative(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile, train bool) (minipy.Value, error) {
 	e.stats.imperativeSteps.Add(1)
 	prevTape, prevProf := e.Local.Tape, e.Local.Prof
 	e.Local.Tape = autodiff.NewTape()
@@ -529,24 +532,26 @@ func (e *Engine) runImperativeStep(fn *minipy.FuncVal, prof *profile.Profile) (m
 	defer func() {
 		e.Local.Tape, e.Local.Prof = prevTape, prevProf
 	}()
-	out, err := e.Local.CallFunction(fn, nil)
+	out, err := e.Local.CallFunction(fn, args)
 	if err != nil {
 		return nil, err
 	}
-	loss, ok := out.(*minipy.TensorVal)
-	if !ok {
-		return nil, fmt.Errorf("core: optimize() function returned %s, want tensor loss", out.TypeName())
-	}
-	if e.gradSink != nil {
-		e.Local.Tape.GradientStream(loss.Node, e.gradSink)
-	} else {
-		grads := e.Local.Tape.Gradient(loss.Node)
-		e.Opt.Apply(e.Store, grads)
+	if train {
+		loss, ok := out.(*minipy.TensorVal)
+		if !ok {
+			return nil, fmt.Errorf("core: optimize() function returned %s, want tensor loss", out.TypeName())
+		}
+		if e.gradSink != nil {
+			e.Local.Tape.GradientStream(loss.Node, e.gradSink)
+		} else {
+			grads := e.Local.Tape.Gradient(loss.Node)
+			e.Opt.Apply(e.Store, grads)
+		}
 	}
 	if prof != nil {
 		prof.EndIteration()
 	}
-	return loss, nil
+	return out, nil
 }
 
 // state returns the per-function bookkeeping from the (possibly shared)
@@ -559,15 +564,21 @@ func (e *Engine) state(fn *minipy.FuncVal, infer bool) *funcState {
 	return e.cache.state(cacheKey{fn: id, infer: infer})
 }
 
-// janusStep is the full speculative path: profile, generate, validate,
-// execute, fall back.
+// speculativeStep is the full speculative path — profile, generate,
+// validate, execute, fall back — behind both entry points. train selects the
+// optimize() step (fn is the loss closure, args nil, and the graph carries
+// gradient and update ops or runs under the trace tape); otherwise fn(args...)
+// is a plain call whose forward-only graphs are cached apart from the
+// training entries. Functions that themselves call optimize() end up
+// imperative-only here, and their inner optimize() still reaches the training
+// path with its own funcState.
 //
 // fs.mu is held through profiling, lookup and generation — when engines
 // share the cache this serializes the per-function slow path (and prevents
 // duplicate conversions for the same signature) — and released around graph
 // execution, so cached-graph steps for the same function run concurrently.
-func (e *Engine) janusStep(fn *minipy.FuncVal) (minipy.Value, error) {
-	fs := e.state(fn, false)
+func (e *Engine) speculativeStep(fn *minipy.FuncVal, args []minipy.Value, train bool) (minipy.Value, error) {
+	fs := e.state(fn, !train)
 	fs.mu.Lock()
 	impOnly := fs.imperativeOnly
 	fs.mu.Unlock()
@@ -575,7 +586,7 @@ func (e *Engine) janusStep(fn *minipy.FuncVal) (minipy.Value, error) {
 		// Imperative-only functions never regenerate, so the shared profile
 		// is no longer consulted: run unlocked so pool engines interpret the
 		// function in parallel instead of serializing on fs.mu.
-		return e.imperativeStep(fn, nil)
+		return e.imperative(fn, args, nil, train)
 	}
 	var entry *compiled
 	var leaves []minipy.Value
@@ -583,34 +594,38 @@ func (e *Engine) janusStep(fn *minipy.FuncVal) (minipy.Value, error) {
 	// failed) without needing graph execution. The closure keeps the unlock
 	// in a defer, so a panic in conversion (recovered by the serving layer)
 	// can never leave the function's lock held.
-	loss, handled, err := func() (minipy.Value, bool, error) {
+	out, handled, err := func() (minipy.Value, bool, error) {
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
 		if fs.imperativeOnly {
-			v, err := e.imperativeStep(fn, fs.prof)
+			v, err := e.imperative(fn, args, fs.prof, train)
 			return v, true, err
 		}
 		if fs.prof.Iterations() < e.cfg.ProfileIters || fs.prof.Iterations() < fs.reprofileUntil {
 			// (A) Profile: not enough information for realistic assumptions.
-			v, err := e.imperativeStep(fn, fs.prof)
+			v, err := e.imperative(fn, args, fs.prof, train)
 			return v, true, err
 		}
-		hash, lv := convert.FlattenHash(fn, nil)
+		hash, lv := convert.FlattenHash(fn, args)
 		if entry = e.hashLookup(fs, hash, len(lv)); entry == nil {
-			sig, _ := convert.Flatten(fn, nil)
+			sig, _ := convert.Flatten(fn, args)
 			entry = e.lookup(fs, sig)
 			if entry == nil {
 				e.stats.cacheMisses.Add(1)
 				obs.TraceFrom(e.runCtx).Annotate("cache", "miss")
 				var gerr error
-				entry, gerr = e.generate(fs, fn, sig, len(lv))
+				entry, gerr = e.generate(fs, fn, args, sig, len(lv), convert.Options{
+					Unroll:     e.cfg.Unroll,
+					Specialize: e.cfg.Specialize,
+					Distrust:   fs.distrust,
+				}, train)
 				if gerr != nil {
 					if errors.Is(gerr, convert.ErrNotConvertible) {
 						// (C) Do not generate: imperative-only function.
 						fs.imperativeOnly = true
 						fs.impReason = gerr.Error()
 						e.stats.conversionFails.Add(1)
-						v, err := e.imperativeStep(fn, fs.prof)
+						v, err := e.imperative(fn, args, fs.prof, train)
 						return v, true, err
 					}
 					return nil, true, gerr
@@ -625,14 +640,14 @@ func (e *Engine) janusStep(fn *minipy.FuncVal) (minipy.Value, error) {
 		return nil, false, nil
 	}()
 	if handled {
-		return loss, err
+		return out, err
 	}
 	t0 := time.Now()
-	loss, err = e.execute(entry, leaves)
+	out, err = e.execute(entry, leaves, train)
 	if err == nil {
 		e.stats.graphSteps.Add(1)
 		obs.TraceFrom(e.runCtx).Annotate("path", "graph")
-		return loss, nil
+		return out, nil
 	}
 	var ae *exec.AssertError
 	if errors.As(err, &ae) {
@@ -653,7 +668,7 @@ func (e *Engine) janusStep(fn *minipy.FuncVal) (minipy.Value, error) {
 		if cerr := e.interrupted(); cerr != nil {
 			return nil, cerr
 		}
-		return e.imperativeStep(fn, fs.prof)
+		return e.imperative(fn, args, fs.prof, train)
 	}
 	return nil, err
 }
@@ -710,16 +725,13 @@ func dropFromSigIndex(fs *funcState, c *compiled) {
 	}
 }
 
-// generate runs the Speculative Graph Generator (Figure 2, B) and caches the
-// result.
-func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, sig []string, numLeaves int) (*compiled, error) {
+// generate runs the Speculative Graph Generator (Figure 2, B) over
+// fn(args...) and caches the result. With train, gradient and update ops are
+// appended to static graphs; a forward-only graph is always static.
+func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, args []minipy.Value, sig []string, numLeaves int, copts convert.Options, train bool) (*compiled, error) {
 	csp := obs.StartSpan(e.runCtx, "convert")
 	t0 := time.Now()
-	res, err := convert.ConvertCall(fn, nil, fs.prof, e.Local.Builtins, convert.Options{
-		Unroll:     e.cfg.Unroll,
-		Specialize: e.cfg.Specialize,
-		Distrust:   fs.distrust,
-	})
+	res, err := convert.ConvertCall(fn, args, fs.prof, e.Local.Builtins, copts)
 	e.stats.phaseConvert.Since(t0)
 	csp.End()
 	if err != nil {
@@ -727,17 +739,20 @@ func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, sig []string, numLe
 	}
 	ksp := obs.StartSpan(e.runCtx, "compile")
 	t1 := time.Now()
-	if e.gradSink != nil {
-		// Gradient streaming needs the trace tape: skip the static
-		// gradient/update ops so backprop runs on the tape and per-tensor
-		// gradients reach the sink as they finalize.
-		res.Dynamic = true
-	} else if err := convert.FinalizeTraining(res, e.cfg.LR); err != nil {
-		// Static gradient generation failed (e.g. an op without a gradient):
-		// run the graph dynamically via the trace tape instead.
-		res.Dynamic = true
+	if train {
+		if e.gradSink != nil && !copts.Trace {
+			// Gradient streaming needs the trace tape: skip the static
+			// gradient/update ops so backprop runs on the tape and per-tensor
+			// gradients reach the sink as they finalize. (The defun baseline
+			// keeps its static graph and ignores the sink: SetGradSink.)
+			res.Dynamic = true
+		} else if err := convert.FinalizeTraining(res, e.cfg.LR); err != nil {
+			// Static gradient generation failed (e.g. an op without a
+			// gradient): run the graph dynamically via the trace tape instead.
+			res.Dynamic = true
+		}
 	}
-	rep, perr := e.runPasses(res, e.cfg.Specialize)
+	rep, perr := e.runPasses(res, copts.Specialize)
 	e.stats.phaseCompile.Since(t1)
 	ksp.End()
 	if perr != nil {
@@ -748,7 +763,7 @@ func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, sig []string, numLe
 	if o := e.tryRelaxMerge(fs, res, sig, numLeaves); o != nil {
 		return o, nil
 	}
-	c := &compiled{pattern: sig, leafCount: numLeaves, res: res, static: !res.Dynamic, passes: rep}
+	c := &compiled{pattern: sig, leafCount: numLeaves, res: res, static: !train || !res.Dynamic, passes: rep}
 	fs.entries = append(fs.entries, c)
 	e.cache.noteInsert(c)
 	return c, nil
@@ -805,21 +820,25 @@ func (e *Engine) tryRelaxMerge(fs *funcState, res *convert.Result, sig []string,
 // Under an active trace the execute span's ID is pushed onto the run
 // context so downstream spans (plan builds, parameter-server pushes) nest
 // under it; without a trace the whole exchange is a nil check.
-func (e *Engine) execute(c *compiled, leaves []minipy.Value) (minipy.Value, error) {
+func (e *Engine) execute(c *compiled, leaves []minipy.Value, train bool) (minipy.Value, error) {
 	sp := obs.StartSpan(e.runCtx, "execute")
 	t0 := time.Now()
 	restore := func() {}
 	if sp.ID() != 0 {
 		restore = e.withCtx(obs.ContextWithSpan(e.runCtx, sp.ID()))
 	}
-	v, err := e.executeGraph(c, leaves)
+	v, err := e.executeGraph(c, leaves, train)
 	restore()
 	e.stats.phaseExecute.Since(t0)
 	sp.End()
 	return v, err
 }
 
-func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value) (minipy.Value, error) {
+// executeGraph feeds and runs c's graph. A training graph yields its loss —
+// a static one applied its own update ops, a dynamic one is differentiated
+// here through the executor's trace tape; a forward graph's outputs convert
+// back to minipy values (a single output unwraps, several become a tuple).
+func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value, train bool) (minipy.Value, error) {
 	feeds := make(map[string]graph.Val, len(leaves))
 	for i, v := range leaves {
 		feeds[feedName(i)] = minipyToGraph(v)
@@ -839,23 +858,35 @@ func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value) (minipy.Value,
 		// long graphs, not just at the next step boundary.
 		Ctx: e.runCtx,
 	}
-	if c.static {
-		res, err := exec.Run(c.res.Graph, feeds, opts)
-		if err != nil {
-			return nil, e.asCanceled(err)
+	var tape *autodiff.Tape
+	if !c.static {
+		// Dynamic graph: executed-trace tape gradients, optimizer applied here.
+		tape = autodiff.NewTape()
+		opts.Tape = tape
+	}
+	res, err := exec.Run(c.res.Graph, feeds, opts)
+	if err != nil {
+		return nil, e.asCanceled(err)
+	}
+	if !train {
+		if len(res.Outputs) == 0 {
+			return minipy.None, nil
 		}
+		if len(res.Outputs) == 1 {
+			return graphToMinipy(res.Outputs[0]), nil
+		}
+		items := make([]minipy.Value, len(res.Outputs))
+		for i, o := range res.Outputs {
+			items[i] = graphToMinipy(o)
+		}
+		return &minipy.TupleVal{Items: items}, nil
+	}
+	if c.static {
 		t, err := graph.AsTensor(res.Outputs[0])
 		if err != nil {
 			return nil, fmt.Errorf("core: graph loss: %v", err)
 		}
 		return minipy.NewTensor(t), nil
-	}
-	// Dynamic graph: executed-trace tape gradients, optimizer applied here.
-	tape := autodiff.NewTape()
-	opts.Tape = tape
-	res, err := exec.Run(c.res.Graph, feeds, opts)
-	if err != nil {
-		return nil, e.asCanceled(err)
 	}
 	node, ok := res.Outputs[0].(*autodiff.Node)
 	if !ok {
@@ -911,7 +942,7 @@ func (e *Engine) traceStep(fn *minipy.FuncVal) (minipy.Value, error) {
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
 		if fs.prof.Iterations() < 1 {
-			v, err := e.imperativeStep(fn, fs.prof)
+			v, err := e.imperative(fn, nil, fs.prof, true)
 			return v, true, err
 		}
 		sig, lv := convert.Flatten(fn, nil)
@@ -921,24 +952,13 @@ func (e *Engine) traceStep(fn *minipy.FuncVal) (minipy.Value, error) {
 			entry = fs.entries[0]
 			e.cache.touch(entry)
 		} else {
-			res, err := convert.ConvertCall(fn, nil, fs.prof, e.Local.Builtins, convert.Options{
+			var err error
+			entry, err = e.generate(fs, fn, nil, sig, len(lv), convert.Options{
 				Unroll: true, Specialize: true, Trace: true,
-			})
+			}, true)
 			if err != nil {
 				return nil, true, fmt.Errorf("core: trace conversion failed (defun limitation): %w", err)
 			}
-			if err := convert.FinalizeTraining(res, e.cfg.LR); err != nil {
-				res.Dynamic = true
-			}
-			rep, perr := e.runPasses(res, true)
-			if perr != nil {
-				return nil, true, perr
-			}
-			e.stats.addReport(rep)
-			e.stats.conversions.Add(1)
-			entry = &compiled{pattern: sig, leafCount: len(lv), res: res, static: !res.Dynamic, passes: rep}
-			fs.entries = append(fs.entries, entry)
-			e.cache.noteInsert(entry)
 		}
 		leaves = lv
 		return nil, false, nil
@@ -946,7 +966,7 @@ func (e *Engine) traceStep(fn *minipy.FuncVal) (minipy.Value, error) {
 	if handled {
 		return loss, err
 	}
-	loss, err = e.execute(entry, leaves)
+	loss, err = e.execute(entry, leaves, true)
 	if err != nil {
 		return nil, err
 	}

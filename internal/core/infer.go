@@ -2,25 +2,16 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/autodiff"
-	"repro/internal/convert"
-	"repro/internal/exec"
-	"repro/internal/graph"
 	"repro/internal/minipy"
-	"repro/internal/obs"
-	"repro/internal/profile"
 )
 
-// This file is the forward-only (inference) counterpart of the optimize()
-// training path in engine.go. The serving subsystem calls module-level
-// functions by name on behalf of remote clients; under the Janus mode those
-// calls go through the same profile → speculate → validate → fall back
-// pipeline, but the generated graphs carry no gradient or update ops and
-// their cache entries are kept separate from the training entries.
+// This file holds the plain-call entry points. The serving subsystem calls
+// module-level functions by name on behalf of remote clients; under the
+// Janus mode those calls go through Engine.speculativeStep — the same
+// profile → speculate → validate → fall back pipeline as optimize() — with
+// forward-only graphs cached apart from the training entries.
 
 // LookupFunc resolves a module-level function by name; a missing name is
 // reported with the ErrUnknownFunction sentinel (HTTP 404 in the serving
@@ -100,209 +91,8 @@ func (e *Engine) CallFuncCtx(ctx context.Context, fn *minipy.FuncVal, args []min
 	}
 	switch e.cfg.Mode {
 	case Janus, Trace:
-		return e.inferStep(fn, args)
+		return e.speculativeStep(fn, args, false)
 	default:
-		return e.imperativeCall(fn, args, nil)
+		return e.imperative(fn, args, nil, false)
 	}
-}
-
-// imperativeCall runs fn(args...) on the interpreter. prof, when non-nil,
-// observes the execution for the speculative converter; callers must hold
-// the funcState lock in that case.
-func (e *Engine) imperativeCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile) (minipy.Value, error) {
-	sp := obs.StartSpan(e.runCtx, "imperative")
-	t0 := time.Now()
-	v, err := e.runImperativeCall(fn, args, prof)
-	e.stats.phaseImperative.Since(t0)
-	sp.End()
-	return v, err
-}
-
-func (e *Engine) runImperativeCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile) (minipy.Value, error) {
-	e.stats.imperativeSteps.Add(1)
-	prevTape, prevProf := e.Local.Tape, e.Local.Prof
-	e.Local.Tape = autodiff.NewTape()
-	if prof != nil {
-		e.Local.Prof = prof
-	}
-	defer func() {
-		e.Local.Tape, e.Local.Prof = prevTape, prevProf
-	}()
-	out, err := e.Local.CallFunction(fn, args)
-	if err != nil {
-		return nil, err
-	}
-	if prof != nil {
-		prof.EndIteration()
-	}
-	return out, nil
-}
-
-// inferStep mirrors janusStep for a plain function call: same cache and
-// fallback discipline, but the graph is forward-only. The locking contract
-// matches janusStep — fs.mu covers profiling/lookup/generation, execution
-// runs outside it.
-func (e *Engine) inferStep(fn *minipy.FuncVal, args []minipy.Value) (minipy.Value, error) {
-	fs := e.state(fn, true)
-	fs.mu.Lock()
-	impOnly := fs.imperativeOnly
-	fs.mu.Unlock()
-	if impOnly {
-		// Never regenerated, profile never consulted again: run unlocked so
-		// pool engines interpret in parallel (train_step-style functions that
-		// call optimize() land here, and the inner optimize still reaches the
-		// speculative training path with its own funcState).
-		return e.imperativeCall(fn, args, nil)
-	}
-	var entry *compiled
-	var leaves []minipy.Value
-	// As in janusStep, the deferred unlock inside the closure keeps fs.mu
-	// panic-safe (the serving layer recovers panics into request errors).
-	out, handled, err := func() (minipy.Value, bool, error) {
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
-		if fs.imperativeOnly {
-			v, err := e.imperativeCall(fn, args, fs.prof)
-			return v, true, err
-		}
-		if fs.prof.Iterations() < e.cfg.ProfileIters || fs.prof.Iterations() < fs.reprofileUntil {
-			v, err := e.imperativeCall(fn, args, fs.prof)
-			return v, true, err
-		}
-		hash, lv := convert.FlattenHash(fn, args)
-		if entry = e.hashLookup(fs, hash, len(lv)); entry == nil {
-			sig, _ := convert.Flatten(fn, args)
-			entry = e.lookup(fs, sig)
-			if entry == nil {
-				e.stats.cacheMisses.Add(1)
-				obs.TraceFrom(e.runCtx).Annotate("cache", "miss")
-				var gerr error
-				entry, gerr = e.generateInfer(fs, fn, args, sig, len(lv))
-				if gerr != nil {
-					if errors.Is(gerr, convert.ErrNotConvertible) {
-						fs.imperativeOnly = true
-						fs.impReason = gerr.Error()
-						e.stats.conversionFails.Add(1)
-						v, err := e.imperativeCall(fn, args, fs.prof)
-						return v, true, err
-					}
-					return nil, true, gerr
-				}
-			} else {
-				e.stats.cacheHits.Add(1)
-				obs.TraceFrom(e.runCtx).Annotate("cache", "hit")
-			}
-			memoizeSig(fs, hash, entry)
-		}
-		leaves = lv
-		return nil, false, nil
-	}()
-	if handled {
-		return out, err
-	}
-	t0 := time.Now()
-	out, err = e.executeInfer(entry, leaves)
-	if err == nil {
-		e.stats.graphSteps.Add(1)
-		obs.TraceFrom(e.runCtx).Annotate("path", "graph")
-		return out, nil
-	}
-	var ae *exec.AssertError
-	if errors.As(err, &ae) {
-		wasted := time.Since(t0)
-		e.stats.assertFailures.Add(1)
-		e.stats.fallbacks.Add(1)
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
-		ev := e.noteFailure(fs, entry, ae, wasted)
-		tr := obs.TraceFrom(e.runCtx)
-		tr.Annotate("path", "fallback")
-		tr.Annotate("deopt", ev.Label())
-		// Fallback boundary = cancellation point (see janusStep).
-		if cerr := e.interrupted(); cerr != nil {
-			return nil, cerr
-		}
-		return e.imperativeCall(fn, args, fs.prof)
-	}
-	return nil, err
-}
-
-// generateInfer converts fn(args...) to a forward-only graph and caches it.
-func (e *Engine) generateInfer(fs *funcState, fn *minipy.FuncVal, args []minipy.Value, sig []string, numLeaves int) (*compiled, error) {
-	csp := obs.StartSpan(e.runCtx, "convert")
-	t0 := time.Now()
-	res, err := convert.ConvertCall(fn, args, fs.prof, e.Local.Builtins, convert.Options{
-		Unroll:     e.cfg.Unroll,
-		Specialize: e.cfg.Specialize,
-		Distrust:   fs.distrust,
-	})
-	e.stats.phaseConvert.Since(t0)
-	csp.End()
-	if err != nil {
-		return nil, err
-	}
-	ksp := obs.StartSpan(e.runCtx, "compile")
-	t1 := time.Now()
-	rep, perr := e.runPasses(res, e.cfg.Specialize)
-	e.stats.phaseCompile.Since(t1)
-	ksp.End()
-	if perr != nil {
-		return nil, perr
-	}
-	e.stats.addReport(rep)
-	e.stats.conversions.Add(1)
-	if o := e.tryRelaxMerge(fs, res, sig, numLeaves); o != nil {
-		return o, nil
-	}
-	c := &compiled{pattern: sig, leafCount: numLeaves, res: res, static: true, passes: rep}
-	fs.entries = append(fs.entries, c)
-	e.cache.noteInsert(c)
-	return c, nil
-}
-
-// executeInfer runs a forward graph and converts its outputs back to minipy
-// values (a single output unwraps; multiple become a tuple).
-func (e *Engine) executeInfer(c *compiled, leaves []minipy.Value) (minipy.Value, error) {
-	sp := obs.StartSpan(e.runCtx, "execute")
-	t0 := time.Now()
-	restore := func() {}
-	if sp.ID() != 0 {
-		restore = e.withCtx(obs.ContextWithSpan(e.runCtx, sp.ID()))
-	}
-	v, err := e.runInferGraph(c, leaves)
-	restore()
-	e.stats.phaseExecute.Since(t0)
-	sp.End()
-	return v, err
-}
-
-func (e *Engine) runInferGraph(c *compiled, leaves []minipy.Value) (minipy.Value, error) {
-	feeds := make(map[string]graph.Val, len(leaves))
-	for i, v := range leaves {
-		feeds[feedName(i)] = minipyToGraph(v)
-	}
-	res, err := exec.Run(c.res.Graph, feeds, exec.Options{
-		Workers:        e.cfg.Workers,
-		Store:          e.Store,
-		Heap:           e.heap,
-		DisableAsserts: e.cfg.DisableAsserts,
-		Metrics:        e.stats.exec,
-		Pool:           e.pool,
-		Arena:          e.arena,
-		Ctx:            e.runCtx,
-	})
-	if err != nil {
-		return nil, e.asCanceled(err)
-	}
-	if len(res.Outputs) == 0 {
-		return minipy.None, nil
-	}
-	if len(res.Outputs) == 1 {
-		return graphToMinipy(res.Outputs[0]), nil
-	}
-	items := make([]minipy.Value, len(res.Outputs))
-	for i, o := range res.Outputs {
-		items[i] = graphToMinipy(o)
-	}
-	return &minipy.TupleVal{Items: items}, nil
 }

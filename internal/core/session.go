@@ -80,7 +80,7 @@ func (e *Engine) CallInCtx(ctx context.Context, env *minipy.Env, name string, ar
 		if err := e.interrupted(); err != nil {
 			return nil, err
 		}
-		return e.imperativeCall(fn, args, nil)
+		return e.imperative(fn, args, nil, false)
 	}
 	return e.CallFuncCtx(ctx, fn, args)
 }

@@ -280,6 +280,7 @@ type plan struct {
 	kind      []int8  // fast-path kind per node
 	phName    []string
 	varName   []string
+	into      []graph.IntoKernel // destination-passing kernel of kindInto nodes
 	mem       *graph.MemoryPlan
 	// prof is the graph's always-on op profile; its flat arrays parallel
 	// the plan's, so the schedulers accumulate without map lookups.
@@ -302,6 +303,7 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 		kind:      make([]int8, n),
 		phName:    make([]string, n),
 		varName:   make([]string, n),
+		into:      make([]graph.IntoKernel, n),
 	}
 	for i := 0; i < n; i++ {
 		p.portBase[i+1] = p.portBase[i] + counts[i]
@@ -336,8 +338,9 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 			p.kind[i] = kindVariable
 			p.varName[i] = nd.StrAttr("name")
 		default:
-			if graph.HasIntoKernel(nd.Op) {
+			if def := graph.Lookup(nd.Op); def != nil && def.Into != nil {
 				p.kind[i] = kindInto
+				p.into[i] = def.Into
 			}
 		}
 	}
@@ -772,7 +775,7 @@ func execFast(p *plan, g *graph.Graph, i int32, nd *graph.Node, in []graph.Val, 
 		return t.Clone(), nil
 	case kindInto:
 		na.prep(ms, i, in)
-		return graph.IntoKernels[nd.Op](nd, in, na)
+		return p.into[i](nd, in, na)
 	}
 	panic("exec: execFast on generic node")
 }

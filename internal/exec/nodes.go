@@ -31,7 +31,8 @@ func unwrapAll(in []graph.Val) []graph.Val {
 }
 
 // execNode dispatches one node. It handles the impure, control-flow and
-// tape-aware operations directly; pure ops fall through to graph.Kernels.
+// tape-aware operations directly; pure ops fall through to their op-table
+// kernel, evaluated on the heap.
 func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]graph.Val, c *ctx) ([]graph.Val, error) {
 	switch nd.Op {
 	case "Placeholder":
@@ -292,11 +293,11 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 			return tk(c.opts.Tape, nd, in)
 		}
 	}
-	k, ok := graph.Kernels[nd.Op]
-	if !ok {
+	def := graph.Lookup(nd.Op)
+	if !def.Foldable() {
 		return nil, fmt.Errorf("exec: no kernel for op %s", nd.Op)
 	}
-	return k(nd, unwrapAll(in))
+	return def.Eval(nd, unwrapAll(in))
 }
 
 func loopFeeds(state []graph.Val) map[string]graph.Val {

@@ -32,11 +32,11 @@ func evalStatic(t *testing.T, g *Graph, feeds map[string]Val) []Val {
 			}
 			out = []Val{v}
 		default:
-			k, ok := Kernels[n.Op]
-			if !ok {
+			def := Lookup(n.Op)
+			if !def.Foldable() {
 				t.Fatalf("no kernel for %s", n.Op)
 			}
-			out, err = k(n, in)
+			out, err = def.Eval(n, in)
 			if err != nil {
 				t.Fatalf("kernel %s: %v", n.Op, err)
 			}
@@ -88,7 +88,7 @@ func TestKernelsMatchTensorOps(t *testing.T) {
 	}
 	for _, c := range cases {
 		n := &Node{Op: c.op}
-		out, err := Kernels[c.op](n, []Val{a, b})
+		out, err := Lookup(c.op).Eval(n, []Val{a, b})
 		if err != nil {
 			t.Fatalf("%s: %v", c.op, err)
 		}

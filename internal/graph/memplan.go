@@ -15,8 +15,9 @@ package graph
 // the tensor beyond its own execution (Pack, PySetAttr, PySetSubscr);
 // placeholder feeds, constants and heap reads are never pool-owned in the
 // first place, so caller- and interpreter-owned tensors are untouched.
-// Everything here is conservative: an op outside the safe-consumer list pins
-// its inputs, which costs reuse, never correctness.
+// Everything here is conservative: the per-op facts come from the op table
+// (OpDef.ReadsOnly, Fresh, InPlace), and an op without them — or an
+// unregistered one — pins its inputs, which costs reuse, never correctness.
 
 // MemoryPlan is the per-graph buffer-reuse plan. All slices are indexed by
 // the node's position in Graph.Nodes.
@@ -96,71 +97,6 @@ func aliasFanIn(n *Node) []int {
 		return idx
 	}
 	return nil
-}
-
-// safeConsumers lists ops that only read their tensor inputs during their
-// own execution — they neither retain references afterwards nor alias an
-// input into an output (alias ops are handled by class union instead). An op
-// absent from this set pins its inputs' classes.
-var safeConsumers = map[string]bool{
-	"Add": true, "Sub": true, "Mul": true, "Div": true, "Pow": true,
-	"Maximum": true, "Minimum": true, "Neg": true, "Exp": true, "Log": true,
-	"Abs": true, "Sign": true, "Floor": true, "Not": true, "Cmp": true,
-	"Len": true, "ReLU": true, "Sigmoid": true, "Tanh": true,
-	"Softmax": true, "LogSoftmax": true, "Sum": true, "Mean": true,
-	"MatMul": true, "Transpose": true, "Reshape": true, "ReshapeLike": true,
-	"ExpandDims": true, "Concat": true, "ConcatGradSlice": true,
-	"Slice": true, "SliceGrad": true, "Stack": true, "StackList": true,
-	"Gather": true, "GatherGrad": true, "OneHot": true, "Argmax": true,
-	"Conv2D": true, "Conv2DGradInput": true, "Conv2DGradFilter": true,
-	"MaxPool": true, "MaxPoolGrad": true, "AvgPool": true, "AvgPoolGrad": true,
-	"BatchNorm": true, "ReLUGrad": true, "SigmoidGradFromOut": true,
-	"TanhGradFromOut": true, "SoftmaxGrad": true, "CrossEntropy": true,
-	"CrossEntropyGrad": true, "MSE": true, "MSEGrad": true, "PowGrad": true,
-	"LogGrad": true, "ExtremumGrad": true, "Scale": true,
-	"ScaleByScalar": true, "FillLike": true, "Unbroadcast": true,
-	"AssignSub": true, "Print": true, "NoOp": true, "IndexAny": true,
-	"IndexList": true, "Unpack": true,
-	// Pass-pipeline ops (internal/graph/passes): fused elementwise chains
-	// and the extracted im2col convolution family.
-	"Fused": true, "Im2Col": true, "Conv2DFromCol": true,
-	"Conv2DGradFilterFromCol": true,
-	// Alias ops are safe in the retain sense; union handles the aliasing.
-	"Identity": true, "Assert": true, "Switch": true, "Merge": true,
-}
-
-// freshProducer reports ops whose (tensor) outputs are freshly allocated and
-// private to the execution — eligible for pool ownership. This is the Into
-// registry plus fresh allocating kernels and the executor's Variable
-// snapshot.
-func freshProducer(op string) bool {
-	if HasIntoKernel(op) {
-		return true
-	}
-	switch op {
-	case "Variable", "Slice", "SliceGrad", "Concat", "ConcatGradSlice",
-		"Gather", "GatherGrad", "OneHot", "Argmax", "Stack", "Floor",
-		"SoftmaxGrad", "PowGrad", "LogGrad", "ExtremumGrad", "BatchNorm":
-		return true
-	}
-	return false
-}
-
-// inPlaceOps lists elementwise ops that may overwrite input 0 when it dies
-// at that node: their Into kernels call alloc.Get exactly once, with a shape
-// equal to input 0's when in-place is legal, and read index i before writing
-// index i.
-var inPlaceOps = map[string]bool{
-	"Add": true, "Sub": true, "Mul": true, "Div": true, "Pow": true,
-	"Maximum": true, "Minimum": true, "Neg": true, "ReLU": true,
-	"Sigmoid": true, "Tanh": true, "Exp": true, "Log": true, "Abs": true,
-	"Softmax": true, "LogSoftmax": true, "Scale": true, "ScaleByScalar": true,
-	"ReLUGrad": true, "SigmoidGradFromOut": true, "TanhGradFromOut": true,
-	"CrossEntropyGrad": true,
-	// Fused chains are pointwise over input 0 on their fast path; the
-	// broadcast slow path allocates a differently-shaped output first, which
-	// fails the executor's runtime shape check and degrades to a plain rent.
-	"Fused": true,
 }
 
 // BuildMemoryPlan analyzes g and returns its buffer-reuse plan. The plan
@@ -243,11 +179,14 @@ func BuildMemoryPlan(g *Graph) *MemoryPlan {
 		outs := int(counts[i])
 		oc := make([]int32, outs)
 		pr := make([]bool, outs)
-		alias := aliasFanIn(nd) != nil
+		def := Lookup(nd.Op)
+		// Fresh outputs are execution-private and eligible for pool ownership:
+		// every Into kernel's, plus the ops flagged Fresh.
+		freshOut := def != nil && (def.Into != nil || def.Fresh) && aliasFanIn(nd) == nil
 		for o := 0; o < outs; o++ {
 			c := classOf[portBase[i]+int32(o)]
 			oc[o] = c
-			if !alias && freshProducer(nd.Op) {
+			if freshOut {
 				pr[o] = true
 				fresh[c] = true
 			}
@@ -260,7 +199,7 @@ func BuildMemoryPlan(g *Graph) *MemoryPlan {
 			c := classOf[portOf(in)]
 			ic[k] = c
 			mp.Refs[c]++
-			if !safeConsumers[nd.Op] {
+			if def == nil || !def.ReadsOnly {
 				pinned[c] = true
 			}
 		}
@@ -281,7 +220,7 @@ func BuildMemoryPlan(g *Graph) *MemoryPlan {
 	// output would drain the pool by one buffer per replay.
 	for i, nd := range g.Nodes {
 		mp.InPlace[i] = -1
-		if !inPlaceOps[nd.Op] || len(nd.Inputs) == 0 {
+		if def := Lookup(nd.Op); def == nil || !def.InPlace || len(nd.Inputs) == 0 {
 			continue
 		}
 		if pinned[mp.OutClass[i][0]] {

@@ -1,0 +1,240 @@
+package graph
+
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
+
+// IntoKernel is the destination-passing form of a pure single-output kernel:
+// instead of allocating its result it rents the output tensor (and any
+// scratch) from alloc. The plan-driven executor (internal/exec) installs a
+// pool-backed — and, for planned in-place nodes, input-rebinding — allocator;
+// every other caller passes tensor.HeapAlloc through OpDef.Eval.
+//
+// Contract: the returned tensor must have been obtained from alloc; scratch
+// rentals must be returned with alloc.Put before the kernel returns; inputs
+// are only read during the call and never aliased into the output; a shape or
+// rank the kernel does not cover is an error naming the op, never a second
+// code path.
+type IntoKernel func(n *Node, in []Val, alloc tensor.Allocator) (Val, error)
+
+// Kernel computes a pure op's outputs from its inputs on the Go heap.
+type Kernel func(n *Node, in []Val) ([]Val, error)
+
+// GradFunc emits the gradient nodes of forward node n into g. gout is the
+// gradient flowing into n's output; each input's contribution is reported
+// through addGrad.
+type GradFunc func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error
+
+// OpDef is the single definition of an op: its kernel, its symbolic
+// gradient, and the facts the memory planner and the optimizer passes need.
+// Every consumer — the executor's fast and generic paths, constant folding,
+// CSE, DCE, fusion, BuildMemoryPlan, Gradients — reads this table, so an op
+// is added by registering one OpDef (DESIGN.md "Adding an op").
+type OpDef struct {
+	Name string
+	// Into is the op's destination-passing kernel.
+	Into IntoKernel
+	// Kernel is the allocating kernel of a pure op that has no Into form
+	// (non-tensor results, variadic inputs, value forwarding). An op with
+	// neither kernel is implemented by the executor (internal/exec/nodes.go).
+	Kernel Kernel
+	// Grad is the op's symbolic gradient. An op with neither Grad nor
+	// StopGrad makes Gradients fail with "no gradient registered".
+	Grad GradFunc
+	// StopGrad marks leaves and non-differentiable ops: a gradient reaching
+	// the op is dropped silently.
+	StopGrad bool
+	// ReadsOnly states that the op only reads its tensor inputs during its
+	// own execution: it neither retains a reference afterwards nor aliases
+	// an input into an output (Identity/Assert/Switch/Merge alias by class
+	// union instead). Without it the memory plan pins the op's inputs, which
+	// costs buffer reuse, never correctness.
+	ReadsOnly bool
+	// InPlace states that Into may overwrite input 0 when it dies at this
+	// node: the kernel calls alloc.Get exactly once before any scratch
+	// rental, with input 0's shape whenever in-place is legal, and reads
+	// index i of every same-shape input before writing index i.
+	InPlace bool
+	// Fresh states that an op without an Into kernel still yields a freshly
+	// allocated, execution-private tensor the pool may adopt. Into kernels
+	// are fresh by contract.
+	Fresh bool
+	// SideEffect keeps the op alive regardless of liveness and out of
+	// folding, CSE and fusion (state mutation, assertion, output).
+	SideEffect bool
+}
+
+var ops = map[string]*OpDef{}
+
+// register adds defs to the op table; registering a name twice is a
+// programming error caught at start-up. The flag invariants (in-place needs
+// an Into kernel, one kernel per op, ...) are pinned by opdef_test.go.
+func register(defs ...OpDef) {
+	for i := range defs {
+		d := &defs[i]
+		if ops[d.Name] != nil {
+			panic("graph: op " + d.Name + " registered twice")
+		}
+		ops[d.Name] = d
+	}
+}
+
+// Lookup returns op's definition, or nil for an unregistered op.
+func Lookup(op string) *OpDef { return ops[op] }
+
+// Foldable reports whether the op is pure — it has a kernel here rather
+// than an implementation in the executor — and may therefore be evaluated at
+// graph-optimization time and merged by CSE.
+func (d *OpDef) Foldable() bool { return d != nil && (d.Into != nil || d.Kernel != nil) }
+
+// Eval runs a pure op on the Go heap: the executor's generic path (no pool,
+// or tape mode) and the constant folder both come through here.
+func (d *OpDef) Eval(n *Node, in []Val) ([]Val, error) {
+	if d.Into != nil {
+		v, err := d.Into(n, in, tensor.HeapAlloc)
+		if err != nil {
+			return nil, err
+		}
+		return []Val{v}, nil
+	}
+	if d.Kernel == nil {
+		return nil, fmt.Errorf("%s: op has no kernel", d.Name)
+	}
+	return d.Kernel(n, in)
+}
+
+// Foldable reports whether op may be evaluated at graph-optimization time.
+func Foldable(op string) bool { return ops[op].Foldable() }
+
+// HasSideEffects reports whether the op must be preserved regardless of
+// liveness (state mutation, assertion, output).
+func HasSideEffects(op string) bool {
+	d := ops[op]
+	return d != nil && d.SideEffect
+}
+
+// --- kernel adapters and input coercion --------------------------------------
+
+func one(v Val) []Val { return []Val{v} }
+
+// t1, t2 and t3 coerce exactly one, two or three tensor inputs, naming the
+// op in the error.
+func t1(n *Node, in []Val) (*tensor.Tensor, error) {
+	if len(in) != 1 {
+		return nil, fmt.Errorf("%s: want 1 input, got %d", n.Op, len(in))
+	}
+	a, err := AsTensor(in[0])
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", n.Op, err)
+	}
+	return a, nil
+}
+
+func t2(n *Node, in []Val) (a, b *tensor.Tensor, err error) {
+	if len(in) != 2 {
+		return nil, nil, fmt.Errorf("%s: want 2 inputs, got %d", n.Op, len(in))
+	}
+	if a, err = AsTensor(in[0]); err == nil {
+		b, err = AsTensor(in[1])
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", n.Op, err)
+	}
+	return a, b, nil
+}
+
+func t3(n *Node, in []Val) (a, b, c *tensor.Tensor, err error) {
+	if len(in) != 3 {
+		return nil, nil, nil, fmt.Errorf("%s: want 3 inputs, got %d", n.Op, len(in))
+	}
+	if a, err = AsTensor(in[0]); err == nil {
+		if b, err = AsTensor(in[1]); err == nil {
+			c, err = AsTensor(in[2])
+		}
+	}
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%s: %v", n.Op, err)
+	}
+	return a, b, c, nil
+}
+
+// mapInto adapts a same-shape unary tensor kernel.
+func mapInto(f func(dst, a *tensor.Tensor) *tensor.Tensor) IntoKernel {
+	return func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+		a, err := t1(n, in)
+		if err != nil {
+			return nil, err
+		}
+		return f(alloc.Get(a.Shape()...), a), nil
+	}
+}
+
+// zipInto adapts a broadcasting binary tensor kernel.
+func zipInto(f func(dst, a, b *tensor.Tensor) *tensor.Tensor) IntoKernel {
+	return func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+		a, b, err := t2(n, in)
+		if err != nil {
+			return nil, err
+		}
+		if tensor.SameShape(a, b) {
+			return f(alloc.Get(a.Shape()...), a, b), nil
+		}
+		shape, err := tensor.BroadcastShapes(a.Shape(), b.Shape())
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", n.Op, err)
+		}
+		return f(alloc.Get(shape...), a, b), nil
+	}
+}
+
+// reduceInto adapts a full reduction to a rank-0 destination.
+func reduceInto(f func(dst, a *tensor.Tensor) *tensor.Tensor) IntoKernel {
+	return func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+		a, err := t1(n, in)
+		if err != nil {
+			return nil, err
+		}
+		return f(alloc.Get(), a), nil
+	}
+}
+
+// allTensors coerces every element of vs (variadic joins, Fused operands).
+func allTensors(n *Node, vs []Val) ([]*tensor.Tensor, error) {
+	ts := make([]*tensor.Tensor, len(vs))
+	for i, v := range vs {
+		t, err := AsTensor(v)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", n.Op, err)
+		}
+		ts[i] = t
+	}
+	return ts, nil
+}
+
+func asIntSlice(v Val, n *Node) ([]int, error) {
+	switch x := v.(type) {
+	case []int:
+		return x, nil
+	case *tensor.Tensor:
+		out := make([]int, x.Size())
+		for i, f := range x.Data() {
+			out[i] = int(f)
+		}
+		return out, nil
+	case []Val:
+		out := make([]int, len(x))
+		for i, e := range x {
+			iv, err := AsInt(e)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = iv
+		}
+		return out, nil
+	case int:
+		return []int{x}, nil
+	}
+	return nil, fmt.Errorf("%s: cannot use %T as index list", n.Op, v)
+}

@@ -1,0 +1,141 @@
+package graph
+
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
+
+// Convolution and pooling, plus the Im2Col / FromCol family the im2col pass
+// (passes/im2col.go) rewrites convolutions into.
+
+// poolOut returns the pooled output shape of NCHW x.
+func poolOut(x *tensor.Tensor, k, stride int) (n, c, oh, ow int) {
+	sh := x.Shape()
+	return sh[0], sh[1], (sh[2]-k)/stride + 1, (sh[3]-k)/stride + 1
+}
+
+// gradPool routes a pooling op's gradient through gradOp(x, gout).
+func gradPool(gradOp string) GradFunc {
+	return func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
+		attrs := map[string]Val{"k": n.IntAttr("k", 2), "stride": n.IntAttr("stride", 2)}
+		addGrad(n.Inputs[0], g.Add(gradOp, attrs, n.Inputs[0], gout).P())
+		return nil
+	}
+}
+
+func init() {
+	register(
+		OpDef{Name: "Conv2D", ReadsOnly: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				x, w, err := t2(n, in)
+				if err != nil {
+					return nil, err
+				}
+				if x.Rank() != 4 || w.Rank() != 4 {
+					return nil, fmt.Errorf("%s: want rank-4 input and filter, got %v, %v", n.Op, x.Shape(), w.Shape())
+				}
+				stride, pad := n.IntAttr("stride", 1), n.IntAttr("pad", 0)
+				nb, oc, oh, ow := tensor.Conv2DShape(x.Shape(), w.Shape(), stride, pad)
+				return tensor.Conv2DInto(alloc.Get(nb, oc, oh, ow), x, w, stride, pad, alloc), nil
+			},
+			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
+				in := n.Inputs
+				attrs := map[string]Val{"stride": n.IntAttr("stride", 1), "pad": n.IntAttr("pad", 0)}
+				gx := g.Add("Conv2DGradInput", attrs, in[0], in[1], gout)
+				gw := g.Add("Conv2DGradFilter", attrs, in[0], in[1], gout)
+				addGrad(in[0], gx.P())
+				addGrad(in[1], gw.P())
+				return nil
+			}},
+		// Conv2DGradInput / Conv2DGradFilter take (x, w, gout).
+		OpDef{Name: "Conv2DGradInput", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				x, w, g, err := t3(n, in)
+				if err != nil {
+					return nil, err
+				}
+				return tensor.Conv2DGradInputInto(alloc.Get(x.Shape()...), x, w, g,
+					n.IntAttr("stride", 1), n.IntAttr("pad", 0), alloc), nil
+			}},
+		OpDef{Name: "Conv2DGradFilter", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				x, w, g, err := t3(n, in)
+				if err != nil {
+					return nil, err
+				}
+				return tensor.Conv2DGradFilterInto(alloc.Get(w.Shape()...), x, w, g,
+					n.IntAttr("stride", 1), n.IntAttr("pad", 0), alloc), nil
+			}},
+
+		OpDef{Name: "MaxPool", ReadsOnly: true, Grad: gradPool("MaxPoolGrad"),
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				x, err := t1(n, in)
+				if err != nil {
+					return nil, err
+				}
+				k, stride := n.IntAttr("k", 2), n.IntAttr("stride", 2)
+				return tensor.MaxPool2DInto(alloc.Get(poolOut(x, k, stride)), x, k, stride), nil
+			}},
+		// MaxPoolGrad(x, gout) recomputes the argmax (cheap at our scales).
+		OpDef{Name: "MaxPoolGrad", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				x, g, err := t2(n, in)
+				if err != nil {
+					return nil, err
+				}
+				return tensor.MaxPool2DGradInto(alloc.Get(x.Shape()...), x,
+					n.IntAttr("k", 2), n.IntAttr("stride", 2), g), nil
+			}},
+		OpDef{Name: "AvgPool", ReadsOnly: true, Grad: gradPool("AvgPoolGrad"),
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				x, err := t1(n, in)
+				if err != nil {
+					return nil, err
+				}
+				k, stride := n.IntAttr("k", 2), n.IntAttr("stride", 2)
+				return tensor.AvgPool2DInto(alloc.Get(poolOut(x, k, stride)), x, k, stride), nil
+			}},
+		OpDef{Name: "AvgPoolGrad", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				x, g, err := t2(n, in)
+				if err != nil {
+					return nil, err
+				}
+				return tensor.AvgPool2DGradInto(alloc.Get(x.Shape()...),
+					n.IntAttr("k", 2), n.IntAttr("stride", 2), g), nil
+			}},
+
+		OpDef{Name: "Im2Col", ReadsOnly: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				x, w, err := t2(n, in)
+				if err != nil {
+					return nil, err
+				}
+				stride, pad := n.IntAttr("stride", 1), n.IntAttr("pad", 0)
+				rows, cols := tensor.Im2ColShape(x.Shape(), w.Shape(), stride, pad)
+				return tensor.Im2ColInto(alloc.Get(rows, cols), x, w, stride, pad, alloc), nil
+			}},
+		// Conv2DFromCol(col, w, x): x is read for its shape only (the output
+		// spatial dims are not recoverable from the flattened col matrix).
+		OpDef{Name: "Conv2DFromCol", ReadsOnly: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				col, w, x, err := t3(n, in)
+				if err != nil {
+					return nil, err
+				}
+				stride, pad := n.IntAttr("stride", 1), n.IntAttr("pad", 0)
+				nb, oc, oh, ow := tensor.Conv2DShape(x.Shape(), w.Shape(), stride, pad)
+				return tensor.Conv2DFromColInto(alloc.Get(nb, oc, oh, ow), col, w, nb, oh, ow, alloc), nil
+			}},
+		// Conv2DGradFilterFromCol(col, gout, w): w is read for its shape only.
+		OpDef{Name: "Conv2DGradFilterFromCol", ReadsOnly: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				col, g, w, err := t3(n, in)
+				if err != nil {
+					return nil, err
+				}
+				return tensor.Conv2DGradFilterFromColInto(alloc.Get(w.Shape()...), col, g, alloc), nil
+			}},
+	)
+}

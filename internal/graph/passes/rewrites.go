@@ -19,7 +19,8 @@ import (
 func constantFold(g *graph.Graph) int {
 	changed := 0
 	for _, n := range g.Nodes {
-		if n.Op == "Const" || !graph.Foldable(n.Op) || graph.HasSideEffects(n.Op) || len(n.ControlDeps) > 0 {
+		def := graph.Lookup(n.Op)
+		if n.Op == "Const" || !def.Foldable() || def.SideEffect || len(n.ControlDeps) > 0 {
 			continue
 		}
 		if len(n.Inputs) == 0 {
@@ -37,7 +38,7 @@ func constantFold(g *graph.Graph) int {
 		if !allConst {
 			continue
 		}
-		out, err := graph.Kernels[n.Op](n, in)
+		out, err := def.Eval(n, in)
 		if err != nil || len(out) != 1 {
 			continue
 		}

@@ -21,14 +21,3 @@ func ReplaceUses(g *Graph, from, to Port) {
 		}
 	}
 }
-
-// HasSideEffects reports whether the op must be preserved regardless of
-// liveness (state mutation, assertion, output).
-func HasSideEffects(op string) bool {
-	switch op {
-	case "AssignSub", "AssignAdd", "Assign", "PySetAttr", "PySetSubscr",
-		"Assert", "Print", "Commit", "NoOp", "BatchNorm":
-		return true
-	}
-	return false
-}

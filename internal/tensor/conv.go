@@ -8,211 +8,22 @@ import (
 // Conv layout convention: NCHW for activations, [outC, inC, kH, kW] for
 // filters. Stride and "same"/valid padding are supported via explicit pad.
 
-// Pad2D zero-pads the last two dimensions of a rank-4 NCHW tensor by p on
-// each side.
-func Pad2D(a *Tensor, p int) *Tensor {
-	if p == 0 {
-		return a
-	}
-	if a.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Pad2D wants rank 4, got %v", a.shape))
-	}
-	n, c, h, w := a.shape[0], a.shape[1], a.shape[2], a.shape[3]
-	out := Zeros(n, c, h+2*p, w+2*p)
-	ow := w + 2*p
-	for i := 0; i < n*c; i++ {
-		for y := 0; y < h; y++ {
-			src := (i*h + y) * w
-			dst := (i*(h+2*p)+y+p)*ow + p
-			copy(out.data[dst:dst+w], a.data[src:src+w])
-		}
-	}
-	return out
-}
-
-// Unpad2D removes p pixels from each side of the last two dimensions; the
-// gradient counterpart of Pad2D.
-func Unpad2D(a *Tensor, p int) *Tensor {
-	if p == 0 {
-		return a
-	}
-	n, c, hp, wp := a.shape[0], a.shape[1], a.shape[2], a.shape[3]
-	h, w := hp-2*p, wp-2*p
-	out := Zeros(n, c, h, w)
-	for i := 0; i < n*c; i++ {
-		for y := 0; y < h; y++ {
-			src := (i*hp+y+p)*wp + p
-			dst := (i*h + y) * w
-			copy(out.data[dst:dst+w], a.data[src:src+w])
-		}
-	}
-	return out
-}
-
 // Conv2D performs a 2-D convolution. x is NCHW, w is [outC,inC,kH,kW].
 // Padding pad is applied symmetrically; stride applies to both dims. Thin
 // wrapper over the destination-passing Conv2DInto (conv_into.go).
 func Conv2D(x, w *Tensor, stride, pad int) *Tensor {
-	if naiveKernels.Load() {
-		return conv2DNaive(x, w, stride, pad)
-	}
 	n, oc, oh, ow := Conv2DShape(x.Shape(), w.Shape(), stride, pad)
 	return Conv2DInto(Zeros(n, oc, oh, ow), x, w, stride, pad, nil)
 }
 
-// conv2DNaive is the pre-optimization implementation (im2col + naive matmul
-// + allocating rearrange), kept for the kernels benchmark baseline.
-func conv2DNaive(x, w *Tensor, stride, pad int) *Tensor {
-	if x.Rank() != 4 || w.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Conv2D wants rank-4 tensors, got %v, %v", x.shape, w.shape))
-	}
-	x = Pad2D(x, pad)
-	n, c, h, wd := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oc, ic, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-	if ic != c {
-		panic(fmt.Sprintf("tensor: Conv2D channel mismatch: input %d, filter %d", c, ic))
-	}
-	oh := (h-kh)/stride + 1
-	ow := (wd-kw)/stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Conv2D output would be empty: in %v filter %v", x.shape, w.shape))
-	}
-	col := im2col(x, kh, kw, stride, oh, ow)
-	wr := w.Reshape(oc, ic*kh*kw)
-	out := MatMulNaive(col, Transpose(wr))
-	res := Zeros(n, oc, oh, ow)
-	for i := 0; i < n; i++ {
-		for y := 0; y < oh; y++ {
-			for xx := 0; xx < ow; xx++ {
-				row := ((i*oh+y)*ow + xx) * oc
-				for o := 0; o < oc; o++ {
-					res.data[((i*oc+o)*oh+y)*ow+xx] = out.data[row+o]
-				}
-			}
-		}
-	}
-	return res
-}
-
-// im2col unrolls padded input x into a [n*oh*ow, c*kh*kw] matrix.
-func im2col(x *Tensor, kh, kw, stride, oh, ow int) *Tensor {
-	n, c, h, wd := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	_ = h
-	cols := c * kh * kw
-	out := Zeros(n*oh*ow, cols)
-	for i := 0; i < n; i++ {
-		for y := 0; y < oh; y++ {
-			for xx := 0; xx < ow; xx++ {
-				row := ((i*oh+y)*ow + xx) * cols
-				for ch := 0; ch < c; ch++ {
-					for dy := 0; dy < kh; dy++ {
-						srcY := y*stride + dy
-						src := ((i*c+ch)*x.shape[2]+srcY)*wd + xx*stride
-						dst := row + (ch*kh+dy)*kw
-						copy(out.data[dst:dst+kw], x.data[src:src+kw])
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// goutFlat rearranges gout [n,oc,oh,ow] into [n*oh*ow, oc].
-func goutFlat(gout *Tensor) *Tensor {
-	n, oc, oh, ow := gout.shape[0], gout.shape[1], gout.shape[2], gout.shape[3]
-	gflat := Zeros(n*oh*ow, oc)
-	for i := 0; i < n; i++ {
-		for o := 0; o < oc; o++ {
-			for y := 0; y < oh; y++ {
-				for xx := 0; xx < ow; xx++ {
-					gflat.data[((i*oh+y)*ow+xx)*oc+o] = gout.data[((i*oc+o)*oh+y)*ow+xx]
-				}
-			}
-		}
-	}
-	return gflat
-}
-
-// Conv2DGradInput computes only the input gradient of Conv2D (cheaper than
-// Conv2DGrad when the filter gradient is computed by a separate graph op).
+// Conv2DGradInput computes the input gradient of Conv2D.
 func Conv2DGradInput(x, w, gout *Tensor, stride, pad int) *Tensor {
-	if naiveKernels.Load() {
-		oc, c, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-		oh, ow := gout.shape[2], gout.shape[3]
-		xShape := []int{x.shape[0], x.shape[1], x.shape[2] + 2*pad, x.shape[3] + 2*pad}
-		gflat := goutFlat(gout)
-		gcol := MatMulNaive(gflat, w.Reshape(oc, c*kh*kw))
-		gxp := col2im(gcol, xShape, kh, kw, stride, oh, ow)
-		return Unpad2D(gxp, pad)
-	}
 	return Conv2DGradInputInto(Zeros(x.shape...), x, w, gout, stride, pad, nil)
 }
 
-// Conv2DGradFilter computes only the filter gradient of Conv2D.
+// Conv2DGradFilter computes the filter gradient of Conv2D.
 func Conv2DGradFilter(x, w, gout *Tensor, stride, pad int) *Tensor {
-	if naiveKernels.Load() {
-		xp := Pad2D(x, pad)
-		c := xp.shape[1]
-		oc, _, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-		oh, ow := gout.shape[2], gout.shape[3]
-		gflat := goutFlat(gout)
-		col := im2col(xp, kh, kw, stride, oh, ow)
-		return MatMulNaive(Transpose(gflat), col).Reshape(oc, c, kh, kw)
-	}
 	return Conv2DGradFilterInto(Zeros(w.shape...), x, w, gout, stride, pad, nil)
-}
-
-// Conv2DGrad computes input and filter gradients of Conv2D.
-func Conv2DGrad(x, w, gout *Tensor, stride, pad int) (gx, gw *Tensor) {
-	xp := Pad2D(x, pad)
-	n, c := xp.shape[0], xp.shape[1]
-	oc, _, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-	oh, ow := gout.shape[2], gout.shape[3]
-
-	// gout as [n*oh*ow, oc]
-	gflat := Zeros(n*oh*ow, oc)
-	for i := 0; i < n; i++ {
-		for o := 0; o < oc; o++ {
-			for y := 0; y < oh; y++ {
-				for xx := 0; xx < ow; xx++ {
-					gflat.data[((i*oh+y)*ow+xx)*oc+o] = gout.data[((i*oc+o)*oh+y)*ow+xx]
-				}
-			}
-		}
-	}
-	col := im2col(xp, kh, kw, stride, oh, ow)             // [n*oh*ow, c*kh*kw]
-	gwFlat := MatMul(Transpose(gflat), col)               // [oc, c*kh*kw]
-	gw = gwFlat.Reshape(oc, c, kh, kw)                    // filter gradient
-	gcol := MatMul(gflat, w.Reshape(oc, c*kh*kw))         // [n*oh*ow, c*kh*kw]
-	gxp := col2im(gcol, xp.shape, kh, kw, stride, oh, ow) // padded input gradient
-	gx = Unpad2D(gxp, pad)
-	return gx, gw
-}
-
-// col2im scatters column gradients back into an input-shaped tensor.
-func col2im(gcol *Tensor, xshape []int, kh, kw, stride, oh, ow int) *Tensor {
-	n, c, _, wd := xshape[0], xshape[1], xshape[2], xshape[3]
-	out := Zeros(xshape...)
-	cols := c * kh * kw
-	for i := 0; i < n; i++ {
-		for y := 0; y < oh; y++ {
-			for xx := 0; xx < ow; xx++ {
-				row := ((i*oh+y)*ow + xx) * cols
-				for ch := 0; ch < c; ch++ {
-					for dy := 0; dy < kh; dy++ {
-						srcY := y*stride + dy
-						dst := ((i*c+ch)*xshape[2]+srcY)*wd + xx*stride
-						src := row + (ch*kh+dy)*kw
-						for dx := 0; dx < kw; dx++ {
-							out.data[dst+dx] += gcol.data[src+dx]
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 // MaxPool2D applies kxk max pooling with the given stride to an NCHW tensor.

@@ -21,7 +21,7 @@ import (
 // that aliasing safe. Broadcast operands are never aliased.
 
 // kernelParallelism is the worker count for parallel blocked kernels;
-// settable for the ablation benchmark (naive / blocked / blocked+parallel).
+// settable for the ablation benchmark (blocked / blocked+parallel).
 var kernelParallelism atomic.Int32
 
 func init() { kernelParallelism.Store(int32(runtime.NumCPU())) }
@@ -35,16 +35,6 @@ func SetKernelParallelism(n int) int {
 	}
 	return int(kernelParallelism.Swap(int32(n)))
 }
-
-// naiveKernels, when set, routes the MatMul/Conv2D wrappers through the
-// original scalar-loop kernels. It exists solely so `janusbench -kernels`
-// can measure the pre-optimization baseline (naive kernels + allocating
-// executor) on the current tree; nothing in the runtime sets it.
-var naiveKernels atomic.Bool
-
-// SetNaiveKernels toggles the benchmark-only naive kernel mode and returns
-// the previous setting.
-func SetNaiveKernels(on bool) bool { return naiveKernels.Swap(on) }
 
 // parallelRanges splits [0, n) across the kernel worker pool and runs f on
 // each chunk, provided the per-element work justifies the goroutine overhead;
@@ -452,32 +442,6 @@ const (
 	mmKC = 128
 	mmNC = 256
 )
-
-// MatMulNaive is the pre-blocking reference kernel ([m,k] x [k,n] -> [m,n],
-// ikj loop order): kept for the kernels microbenchmark and the property
-// tests that pin the blocked kernel to it bit-for-bit on finite data. Note
-// its zero-skip makes it non-IEEE for non-finite operands: it yields a
-// finite result where 0*±Inf would correctly contribute NaN; the blocked
-// kernel follows IEEE.
-func MatMulNaive(a, b *Tensor) *Tensor {
-	m, k, n := matmulDims(a, b)
-	out := Zeros(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[kk*n : (kk+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	return out
-}
 
 func matmulDims(a, b *Tensor) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {

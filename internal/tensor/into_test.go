@@ -21,6 +21,32 @@ func randT(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
+// MatMulNaive is the pre-blocking reference kernel ([m,k] x [k,n] -> [m,n],
+// ikj loop order), kept as the oracle that pins the blocked kernel
+// bit-for-bit on finite data. Note
+// its zero-skip makes it non-IEEE for non-finite operands: it yields a
+// finite result where 0*±Inf would correctly contribute NaN; the blocked
+// kernel follows IEEE.
+func MatMulNaive(a, b *Tensor) *Tensor {
+	m, k, n := matmulDims(a, b)
+	out := Zeros(m, n)
+	for i := 0; i < m; i++ {
+		arow := a.data[i*k : (i+1)*k]
+		orow := out.data[i*n : (i+1)*n]
+		for kk := 0; kk < k; kk++ {
+			av := arow[kk]
+			if av == 0 {
+				continue
+			}
+			brow := b.data[kk*n : (kk+1)*n]
+			for j := 0; j < n; j++ {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
+	return out
+}
+
 // TestMatMulBlockedMatchesNaive pins the blocked (and blocked+parallel)
 // kernel to the original scalar-loop kernel bit-for-bit across odd,
 // non-square shapes spanning the block boundaries.

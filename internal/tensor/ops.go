@@ -307,12 +307,8 @@ func normAxis(axis, rank int) int {
 // ---------------------------------------------------------------------------
 
 // MatMul multiplies two rank-2 tensors: [m,k] x [k,n] -> [m,n]. It is a thin
-// wrapper over the cache-blocked, parallel MatMulInto (see into.go);
-// MatMulNaive preserves the original scalar-loop kernel for comparison.
+// wrapper over the cache-blocked, parallel MatMulInto (see into.go).
 func MatMul(a, b *Tensor) *Tensor {
-	if naiveKernels.Load() {
-		return MatMulNaive(a, b)
-	}
 	m, _, n := matmulDims(a, b)
 	return MatMulInto(Zeros(m, n), a, b)
 }

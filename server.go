@@ -17,22 +17,12 @@ import (
 // value serves with the full JANUS engine, 4 pool workers, and a batching
 // window of 8 requests / 2 ms.
 type ServerOptions struct {
-	// Options configures every worker engine. Note that per-graph executor
-	// parallelism must be addressed explicitly as Options.Workers (e.g.
-	// ServerOptions{Options: Options{Workers: 2}}): the promoted selector
-	// o.Workers still resolves to the deprecated pool-size alias below.
+	// Options configures every worker engine.
 	Options
 	// PoolSize is the number of engine workers, i.e. concurrently served
 	// requests (default 4). Distinct from Options.Workers, which bounds
 	// per-graph executor parallelism inside one request.
 	PoolSize int
-	// Workers is a deprecated alias for PoolSize, kept so existing callers
-	// compile (it has always meant pool size, while shadowing the embedded
-	// Options.Workers and silently defaulting engine parallelism).
-	//
-	// Deprecated: set PoolSize (pool concurrency) and Options.Workers
-	// (executor parallelism) explicitly.
-	Workers int
 	// MaxBatch caps how many inference requests coalesce into one batched
 	// execution (default 8).
 	MaxBatch int
@@ -59,14 +49,6 @@ type ServerOptions struct {
 	MaxBucket int
 }
 
-// poolSize resolves the PoolSize/deprecated-Workers pair.
-func (o ServerOptions) poolSize() int {
-	if o.PoolSize > 0 {
-		return o.PoolSize
-	}
-	return o.Workers
-}
-
 // Server is a concurrent model server: N runtime workers share one
 // parameter store and one compiled-graph cache, so a graph speculatively
 // converted for one client is a cache hit for every other, and concurrent
@@ -79,7 +61,7 @@ type Server struct {
 // NewServer builds a serving pool.
 func NewServer(opts ServerOptions) *Server {
 	return &Server{srv: serve.NewServer(serve.Config{
-		Workers:        opts.poolSize(),
+		Workers:        opts.PoolSize,
 		MaxBatch:       opts.MaxBatch,
 		MaxLatency:     opts.MaxLatency,
 		MaxQueue:       opts.MaxQueue,
@@ -168,7 +150,6 @@ func (s *Server) Stats() ServerStats {
 			Fallbacks:       st.Fallbacks,
 		},
 		PoolSize:        st.Workers,
-		Workers:         st.Workers,
 		Sessions:        st.Sessions,
 		Requests:        st.Requests,
 		Batches:         st.Batches,
@@ -185,11 +166,7 @@ type ServerStats struct {
 	Stats
 	// PoolSize is the number of engine workers in the pool.
 	PoolSize int
-	// Workers mirrors PoolSize under the stats field's pre-v1 name, so
-	// existing consumers keep compiling.
-	//
-	// Deprecated: read PoolSize.
-	Workers         int
+
 	Sessions        int
 	Requests        int64
 	Batches         int64
