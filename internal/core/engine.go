@@ -735,6 +735,11 @@ func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, args []minipy.Value
 	e.stats.phaseConvert.Since(t0)
 	csp.End()
 	if err != nil {
+		if copts.Trace {
+			// defun has no imperative fallback: what the converter cannot
+			// express (recursion, state updates) is a hard error.
+			err = fmt.Errorf("core: trace conversion failed (defun limitation): %w", err)
+		}
 		return nil, err
 	}
 	ksp := obs.StartSpan(e.runCtx, "compile")
@@ -952,12 +957,14 @@ func (e *Engine) traceStep(fn *minipy.FuncVal) (minipy.Value, error) {
 			entry = fs.entries[0]
 			e.cache.touch(entry)
 		} else {
+			// fs.entries is empty here, so generate's relax-merge finds
+			// nothing to merge into and always inserts.
 			var err error
 			entry, err = e.generate(fs, fn, nil, sig, len(lv), convert.Options{
 				Unroll: true, Specialize: true, Trace: true,
 			}, true)
 			if err != nil {
-				return nil, true, fmt.Errorf("core: trace conversion failed (defun limitation): %w", err)
+				return nil, true, err
 			}
 		}
 		leaves = lv

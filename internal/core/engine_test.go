@@ -114,6 +114,43 @@ func TestJanusMatchesImperativeTrajectory(t *testing.T) {
 	}
 }
 
+// TestJanusMatchesImperativeOnBroadcastLoss: mse and cross_entropy broadcast
+// their second argument in the interpreter, so the compiled graph must accept
+// the same programs and walk the same trajectory.
+func TestJanusMatchesImperativeOnBroadcastLoss(t *testing.T) {
+	const program = `
+def loss_fn(x, y, labels):
+    w = variable("w", [1, 1])
+    v = variable("v", [1, 3])
+    return mse(matmul(x, w), y) + cross_entropy(matmul(x, v), labels)
+
+x = constant([[0.0], [1.0], [2.0], [3.0]])
+y = constant([1.5])
+labels = constant([0.0, 1.0, 0.0])
+for step in range(20):
+    optimize(lambda: loss_fn(x, y, labels))
+`
+	imp := NewEngine(Config{Mode: Imperative, LR: 0.05, Seed: 7})
+	if err := imp.Run(program); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultJanusConfig()
+	cfg.LR = 0.05
+	cfg.Seed = 7
+	jan := NewEngine(cfg)
+	if err := jan.Run(program); err != nil {
+		t.Fatal(err)
+	}
+	if st := jan.Stats(); st.GraphSteps != 17 || st.Fallbacks != 0 {
+		t.Fatalf("janus stats %+v, want 17 graph steps and no fallback", st)
+	}
+	for _, name := range []string{"w", "v"} {
+		if vI, vJ := imp.Store.MustGet(name), jan.Store.MustGet(name); !tensor.AllClose(vI, vJ, 1e-9) {
+			t.Fatalf("%s diverged: imperative %v janus %v", name, vI, vJ)
+		}
+	}
+}
+
 func TestJanusHandlesLoopsAndLists(t *testing.T) {
 	// RNN-style accumulation loop over a captured list (Figure 1 shape,
 	// without object state).

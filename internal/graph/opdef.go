@@ -86,7 +86,8 @@ func Lookup(op string) *OpDef { return ops[op] }
 
 // Foldable reports whether the op is pure — it has a kernel here rather
 // than an implementation in the executor — and may therefore be evaluated at
-// graph-optimization time and merged by CSE.
+// graph-optimization time and merged by CSE. An unregistered op (nil) is
+// not.
 func (d *OpDef) Foldable() bool { return d != nil && (d.Into != nil || d.Kernel != nil) }
 
 // Eval runs a pure op on the Go heap: the executor's generic path (no pool,
@@ -103,16 +104,6 @@ func (d *OpDef) Eval(n *Node, in []Val) ([]Val, error) {
 		return nil, fmt.Errorf("%s: op has no kernel", d.Name)
 	}
 	return d.Kernel(n, in)
-}
-
-// Foldable reports whether op may be evaluated at graph-optimization time.
-func Foldable(op string) bool { return ops[op].Foldable() }
-
-// HasSideEffects reports whether the op must be preserved regardless of
-// liveness (state mutation, assertion, output).
-func HasSideEffects(op string) bool {
-	d := ops[op]
-	return d != nil && d.SideEffect
 }
 
 // --- kernel adapters and input coercion --------------------------------------
@@ -178,15 +169,25 @@ func zipInto(f func(dst, a, b *tensor.Tensor) *tensor.Tensor) IntoKernel {
 		if err != nil {
 			return nil, err
 		}
-		if tensor.SameShape(a, b) {
-			return f(alloc.Get(a.Shape()...), a, b), nil
-		}
-		shape, err := tensor.BroadcastShapes(a.Shape(), b.Shape())
+		shape, err := broadcastShape(n, a, b)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %v", n.Op, err)
+			return nil, err
 		}
 		return f(alloc.Get(shape...), a, b), nil
 	}
+}
+
+// broadcastShape returns the broadcast of a's and b's shapes, naming the op
+// when they are incompatible.
+func broadcastShape(n *Node, a, b *tensor.Tensor) ([]int, error) {
+	if tensor.SameShape(a, b) {
+		return a.Shape(), nil
+	}
+	shape, err := tensor.BroadcastShapes(a.Shape(), b.Shape())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", n.Op, err)
+	}
+	return shape, nil
 }
 
 // reduceInto adapts a full reduction to a rank-0 destination.

@@ -14,30 +14,117 @@ import (
 	"repro/internal/tensor"
 )
 
-// opLiteral matches the string literals that name ops: in the files that
-// emit or key on op names, every capitalised identifier-like literal is one.
+// opLiteral matches the shape of an op name; it keeps Python-side names
+// ("relu", "+") out of the positions below that mix both.
 var opLiteral = regexp.MustCompile(`^[A-Z][A-Za-z0-9]*$`)
 
+// namesOp reports whether an identifier, field or parameter holds an op name:
+// op, n.Op, gradOp, ...
+func namesOp(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return strings.HasSuffix(strings.ToLower(x.Name), "op")
+	case *ast.SelectorExpr:
+		return x.Sel.Name == "Op"
+	}
+	return false
+}
+
+// opNameLiterals returns the string literals of f that sit where an op is
+// named: an argument bound to an op parameter (g.Add("X", ...)), a value
+// assigned to, compared with or switched against an op (n.Op == "X", case
+// "X"), an OpDef's Name, a tapeKernels key, and the values of a string table
+// (the converter's builtin-to-op maps). opParams maps a function name to the
+// index of its op parameter.
+func opNameLiterals(f *ast.File, opParams map[string]int) []*ast.BasicLit {
+	var lits []*ast.BasicLit
+	add := func(e ast.Expr) {
+		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			lits = append(lits, lit)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			name := ""
+			switch fn := x.Fun.(type) {
+			case *ast.Ident:
+				name = fn.Name
+			case *ast.SelectorExpr:
+				name = fn.Sel.Name
+			}
+			if i, ok := opParams[name]; ok && i < len(x.Args) {
+				add(x.Args[i])
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range x.Lhs {
+				if namesOp(lhs) && i < len(x.Rhs) {
+					add(x.Rhs[i])
+				}
+			}
+		case *ast.BinaryExpr:
+			if x.Op == token.EQL || x.Op == token.NEQ {
+				if namesOp(x.X) {
+					add(x.Y)
+				}
+				if namesOp(x.Y) {
+					add(x.X)
+				}
+			}
+		case *ast.SwitchStmt:
+			if x.Tag != nil && namesOp(x.Tag) {
+				for _, cc := range x.Body.List {
+					for _, e := range cc.(*ast.CaseClause).List {
+						add(e)
+					}
+				}
+			}
+		case *ast.IndexExpr:
+			if id, ok := x.X.(*ast.Ident); ok && id.Name == "tapeKernels" {
+				add(x.Index)
+			}
+		case *ast.CompositeLit:
+			mt, isMap := x.Type.(*ast.MapType)
+			id, _ := x.Type.(*ast.Ident)
+			for _, el := range x.Elts {
+				kv, ok := el.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				if isMap {
+					if vt, ok := mt.Value.(*ast.Ident); ok && vt.Name == "string" {
+						add(kv.Value)
+					}
+				} else if key, ok := kv.Key.(*ast.Ident); ok && id != nil && id.Name == "OpDef" && key.Name == "Name" {
+					add(kv.Value)
+				}
+			}
+		}
+		return true
+	})
+	return lits
+}
+
 // TestEveryNamedOpIsRegistered scans the sources of the converter, the
-// gradient builders, the passes and the executor for op-name literals — the
-// ops they can emit (g.Add("X", ...)) or key on (n.Op == "X", case "X",
-// tapeKernels["X"]) — and requires each to resolve to an OpDef, so a list
-// that names an op existing nowhere else cannot come back.
+// gradient builders, the passes and the executor for the op names they can
+// emit or key on and requires each to resolve to an OpDef, so a list that
+// names an op existing nowhere else cannot come back.
 func TestEveryNamedOpIsRegistered(t *testing.T) {
-	var files []string
+	var paths []string
 	for _, pat := range []string{
-		"../convert/*.go", "passes/*.go", "grad.go", "memplan.go", "ops_*.go",
+		"../convert/*.go", "passes/*.go", "graph.go", "grad.go", "memplan.go", "ops_*.go",
 		"../exec/exec.go", "../exec/nodes.go", "../exec/tapekernels.go",
 	} {
 		m, err := filepath.Glob(pat)
 		if err != nil || len(m) == 0 {
 			t.Fatalf("glob %s: %v (%d files)", pat, err, len(m))
 		}
-		files = append(files, m...)
+		paths = append(paths, m...)
 	}
 	fset := token.NewFileSet()
-	seen := map[string]bool{}
-	for _, path := range files {
+	var files []*ast.File
+	opParams := map[string]int{}
+	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
@@ -45,21 +132,38 @@ func TestEveryNamedOpIsRegistered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.BasicLit)
-			if !ok || lit.Kind != token.STRING {
-				return true
+		files = append(files, f)
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
 			}
+			i := 0
+			for _, field := range fd.Type.Params.List {
+				for _, name := range field.Names {
+					if namesOp(name) {
+						opParams[fd.Name.Name] = i
+					}
+					i++
+				}
+			}
+		}
+	}
+	if _, ok := opParams["Add"]; !ok {
+		t.Fatal("the scan did not find (*Graph).Add's op parameter")
+	}
+	seen := map[string]bool{}
+	for _, f := range files {
+		for _, lit := range opNameLiterals(f, opParams) {
 			s, err := strconv.Unquote(lit.Value)
 			if err != nil || !opLiteral.MatchString(s) {
-				return true
+				continue
 			}
 			seen[s] = true
 			if Lookup(s) == nil {
-				t.Errorf("%s: %q looks like an op name but has no OpDef", fset.Position(lit.Pos()), s)
+				t.Errorf("%s: op %q has no OpDef", fset.Position(lit.Pos()), s)
 			}
-			return true
-		})
+		}
 	}
 	// The scan must actually see the table: every registered op is named by
 	// its own registration at least.
@@ -128,7 +232,7 @@ func TestEveryOpHasAGradientVerdict(t *testing.T) {
 }
 
 // TestShapeMismatchIsAnErrorNamingTheOp feeds the Into kernels the inputs
-// their destination-passing form does not cover. Each must return an error
+// neither they nor the imperative tensor ops cover. Each must return an error
 // naming the op — from the kernel itself (nothing here recovers a panic) —
 // with a pool allocator (the planned executor path) and on the heap (Eval:
 // the generic executor path and the constant folder).
@@ -142,10 +246,12 @@ func TestShapeMismatchIsAnErrorNamingTheOp(t *testing.T) {
 		{"MatMul", []Val{z(2, 3), z(4, 2)}},    // inner dims
 		{"Transpose", []Val{z(2, 3, 4)}},       // rank
 		{"ReshapeLike", []Val{z(2, 3), z(4)}},  // element count
-		{"CrossEntropy", []Val{z(2, 3), z(2)}}, // logits vs labels
+		{"CrossEntropy", []Val{z(2, 3), z(2)}}, // labels do not broadcast
 		{"CrossEntropyGrad", []Val{z(2, 3), z(2)}},
-		{"MSE", []Val{z(4, 1), z(4)}}, // broadcastable, still rejected
-		{"MSEGrad", []Val{z(4, 1), z(4), z()}},
+		{"CrossEntropy", []Val{z(), z(3)}}, // no batch axis
+		{"CrossEntropyGrad", []Val{z(), z(3)}},
+		{"MSE", []Val{z(4, 3), z(4)}}, // target does not broadcast
+		{"MSEGrad", []Val{z(4, 3), z(4), z()}},
 		{"Conv2D", []Val{z(1, 4, 4), z(2, 1, 3, 3)}}, // rank
 	}
 	for _, c := range cases {
@@ -156,6 +262,55 @@ func TestShapeMismatchIsAnErrorNamingTheOp(t *testing.T) {
 		for path, err := range map[string]error{"pooled": poolErr, "heap": heapErr} {
 			if err == nil || !strings.Contains(err.Error(), c.op) {
 				t.Errorf("%s (%s path): want an error naming the op, got %v", c.op, path, err)
+			}
+		}
+	}
+}
+
+// TestLossKernelsBroadcast: the loss ops broadcast their second operand, as
+// the imperative interpreter's tensor.MSE / tensor.CrossEntropy do, and agree
+// with the composition of primitive ops that defines them (up to a fused
+// multiply-add's rounding) — pooled and on the heap.
+func TestLossKernelsBroadcast(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	gout := tensor.Scalar(0.5)
+	pred, logits := rng.Randn(4, 1), rng.Randn(4, 3)
+	type lossCase struct {
+		op   string
+		in   []Val
+		want *tensor.Tensor
+	}
+	var cases []lossCase
+	for _, shape := range [][]int{{1}, {4, 1}, {4, 5}, {}} {
+		target := rng.Randn(shape...)
+		d := tensor.Sub(pred, target)
+		cases = append(cases,
+			lossCase{"MSE", []Val{pred, target}, tensor.Mean(tensor.Mul(d, d))},
+			lossCase{"MSEGrad", []Val{pred, target, gout}, tensor.MulScalar(d, 2/float64(pred.Size())*gout.Item())})
+	}
+	for _, shape := range [][]int{{3}, {4, 3}, {1, 3}, {2, 4, 3}} {
+		labels := rng.Randn(shape...)
+		nll := tensor.Sum(tensor.Mul(labels, tensor.LogSoftmax(logits))).Item()
+		cases = append(cases,
+			lossCase{"CrossEntropy", []Val{logits, labels}, tensor.Scalar(-nll / 4)},
+			lossCase{"CrossEntropyGrad", []Val{logits, labels},
+				tensor.MulScalar(tensor.Sub(tensor.Softmax(logits), labels), 1.0/4)})
+	}
+	for _, c := range cases {
+		d := Lookup(c.op)
+		n := &Node{Op: c.op, Attrs: map[string]Val{}}
+		shape := c.in[1].(*tensor.Tensor).Shape()
+		pooled, err := d.Into(n, c.in, tensor.NewPool())
+		if err != nil {
+			t.Fatalf("%s %v (pooled): %v", c.op, shape, err)
+		}
+		heap, err := d.Eval(n, c.in)
+		if err != nil {
+			t.Fatalf("%s %v (heap): %v", c.op, shape, err)
+		}
+		for path, got := range map[string]Val{"pooled": pooled, "heap": heap[0]} {
+			if !tensor.AllClose(got.(*tensor.Tensor), c.want, 1e-12) {
+				t.Errorf("%s %v (%s path): got %v, want %v", c.op, shape, path, got, c.want)
 			}
 		}
 	}

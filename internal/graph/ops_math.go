@@ -47,6 +47,19 @@ func FusedProg(n *Node) ([]tensor.FusedStep, error) {
 	return prog, nil
 }
 
+// logitsAndLabels coerces a cross-entropy op's inputs and returns their
+// broadcast shape. The batch size is logits' leading dimension.
+func logitsAndLabels(n *Node, in []Val) (logits, labels *tensor.Tensor, shape []int, err error) {
+	if logits, labels, err = t2(n, in); err != nil {
+		return nil, nil, nil, err
+	}
+	if logits.Rank() == 0 {
+		return nil, nil, nil, fmt.Errorf("%s: logits need a batch axis, got a scalar", n.Op)
+	}
+	shape, err = broadcastShape(n, logits, labels)
+	return logits, labels, shape, err
+}
+
 func init() {
 	register(
 		OpDef{Name: "Add", Into: zipInto(tensor.AddInto), ReadsOnly: true, InPlace: true,
@@ -212,14 +225,13 @@ func init() {
 				return nil
 			}},
 
+		// The loss kernels broadcast their second operand like the imperative
+		// interpreter's tensor.CrossEntropy and tensor.MSE do.
 		OpDef{Name: "CrossEntropy", ReadsOnly: true,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
-				logits, labels, err := t2(n, in)
+				logits, labels, _, err := logitsAndLabels(n, in)
 				if err != nil {
 					return nil, err
-				}
-				if !tensor.SameShape(logits, labels) {
-					return nil, fmt.Errorf("%s: logits %v and labels %v differ in shape", n.Op, logits.Shape(), labels.Shape())
 				}
 				return tensor.CrossEntropyInto(alloc.Get(), logits, labels, alloc), nil
 			},
@@ -231,14 +243,11 @@ func init() {
 			}},
 		OpDef{Name: "CrossEntropyGrad", ReadsOnly: true, InPlace: true, StopGrad: true,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
-				logits, labels, err := t2(n, in)
+				logits, labels, shape, err := logitsAndLabels(n, in)
 				if err != nil {
 					return nil, err
 				}
-				if !tensor.SameShape(logits, labels) {
-					return nil, fmt.Errorf("%s: logits %v and labels %v differ in shape", n.Op, logits.Shape(), labels.Shape())
-				}
-				return tensor.CrossEntropyGradInto(alloc.Get(logits.Shape()...), logits, labels), nil
+				return tensor.CrossEntropyGradInto(alloc.Get(shape...), logits, labels), nil
 			}},
 		OpDef{Name: "MSE", ReadsOnly: true,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
@@ -246,10 +255,10 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				if !tensor.SameShape(pred, target) {
-					return nil, fmt.Errorf("%s: prediction %v and target %v differ in shape", n.Op, pred.Shape(), target.Shape())
+				if _, err := broadcastShape(n, pred, target); err != nil {
+					return nil, err
 				}
-				return tensor.MSEInto(alloc.Get(), pred, target), nil
+				return tensor.MSEInto(alloc.Get(), pred, target, alloc), nil
 			},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				addGrad(n.Inputs[0], g.Add("MSEGrad", nil, n.Inputs[0], n.Inputs[1], gout).P())
@@ -262,10 +271,11 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				if !tensor.SameShape(p, tg) {
-					return nil, fmt.Errorf("%s: prediction %v and target %v differ in shape", n.Op, p.Shape(), tg.Shape())
+				shape, err := broadcastShape(n, p, tg)
+				if err != nil {
+					return nil, err
 				}
-				return tensor.MSEGradInto(alloc.Get(p.Shape()...), p, tg, g.Item()), nil
+				return tensor.MSEGradInto(alloc.Get(shape...), p, tg, g.Item()), nil
 			}},
 
 		// Gradient ops. Gradient-of-gradient is out of scope, so they all

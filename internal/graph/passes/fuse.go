@@ -139,7 +139,10 @@ func fuseElementwise(g *graph.Graph) int {
 	// fusableAt reports whether n can join a chain with the incoming value at
 	// input chainPos, and returns its program step.
 	fusableAt := func(n *graph.Node, chainPos int) (tensor.FusedStep, bool) {
-		if n.Op == "Fused" || n.NumOutputs > 1 || len(n.ControlDeps) > 0 || graph.HasSideEffects(n.Op) {
+		if n.Op == "Fused" || n.NumOutputs > 1 || len(n.ControlDeps) > 0 {
+			return tensor.FusedStep{}, false
+		}
+		if def := graph.Lookup(n.Op); def != nil && def.SideEffect {
 			return tensor.FusedStep{}, false
 		}
 		switch len(n.Inputs) {

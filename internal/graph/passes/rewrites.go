@@ -88,7 +88,7 @@ func commonSubexpr(g *graph.Graph) int {
 	changed := 0
 	seen := make(map[string]*graph.Node)
 	for _, n := range g.Nodes {
-		if graph.HasSideEffects(n.Op) || !graph.Foldable(n.Op) || len(n.ControlDeps) > 0 || n.NumOutputs != 1 {
+		if def := graph.Lookup(n.Op); !def.Foldable() || def.SideEffect || len(n.ControlDeps) > 0 || n.NumOutputs != 1 {
 			continue
 		}
 		sig := signature(n)
@@ -126,7 +126,7 @@ func deadCodeElim(g *graph.Graph) int {
 		mark(u)
 	}
 	for _, n := range g.Nodes {
-		if graph.HasSideEffects(n.Op) {
+		if def := graph.Lookup(n.Op); def != nil && def.SideEffect {
 			mark(n)
 		}
 	}

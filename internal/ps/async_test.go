@@ -117,8 +117,10 @@ func runFreeInterleaved(t *testing.T, c *Cluster, steps int) (res AsyncResult) {
 // 10% of the barriered run's final loss on the same data. The free-running
 // side runs under runFreeInterleaved's fixed schedule: with real goroutines
 // the number of stale-dropped gradients — lost steps at a fixed step budget —
-// follows the host's scheduling, and the comparison with it (RunAsync itself
-// is covered by TestClusterAsyncSmoke and the contention tests below).
+// follows the host's scheduling, and the comparison with it. RunAsync itself,
+// goroutines and backoff included, then runs the same cluster under a bar
+// that holds for any schedule: it trains, every worker finishes its budget,
+// and every stale drop is accounted for.
 func TestAsyncConvergesNearBarriered(t *testing.T) {
 	const workers, batch = 4, 8
 	rounds := 50
@@ -162,6 +164,27 @@ func TestAsyncConvergesNearBarriered(t *testing.T) {
 	if asyncFinal > barrierFinal*1.10+0.02 {
 		t.Fatalf("async converged too far from barriered: barriered %.4f, async %.4f",
 			barrierFinal, asyncFinal)
+	}
+
+	live := mk(2)
+	liveRes, err := live.RunAsync(context.Background(), rounds)
+	if err != nil {
+		t.Fatalf("async run: %v", err)
+	}
+	t.Logf("RunAsync initial %.4f, final %.4f; stale %d, backoffs %d", first, liveRes.FinalLoss(), liveRes.Stale, liveRes.Backoffs)
+	if final := liveRes.FinalLoss(); final >= first*0.7 {
+		t.Fatalf("RunAsync did not train: initial %.4f, final %.4f", first, final)
+	}
+	var drops int64
+	for _, w := range live.Workers() {
+		ws := w.Stats()
+		if ws.Steps != int64(rounds) {
+			t.Fatalf("worker %d completed %d/%d steps", w.ID, ws.Steps, rounds)
+		}
+		drops += ws.StaleDrops
+	}
+	if drops != liveRes.Stale {
+		t.Fatalf("workers recorded %d stale drops, the run reported %d", drops, liveRes.Stale)
 	}
 }
 

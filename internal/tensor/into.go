@@ -343,62 +343,85 @@ func LogSoftmaxInto(dst, a *Tensor) *Tensor {
 }
 
 // CrossEntropyInto computes mean softmax cross-entropy into scalar dst,
-// renting scratch from alloc. Logits and labels must have the same shape.
+// renting scratch from alloc. Labels broadcast against logits.
 func CrossEntropyInto(dst, logits, labels *Tensor, alloc Allocator) *Tensor {
 	checkDst(dst, nil, "CrossEntropyInto")
-	if !SameShape(logits, labels) {
-		panic(fmt.Sprintf("tensor: CrossEntropyInto shape mismatch: %v vs %v", logits.shape, labels.shape))
-	}
 	alloc = orHeap(alloc)
 	ls := alloc.Get(logits.shape...)
 	LogSoftmaxInto(ls, logits)
 	s := 0.0
-	for i := range ls.data {
-		s += labels.data[i] * ls.data[i]
+	if SameShape(logits, labels) {
+		for i := range ls.data {
+			s += labels.data[i] * ls.data[i]
+		}
+	} else {
+		prod := alloc.Get(mustBroadcast(labels, ls)...)
+		for _, v := range MulInto(prod, labels, ls).data {
+			s += v
+		}
+		alloc.Put(prod)
 	}
 	alloc.Put(ls)
 	dst.data[0] = -s / float64(logits.shape[0])
 	return dst
 }
 
-// CrossEntropyGradInto computes (softmax(logits) - labels)/batch into dst
-// (may alias logits) with no scratch. Logits and labels must have the same
-// shape.
+// CrossEntropyGradInto computes (softmax(logits) - labels)/batch into dst,
+// shaped like the broadcast of logits and labels. dst may alias logits when
+// it has that shape, and only labels wider than logits cost scratch.
 func CrossEntropyGradInto(dst, logits, labels *Tensor) *Tensor {
-	if !SameShape(logits, labels) {
-		panic(fmt.Sprintf("tensor: CrossEntropyGradInto shape mismatch: %v vs %v", logits.shape, labels.shape))
-	}
-	SoftmaxInto(dst, logits)
 	inv := 1 / float64(logits.shape[0])
-	for i := range dst.data {
-		dst.data[i] = (dst.data[i] - labels.data[i]) * inv
+	if SameShape(logits, labels) {
+		SoftmaxInto(dst, logits)
+		for i := range dst.data {
+			dst.data[i] = (dst.data[i] - labels.data[i]) * inv
+		}
+		return dst
 	}
-	return dst
+	sm := dst
+	if ShapeEq(dst.shape, logits.shape) {
+		SoftmaxInto(dst, logits)
+	} else {
+		sm = Softmax(logits)
+	}
+	return MulScalarInto(dst, SubInto(dst, sm, labels), inv)
 }
 
-// MSEInto computes mean squared error into scalar dst with no scratch.
-func MSEInto(dst, pred, target *Tensor) *Tensor {
+// MSEInto computes mean squared error (broadcast) into scalar dst; only
+// differing shapes rent scratch from alloc.
+func MSEInto(dst, pred, target *Tensor, alloc Allocator) *Tensor {
 	checkDst(dst, nil, "MSEInto")
-	if !SameShape(pred, target) {
-		panic(fmt.Sprintf("tensor: MSEInto shape mismatch: %v vs %v", pred.shape, target.shape))
+	s, n := 0.0, len(pred.data)
+	if SameShape(pred, target) {
+		for i := range pred.data {
+			d := pred.data[i] - target.data[i]
+			s += d * d
+		}
+	} else {
+		alloc = orHeap(alloc)
+		diff := alloc.Get(mustBroadcast(pred, target)...)
+		for _, d := range SubInto(diff, pred, target).data {
+			s += d * d
+		}
+		n = len(diff.data)
+		alloc.Put(diff)
 	}
-	s := 0.0
-	for i := range pred.data {
-		d := pred.data[i] - target.data[i]
-		s += d * d
-	}
-	if len(pred.data) > 0 {
-		s /= float64(len(pred.data))
+	if n > 0 {
+		s /= float64(n)
 	}
 	dst.data[0] = s
 	return dst
 }
 
-// MSEGradInto computes d(mean squared error)/d(pred) * g into dst (may alias
-// pred).
+// MSEGradInto computes d(mean squared error)/d(pred) * g into dst, shaped
+// like the broadcast of pred and target (may alias pred when it has that
+// shape).
 func MSEGradInto(dst, pred, target *Tensor, g float64) *Tensor {
-	checkDst(dst, pred.shape, "MSEGradInto")
 	scale := 2 / float64(pred.Size()) * g
+	if !SameShape(pred, target) {
+		return MulScalarInto(dst, SubInto(dst, pred, target), scale)
+	}
+	checkDst(dst, pred.shape, "MSEGradInto")
 	for i := range pred.data {
 		dst.data[i] = (pred.data[i] - target.data[i]) * scale
 	}

@@ -203,8 +203,32 @@ func TestSoftmaxLossInto(t *testing.T) {
 		t.Fatal("CrossEntropyGradInto differs")
 	}
 	pred, tgt := randT(rng, 4, 3), randT(rng, 4, 3)
-	if got := MSEInto(Scalar(0), pred, tgt); !Equal(got, MSE(pred, tgt)) {
+	if got := MSEInto(Scalar(0), pred, tgt, pool); !Equal(got, MSE(pred, tgt)) {
 		t.Fatal("MSEInto differs")
+	}
+
+	// A broadcast second operand: the loss kernels equal the composition of
+	// primitive ops, may still write over their first operand, and return
+	// their scratch.
+	row := randT(rng, 5)
+	nll := Sum(Mul(row, LogSoftmax(logits))).Item()
+	if got := CrossEntropyInto(Scalar(0), logits, row, pool); !AllClose(got, Scalar(-nll/6), 1e-12) {
+		t.Fatalf("CrossEntropyInto broadcast: %v, want %v", got, -nll/6)
+	}
+	lc = logits.Clone()
+	if got := CrossEntropyGradInto(lc, lc, row); !Equal(got, MulScalar(Sub(Softmax(logits), row), 1.0/6)) {
+		t.Fatal("CrossEntropyGradInto broadcast in-place differs")
+	}
+	col := randT(rng, 4, 1)
+	d := Sub(col, row)
+	if got := MSEInto(Scalar(0), col, row, pool); !AllClose(got, Mean(Mul(d, d)), 1e-12) {
+		t.Fatalf("MSEInto broadcast: %v, want %v", got, Mean(Mul(d, d)))
+	}
+	if got := MSEGradInto(Zeros(4, 5), col, row, 0.5); !Equal(got, MulScalar(d, 2.0/4*0.5)) {
+		t.Fatal("MSEGradInto broadcast differs")
+	}
+	if st := pool.Stats(); st.InUseElems != 0 {
+		t.Fatalf("loss kernels leaked scratch: %+v", st)
 	}
 }
 

@@ -65,14 +65,20 @@ func Map(a *Tensor, f func(float64) float64) *Tensor {
 
 // Zip applies f element-wise over broadcast inputs.
 func Zip(a, b *Tensor, f func(x, y float64) float64) *Tensor {
+	return ZipInto(Zeros(mustBroadcast(a, b)...), a, b, f)
+}
+
+// mustBroadcast returns the broadcast shape of a and b, panicking when they
+// are incompatible.
+func mustBroadcast(a, b *Tensor) []int {
 	if SameShape(a, b) { // fast path
-		return ZipInto(Zeros(a.shape...), a, b, f)
+		return a.shape
 	}
 	shape, err := BroadcastShapes(a.shape, b.shape)
 	if err != nil {
 		panic(err)
 	}
-	return ZipInto(Zeros(shape...), a, b, f)
+	return shape
 }
 
 // UnbroadcastTo sums t over broadcast dimensions so that the result has the
@@ -484,32 +490,17 @@ func LogSoftmax(a *Tensor) *Tensor {
 }
 
 // CrossEntropy computes mean softmax cross-entropy between logits [b,c] and
-// one-hot (or soft) labels [b,c].
+// one-hot (or soft) labels [b,c] (labels broadcast).
 func CrossEntropy(logits, labels *Tensor) *Tensor {
-	if SameShape(logits, labels) {
-		return CrossEntropyInto(Scalar(0), logits, labels, nil)
-	}
-	ls := LogSoftmax(logits)
-	prod := Mul(labels, ls)
-	b := float64(logits.shape[0])
-	return Scalar(-Sum(prod).Item() / b)
+	return CrossEntropyInto(Scalar(0), logits, labels, nil)
 }
 
 // CrossEntropyGrad returns d(mean xent)/d(logits) = (softmax - labels)/batch.
 func CrossEntropyGrad(logits, labels *Tensor) *Tensor {
-	if SameShape(logits, labels) {
-		return CrossEntropyGradInto(Zeros(logits.shape...), logits, labels)
-	}
-	sm := Softmax(logits)
-	b := float64(logits.shape[0])
-	return MulScalar(Sub(sm, labels), 1/b)
+	return CrossEntropyGradInto(Zeros(mustBroadcast(logits, labels)...), logits, labels)
 }
 
 // MSE computes mean squared error between two tensors (broadcast).
 func MSE(pred, target *Tensor) *Tensor {
-	if SameShape(pred, target) {
-		return MSEInto(Scalar(0), pred, target)
-	}
-	d := Sub(pred, target)
-	return Mean(Mul(d, d))
+	return MSEInto(Scalar(0), pred, target, nil)
 }
