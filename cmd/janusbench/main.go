@@ -33,12 +33,6 @@ func main() {
 	exp := flag.String("experiment", "all", "table2|table3|fig6|fig7|fig8|assertcost|all")
 	steps := flag.Int("steps", 20, "measured steps per configuration")
 	warmup := flag.Int("warmup", 6, "warmup steps (covers profiling + conversion)")
-	serveMode := flag.Bool("serve", false, "load-driver mode: requests/sec against an in-process janusd")
-	clients := flag.Int("clients", 8, "concurrent clients in -serve mode")
-	duration := flag.Duration("duration", 5*time.Second, "measurement window in -serve mode")
-	serveWorkers := flag.Int("serve-workers", 0, "pool workers in -serve mode (0 = NumCPU)")
-	maxBatch := flag.Int("max-batch", 8, "batcher size limit in -serve mode")
-	batchLatency := flag.Duration("batch-latency", 2*time.Millisecond, "batcher latency limit in -serve mode")
 	kernelsMode := flag.Bool("kernels", false,
 		"kernel/memory-plan microbenchmarks: blocked matmul, plan-on/off LeNet replay, allocs/op")
 	traceMode := flag.Bool("trace", false,
@@ -62,7 +56,7 @@ func main() {
 	churnMode := flag.Bool("churn", false,
 		"in -dist mode (implies -async): add a fault-injected churn run — seeded wire faults, a worker kill+rejoin, a shard kill+snapshot failover — anchored against the fault-free async run")
 	jsonOut := flag.String("json", "",
-		"write machine-readable results to this file (-dist, -serve and -kernels modes; the CI regression gate reads it)")
+		"write machine-readable results to this file (-dist and -kernels modes; the CI regression gate reads it)")
 	flag.Parse()
 
 	if *traceMode {
@@ -78,10 +72,6 @@ func main() {
 	if *kernelsMode {
 		fmt.Printf("========== Kernel + memory-plan microbenchmarks ==========\n")
 		kernelsBench(*warmup, *steps, *jsonOut)
-		return
-	}
-	if *serveMode {
-		serveBench(*clients, *duration, *serveWorkers, *maxBatch, *batchLatency, *jsonOut)
 		return
 	}
 	if *distMode {

@@ -14,6 +14,14 @@ import (
 	"repro/internal/obs"
 )
 
+// serveModel is the -trace/-profile fixture: a batch-parallel two-layer MLP.
+const serveModel = `
+def predict(x):
+    w1 = variable("w1", [16, 32])
+    w2 = variable("w2", [32, 8])
+    return matmul(relu(matmul(x, w1)), w2)
+`
+
 // traceBench exercises the request-phase tracing path end to end: it boots
 // an in-process janusd, performs real fn.Call requests over HTTP (the
 // direct args path, so the engine's convert/compile/execute spans land in

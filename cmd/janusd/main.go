@@ -1,10 +1,11 @@
 // Command janusd serves minipy models over HTTP+JSON. It fronts the
 // internal/serve session pool: N JANUS engine workers share one parameter
-// store and one compiled-graph cache, and concurrent inference requests for
-// the same function signature are batched into single graph executions.
+// store and one compiled-graph cache. Named-feed calls with the same function
+// signature that arrive within 1 ms of each other, or queue up while every
+// worker is busy, run as one batched graph execution (at most -max-batch
+// requests) on the next worker that frees up.
 //
-//	janusd -addr :8080 -pool 8 -max-batch 8 -batch-latency 2ms \
-//	       -program model.py
+//	janusd -addr :8080 -pool 8 -max-batch 8 -program model.py
 //
 // Endpoints (all JSON):
 //
@@ -14,7 +15,6 @@
 //	POST /v1/run      {"session"?, "program": "..."}     run an ad-hoc script
 //	POST /v1/call     {"session"?, "fn", "args": [...]}  call a loaded function
 //	POST /v1/call     {"fn", "feeds": {"x": [[...]]}}    batched named-feed call
-//	POST /v1/infer    {"session"?, "fn", "x": [[...]]}   batched inference
 //	GET  /v1/stats                                       engine + serving stats
 //	GET  /v1/cache                                       graph-cache inspection
 //	GET  /healthz                                        liveness
@@ -27,8 +27,8 @@
 //
 // Example:
 //
-//	curl -s localhost:8080/v1/infer \
-//	     -d '{"fn": "predict", "x": [[1.0, 2.0]]}'
+//	curl -s localhost:8080/v1/call \
+//	     -d '{"fn": "predict", "feeds": {"x": [[1.0, 2.0]]}}'
 package main
 
 import (
@@ -51,8 +51,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pool := flag.Int("pool", 0, "pool size: engine workers serving concurrent requests (default 4)")
 	engineWorkers := flag.Int("engine-workers", 0, "per-graph executor parallelism inside one request (default 4)")
-	maxBatch := flag.Int("max-batch", 8, "max inference requests coalesced per batch")
-	batchLatency := flag.Duration("batch-latency", 2*time.Millisecond, "max wait for batch-mates")
+	maxBatch := flag.Int("max-batch", 8, "max queued same-signature requests a free worker runs as one batch")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a worker before 429 (0 = 16x workers)")
 	acquireTimeout := flag.Duration("acquire-timeout", 10*time.Second, "max wait for a worker before 503")
 	cacheCapacity := flag.Int("cache-capacity", 0, "max cached compiled graphs, LRU-evicted (0 = unlimited)")
@@ -76,7 +75,6 @@ func main() {
 	opts := janus.ServerOptions{
 		PoolSize:       poolSize,
 		MaxBatch:       *maxBatch,
-		MaxLatency:     *batchLatency,
 		MaxQueue:       *maxQueue,
 		AcquireTimeout: *acquireTimeout,
 		CacheCapacity:  *cacheCapacity,
@@ -159,8 +157,7 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: mux}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("janusd: serving on %s (pool %d, batch %d / %v)",
-			*addr, poolSize, *maxBatch, *batchLatency)
+		log.Printf("janusd: serving on %s (pool %d, max batch %d)", *addr, poolSize, *maxBatch)
 		errCh <- hs.ListenAndServe()
 	}()
 

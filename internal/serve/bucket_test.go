@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -44,10 +43,9 @@ func counterSum(reg *obs.Registry, name string) float64 {
 // sizes land on power-of-two buckets (counted in janus_bucket_*), and with
 // RelaxBatchDim the bucket sizes share one wildcard graph.
 func TestBucketPaddingBitIdentical(t *testing.T) {
-	bucketed := newTestPool(t, Config{Workers: 1, MaxBatch: 1, MaxLatency: time.Millisecond,
+	bucketed := newTestPool(t, Config{Workers: 1, MaxBatch: 1,
 		BucketBatch: true, MaxBucket: 16, Engine: janusConfig(1)})
-	exact := newTestPool(t, Config{Workers: 1, MaxBatch: 1, MaxLatency: time.Millisecond,
-		Engine: janusConfig(1)})
+	exact := newTestPool(t, Config{Workers: 1, MaxBatch: 1, Engine: janusConfig(1)})
 
 	batch := func(rows int) *tensor.Tensor {
 		data := make([]float64, rows*2)
@@ -57,11 +55,11 @@ func TestBucketPaddingBitIdentical(t *testing.T) {
 		return tensor.New([]int{rows, 2}, data)
 	}
 	for _, rows := range []int{3, 3, 5, 6, 13} {
-		got, err := bucketed.Infer("predict", batch(rows))
+		got, err := predict(bucketed, batch(rows))
 		if err != nil {
 			t.Fatalf("bucketed rows=%d: %v", rows, err)
 		}
-		want, err := exact.Infer("predict", batch(rows))
+		want, err := predict(exact, batch(rows))
 		if err != nil {
 			t.Fatalf("exact rows=%d: %v", rows, err)
 		}
@@ -87,12 +85,49 @@ func TestBucketPaddingBitIdentical(t *testing.T) {
 	}
 }
 
+// trafficSizes are batch sizes a mixed-traffic client would send: with
+// MaxBucket 16 they land on the power-of-two buckets {1, 2, 4, 8, 16}, so
+// five compiled shapes serve eight request shapes.
+var trafficSizes = []int{1, 2, 3, 5, 7, 8, 11, 13}
+
+func rowsInput(rows int) *tensor.Tensor {
+	data := make([]float64, rows*2)
+	for i := range data {
+		data[i] = float64(i%11)*0.25 - 1
+	}
+	return tensor.New([]int{rows, 2}, data)
+}
+
+// TestBucketedHitRateAcrossSizes gates the steady-state cache hit rate of a
+// bucketed pool under variable batch sizes — the rate that collapses when
+// bucketing stops mapping near-miss sizes onto shared graphs (every distinct
+// size would convert its own).
+func TestBucketedHitRateAcrossSizes(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, BucketBatch: true, MaxBucket: 16,
+		Engine: janusConfig(1)})
+	for cycle := 0; cycle < 8; cycle++ {
+		for _, rows := range trafficSizes {
+			if _, err := predict(p, rowsInput(rows)); err != nil {
+				t.Fatalf("cycle %d rows=%d: %v", cycle, rows, err)
+			}
+		}
+	}
+	st := p.Stats()
+	rate := float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
+	if rate < 0.75 {
+		t.Fatalf("bucketed cache hit rate %.3f (%d hits, %d misses) over %d sizes, want >= 0.75",
+			rate, st.CacheHits, st.CacheMisses, len(trafficSizes))
+	}
+	if st.CachedGraphs >= len(trafficSizes) {
+		t.Fatalf("%d compiled graphs for %d request sizes: bucketing shared nothing", st.CachedGraphs, len(trafficSizes))
+	}
+}
+
 // TestBucketRejectsScalarOutput: a padded execution whose output collapses
 // the batch dimension (train_step's mean loss) must fail with a clear
 // error, not silently return a value aggregated over synthetic rows.
 func TestBucketRejectsScalarOutput(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 1, MaxBatch: 1, MaxLatency: time.Millisecond,
-		BucketBatch: true, Engine: janusConfig(1)})
+	p := newTestPool(t, Config{Workers: 1, MaxBatch: 1, BucketBatch: true, Engine: janusConfig(1)})
 	x := tensor.New([]int{3, 2}, []float64{1, 2, 3, 4, 5, 6})
 	y := tensor.New([]int{3, 3}, make([]float64, 9))
 	_, err := p.CallNamed(context.Background(), "train_step",
@@ -108,8 +143,7 @@ func TestBucketRejectsScalarOutput(t *testing.T) {
 // TestSharedFeedBroadcast: a feed marked shared is exempt from the
 // batch-dimension contract and reaches the function whole.
 func TestSharedFeedBroadcast(t *testing.T) {
-	p := NewPool(Config{Workers: 1, MaxBatch: 4, MaxLatency: time.Millisecond,
-		BucketBatch: true, Engine: janusConfig(1)})
+	p := NewPool(Config{Workers: 1, MaxBatch: 4, BucketBatch: true, Engine: janusConfig(1)})
 	if _, err := p.Load(projectProgram); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -136,21 +170,24 @@ func TestSharedFeedBroadcast(t *testing.T) {
 }
 
 // TestPoolSnapshotWarmBoot drives the full serving round trip: warm a pool,
-// save its snapshot, boot a fresh pool from it, and require the first
-// request to be served with zero conversions, zero imperative profiling
-// steps and bit-identical outputs.
+// save its snapshot, boot a fresh pool from it, and require every saved
+// entry to be restored and every traffic shape to be served with zero
+// conversions, zero imperative profiling steps and bit-identical outputs.
 func TestPoolSnapshotWarmBoot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "janus-cache.snap")
 	mk := func() *Pool {
-		return newTestPool(t, Config{Workers: 2, MaxBatch: 4, MaxLatency: time.Millisecond,
-			BucketBatch: true, Engine: janusConfig(1)})
+		return newTestPool(t, Config{Workers: 2, MaxBatch: 4, BucketBatch: true, MaxBucket: 16,
+			Engine: janusConfig(1)})
 	}
 	cold := mk()
-	x := tensor.New([]int{4, 2}, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	warm(t, cold, "predict", x, 3)
-	coldOut, err := cold.Infer("predict", x)
-	if err != nil {
-		t.Fatal(err)
+	coldOut := make(map[int]*tensor.Tensor)
+	for _, rows := range trafficSizes {
+		warm(t, cold, rowsInput(rows), 3)
+		out, err := predict(cold, rowsInput(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldOut[rows] = out
 	}
 	saved, err := cold.SaveSnapshot(path)
 	if err != nil {
@@ -168,12 +205,14 @@ func TestPoolSnapshotWarmBoot(t *testing.T) {
 	if loaded != saved {
 		t.Fatalf("loaded %d entries, saved %d", loaded, saved)
 	}
-	got, err := warmPool.Infer("predict", x)
-	if err != nil {
-		t.Fatalf("warm first request: %v", err)
-	}
-	if !bitEqual(got, coldOut) {
-		t.Fatalf("warm output differs from cold:\n%v\nvs\n%v", got, coldOut)
+	for _, rows := range trafficSizes {
+		got, err := predict(warmPool, rowsInput(rows))
+		if err != nil {
+			t.Fatalf("warm rows=%d: %v", rows, err)
+		}
+		if !bitEqual(got, coldOut[rows]) {
+			t.Fatalf("warm rows=%d output differs from cold:\n%v\nvs\n%v", rows, got, coldOut[rows])
+		}
 	}
 	st := warmPool.Stats()
 	if st.Conversions != 0 || st.ImperativeSteps != 0 {

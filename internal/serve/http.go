@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,7 +25,6 @@ import (
 //	POST /v1/run      {"session"?, "program": "..."}    → {"output": "..."}
 //	POST /v1/call     {"session"?, "fn", "args": [...]} → {"result": ...}
 //	POST /v1/call     {"fn", "feeds": {"x": [[...]]}}   → {"outputs": [...]}  (batched, named feeds)
-//	POST /v1/infer    {"session"?, "fn", "x": [[...]]}  → {"y": [[...]]}
 //	GET  /v1/stats                                      → Stats JSON
 //	GET  /v1/cache                                      → graph-cache inspection
 //	GET  /v1/trace    ?n=16                             → recent request traces (merged span trees)
@@ -45,7 +45,8 @@ import (
 // 429 (wait queue full) or 503 (timed out waiting for a worker) instead of
 // queueing without bound; unknown functions are 404 and executions stopped
 // by client disconnect are 499 (see StatusForError/ErrorForStatus for the
-// sentinel round trip).
+// sentinel round trip). Request bodies over maxBodyBytes are refused with
+// 413.
 type Server struct {
 	pool *Pool
 	mux  *http.ServeMux
@@ -80,7 +81,6 @@ func NewServerWith(p *Pool) *Server {
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDeleteSession)
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/call", s.handleCall)
-	s.mux.HandleFunc("POST /v1/infer", s.handleInfer)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/cache", s.handleCache)
 	s.mux.HandleFunc("GET /v1/trace", s.handleTrace)
@@ -155,10 +155,28 @@ func ErrorForStatus(status int, msg string) error {
 // failStatus is the internal shorthand the handlers use.
 func failStatus(err error) int { return StatusForError(err) }
 
-func decode(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds one request body. Tensors travel as JSON text (some
+// 20 bytes per element), so this admits feeds of a few million elements and
+// refuses a body that would otherwise be buffered without limit.
+const maxBodyBytes = 64 << 20
+
+// decode reads the JSON request body into into. On failure it has written
+// the error response — 413 for a body over maxBodyBytes, 400 otherwise — and
+// returns false.
+func decode(w http.ResponseWriter, r *http.Request, into any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.UseNumber()
-	return dec.Decode(into)
+	err := dec.Decode(into)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
+	return false
 }
 
 // session resolves the optional "session" request field; empty selects the
@@ -180,8 +198,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Program string `json:"program"`
 	}
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	out, err := s.pool.Load(req.Program)
@@ -227,8 +244,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Session string `json:"session"`
 		Program string `json:"program"`
 	}
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	var out string
@@ -261,8 +277,7 @@ func (s *Server) handleCall(w http.ResponseWriter, r *http.Request) {
 		// they are broadcast to the batch rather than stacked per-row.
 		Shared []string `json:"shared"`
 	}
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	ctx, finish := s.startTrace(r, req.Fn)
@@ -295,7 +310,9 @@ func (s *Server) handleCall(w http.ResponseWriter, r *http.Request) {
 		for i, t := range outs {
 			results[i] = tensorToJSON(t)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"outputs": results})
+		writeJSON(w, http.StatusOK, struct {
+			Outputs []any `json:"outputs"`
+		}{results})
 		return
 	}
 	if len(req.Shared) > 0 {
@@ -330,36 +347,6 @@ func (s *Server) handleCall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"result": valueToJSON(out)})
-}
-
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Session string `json:"session"`
-		Fn      string `json:"fn"`
-		X       any    `json:"x"`
-	}
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	sess, err := s.session(req.Session)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	x, err := jsonToTensor(req.X)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, finish := s.startTrace(r, req.Fn)
-	defer finish()
-	y, err := sess.InferCtx(ctx, req.Fn, x)
-	if err != nil {
-		writeErr(w, failStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"y": tensorToJSON(y), "shape": y.Shape()})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -512,6 +499,7 @@ func jsonToTensor(v any) (*tensor.Tensor, error) {
 	var data []float64
 	var walk func(v any, depth int) error
 	walk = func(v any, depth int) error {
+		var f float64
 		switch x := v.(type) {
 		case []any:
 			if depth == len(shape) {
@@ -519,6 +507,7 @@ func jsonToTensor(v any) (*tensor.Tensor, error) {
 			} else if shape[depth] != len(x) {
 				return fmt.Errorf("serve: ragged tensor literal at depth %d", depth)
 			}
+			data = slices.Grow(data, len(x))
 			for _, e := range x {
 				if err := walk(e, depth+1); err != nil {
 					return err
@@ -526,20 +515,20 @@ func jsonToTensor(v any) (*tensor.Tensor, error) {
 			}
 			return nil
 		case json.Number:
-			if depth < len(shape) {
-				return fmt.Errorf("serve: ragged tensor literal at depth %d", depth)
-			}
-			f, err := x.Float64()
-			if err != nil {
+			var err error
+			if f, err = x.Float64(); err != nil {
 				return err
 			}
-			data = append(data, f)
-			return nil
 		case float64: // non-UseNumber decoders
-			data = append(data, x)
-			return nil
+			f = x
+		default:
+			return fmt.Errorf("serve: tensor literal holds %T", v)
 		}
-		return fmt.Errorf("serve: tensor literal holds %T", v)
+		if depth < len(shape) {
+			return fmt.Errorf("serve: ragged tensor literal at depth %d", depth)
+		}
+		data = append(data, f)
+		return nil
 	}
 	if err := walk(v, 0); err != nil {
 		return nil, err
@@ -557,20 +546,16 @@ func jsonToTensor(v any) (*tensor.Tensor, error) {
 	return tensor.New(shape, data), nil
 }
 
-// tensorToJSON renders a tensor as nested arrays (a scalar as a number).
+// tensorToJSON renders a tensor as nested arrays (a scalar as a number). The
+// innermost rows are slices of the tensor's own data, not copies.
 func tensorToJSON(t *tensor.Tensor) any {
-	shape, data := t.Shape(), t.Data()
-	if len(shape) == 0 {
+	if t.Rank() == 0 {
 		return t.Item()
 	}
 	var build func(shape []int, data []float64) any
 	build = func(shape []int, data []float64) any {
 		if len(shape) == 1 {
-			out := make([]any, shape[0])
-			for i := range out {
-				out[i] = data[i]
-			}
-			return out
+			return data
 		}
 		stride := len(data) / shape[0]
 		out := make([]any, shape[0])
@@ -579,7 +564,7 @@ func tensorToJSON(t *tensor.Tensor) any {
 		}
 		return out
 	}
-	return build(shape, data)
+	return build(t.Shape(), t.Data())
 }
 
 // valueToJSON maps a minipy value to its JSON form.

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -42,8 +41,7 @@ func postCall(t *testing.T, ts *httptest.Server, fn, traceHeader string) {
 // a root "request" span with the engine's phase spans parented beneath
 // it, and an inbound Janus-Trace header adopting the caller's trace ID.
 func TestHTTPTraceTreeAndHeaderAdoption(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, MaxLatency: time.Millisecond,
-		Engine: janusConfig(1)})
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, Engine: janusConfig(1)})
 	srv := NewServerWith(p)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -118,8 +116,7 @@ func TestHTTPTraceTreeAndHeaderAdoption(t *testing.T) {
 // a graph is compiled, explain payloads describe the cache slots, and
 // both 400 without ?fn= and 404 on unknown functions.
 func TestHTTPProfileAndExplainEndpoints(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, MaxLatency: time.Millisecond,
-		Engine: janusConfig(1)})
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, Engine: janusConfig(1)})
 	srv := NewServerWith(p)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -13,8 +13,8 @@ const (
 	helpSessions  = "Client sessions registered over the pool's lifetime."
 	helpAcqWait   = "Time a request waited to claim a worker or session token."
 	helpBatchSize = "Requests coalesced into one batched execution."
-	helpBatchWait = "Time a request spent parked in a batch group before its flush."
-	helpFlushes   = "Batch-group flushes, by trigger (full window vs timer expiry)."
+	helpBatchWait = "Time a request spent pending in its batch group before a worker claimed it."
+	helpFlushes   = "Batched executions, by how the worker's claim ended (full: capped at MaxBatch; drain: took every pending request)."
 	helpBatched   = "Requests served through the batcher."
 
 	helpBucketPadded = "Batched executions padded up to a power-of-two row bucket."
@@ -34,12 +34,12 @@ type metrics struct {
 	rejected *obs.Counter
 	timedOut *obs.Counter
 
-	acquireWait *obs.Histogram
+	claimWait *obs.Histogram
 
 	batchSize  *obs.Histogram
 	batchWait  *obs.Histogram
 	flushFull  *obs.Counter
-	flushTimer *obs.Counter
+	flushDrain *obs.Counter
 	batched    *obs.Counter
 
 	// Shape-bucketing instruments (janus_bucket_*), registered eagerly so
@@ -56,14 +56,14 @@ func newMetrics(reg *obs.Registry) *metrics {
 		requests: reg.Counter("janus_serve_requests_total", helpRequests),
 		rejected: reg.Counter("janus_serve_rejected_total", helpRejected),
 		timedOut: reg.Counter("janus_serve_timeouts_total", helpTimeouts),
-		acquireWait: reg.Histogram("janus_serve_acquire_wait_seconds", helpAcqWait,
+		claimWait: reg.Histogram("janus_serve_acquire_wait_seconds", helpAcqWait,
 			obs.DefBuckets),
 		batchSize: reg.Histogram("janus_serve_batch_size", helpBatchSize,
 			obs.SizeBuckets),
 		batchWait: reg.Histogram("janus_serve_batch_wait_seconds", helpBatchWait,
 			obs.DefBuckets),
 		flushFull:  reg.Counter("janus_serve_batch_flushes_total", helpFlushes, "reason", "full"),
-		flushTimer: reg.Counter("janus_serve_batch_flushes_total", helpFlushes, "reason", "timer"),
+		flushDrain: reg.Counter("janus_serve_batch_flushes_total", helpFlushes, "reason", "drain"),
 		batched:    reg.Counter("janus_serve_batched_requests_total", helpBatched),
 
 		bucketPadded: reg.Counter("janus_bucket_padded_batches_total", helpBucketPadded),
@@ -74,5 +74,5 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 // flushes sums both flush-reason series (the Stats Batches field).
 func (m *metrics) flushes() int64 {
-	return m.flushFull.Value() + m.flushTimer.Value()
+	return m.flushFull.Value() + m.flushDrain.Value()
 }

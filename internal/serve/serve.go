@@ -10,10 +10,11 @@
 // other client — including clients on different workers and in different
 // sessions.
 //
-// Inference requests go through a batcher that coalesces concurrent
-// same-signature calls into one batched tensor execution (configurable max
-// batch size and max latency) and scatters per-request rows back to the
-// callers.
+// Named-feed calls go through a batcher: same-signature calls that arrive
+// within the fixed 1 ms gather of each other, or queue up while every worker
+// is busy, run as one batched tensor execution (capped at MaxBatch requests)
+// on the next worker that frees up, and per-request rows are scattered back
+// to the callers.
 package serve
 
 import (
@@ -41,16 +42,14 @@ var ErrOverloaded = errors.New("serve: overloaded: request queue is full")
 // Config.AcquireTimeout for a worker — mapped to 503.
 var ErrAcquireTimeout = errors.New("serve: timed out waiting for an engine worker")
 
-// Config tunes a Pool. The zero value serves with 4 workers and a batcher
-// window of 8 requests / 2 ms.
+// Config tunes a Pool. The zero value serves with 4 workers and batches of
+// at most 8 requests.
 type Config struct {
 	// Workers is the number of engine workers (concurrent requests served).
 	Workers int
-	// MaxBatch caps how many inference requests coalesce into one execution.
+	// MaxBatch caps how many queued same-signature requests one worker takes
+	// as a single batched execution.
 	MaxBatch int
-	// MaxLatency is the longest a request waits for batch-mates before the
-	// partial batch is flushed.
-	MaxLatency time.Duration
 	// MaxSessions caps concurrently registered HTTP sessions (default
 	// 10000); sessions are freed with DELETE /v1/sessions/{id}.
 	MaxSessions int
@@ -89,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 8
-	}
-	if c.MaxLatency <= 0 {
-		c.MaxLatency = 2 * time.Millisecond
 	}
 	if c.Engine.PyOverheadNs == 0 {
 		// The engine's zero value simulates CPython's ~5µs/op dispatch cost
@@ -227,7 +223,7 @@ func NewPool(cfg Config) *Pool {
 		p.engines = append(p.engines, e)
 		p.idle <- e
 	}
-	p.batcher = newBatcher(p, cfg.MaxBatch, cfg.MaxLatency)
+	p.batcher = newBatcher(p, cfg.MaxBatch)
 	return p
 }
 
@@ -247,8 +243,8 @@ func (p *Pool) Registry() *obs.Registry { return p.obs }
 
 // admitQueued reserves one wait-queue slot, failing fast with ErrOverloaded
 // when MaxQueue slots are taken. The caller holds the slot until it calls
-// release. Every waiting request — a worker-acquire, a session-lock wait, a
-// batcher submission — occupies a slot, so the bound covers all the ways
+// release. Every waiting request — for a worker, batched or not, or for a
+// session lock — occupies a slot, so the bound covers all the ways
 // goroutines can pile up under overload.
 func (p *Pool) admitQueued() (release func(), err error) {
 	if p.queued.Add(1) > int64(p.cfg.MaxQueue) {
@@ -265,17 +261,25 @@ func (p *Pool) admitQueued() (release func(), err error) {
 // (tokens are idle engines) and session serialization (a one-token
 // semaphore) share it, so 429/503 semantics can never diverge between the
 // two paths. A canceled ctx fails the wait with core.ErrCanceled — clients
-// that give up stop occupying queue slots immediately.
-func admitWait[T any](p *Pool, ctx context.Context, ch <-chan T) (T, error) {
+// that give up stop occupying queue slots immediately. A non-nil done ends
+// the wait with the zero T and a nil error once it is closed: a batched
+// request passes its completion channel, because another request's worker
+// may run it before it is handed a worker of its own.
+func admitWait[T any](p *Pool, ctx context.Context, ch <-chan T, done <-chan struct{}) (T, error) {
+	var zero T
+	select {
+	case <-done:
+		return zero, nil
+	default:
+	}
 	select {
 	case v := <-ch:
 		// Immediate claim: recorded as a zero wait so the histogram's
 		// count covers every acquisition, not just the contended ones.
-		p.metrics.acquireWait.Observe(0)
+		p.metrics.claimWait.Observe(0)
 		return v, nil
 	default:
 	}
-	var zero T
 	if err := ctx.Err(); err != nil {
 		return zero, core.CanceledErr(ctx)
 	}
@@ -289,8 +293,10 @@ func admitWait[T any](p *Pool, ctx context.Context, ch <-chan T) (T, error) {
 	defer timer.Stop()
 	select {
 	case v := <-ch:
-		p.metrics.acquireWait.Since(t0)
+		p.metrics.claimWait.Since(t0)
 		return v, nil
+	case <-done:
+		return zero, nil
 	case <-timer.C:
 		p.metrics.timedOut.Inc()
 		return zero, ErrAcquireTimeout
@@ -306,40 +312,14 @@ func admitWait[T any](p *Pool, ctx context.Context, ch <-chan T) (T, error) {
 // under overload — the failure mode of the previous unbounded blocking
 // acquire.
 func (p *Pool) acquire(ctx context.Context) (*core.Engine, error) {
-	return admitWait(p, ctx, p.idle)
-}
-
-// acquireWait blocks for a worker up to AcquireTimeout without consuming a
-// queue slot. The batcher uses it at flush time: each request in the batch
-// already held (and still holds) its own slot from submission, so the flush
-// must not be spuriously rejected by a queue it never occupied.
-func (p *Pool) acquireWait() (*core.Engine, error) {
-	select {
-	case e := <-p.idle:
-		p.metrics.acquireWait.Observe(0)
-		return e, nil
-	default:
-	}
-	t0 := time.Now()
-	timer := time.NewTimer(p.cfg.AcquireTimeout)
-	defer timer.Stop()
-	select {
-	case e := <-p.idle:
-		p.metrics.acquireWait.Since(t0)
-		return e, nil
-	case <-timer.C:
-		p.metrics.timedOut.Inc()
-		return nil, ErrAcquireTimeout
-	}
+	return admitWait(p, ctx, p.idle, nil)
 }
 
 func (p *Pool) release(e *core.Engine) { p.idle <- e }
 
 // guard converts engine panics into request errors. Deep tensor kernels
 // panic on malformed inputs (shape mismatches etc.); a serving process must
-// return an error to the one offending client, not crash — and the batcher
-// flushes from a timer goroutine, where an unrecovered panic would kill the
-// whole process.
+// return an error to the one offending client, not crash.
 func guard[T any](f func() (T, error)) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -350,7 +330,7 @@ func guard[T any](f func() (T, error)) (out T, err error) {
 }
 
 // Load parses src once and runs it on every worker, so module-level
-// definitions (and the functions clients will Call/Infer) exist everywhere.
+// definitions (and the functions clients will call) exist everywhere.
 // Because the program AST is shared, a function has the same identity on all
 // workers and its compiled graphs are shared through the cache.
 //
@@ -440,7 +420,7 @@ func (p *Pool) LoadSnapshot(path string) (int, error) {
 
 // Call invokes a loaded module-level function on one worker. Training-step
 // functions (which call optimize() internally) and inference functions both
-// work; inference-heavy callers should prefer Infer/CallNamed for batching.
+// work; inference-heavy callers should prefer CallNamed for batching.
 func (p *Pool) Call(fn string, args []minipy.Value) (minipy.Value, error) {
 	return p.CallCtx(context.Background(), fn, args)
 }
@@ -489,11 +469,6 @@ func (p *Pool) CallNamedShared(ctx context.Context, fn string, feeds map[string]
 			return nil, fmt.Errorf("serve: %s: %v", fn, err)
 		}
 		return outs, nil
-	}
-	// The positional-Infer group key is internal: a client-chosen "#0" must
-	// not reach the positional call branch and bypass named binding.
-	if _, ok := feeds[positionalFeed]; ok {
-		return nil, fmt.Errorf("serve: %s: feed name %q is reserved", fn, positionalFeed)
 	}
 	sharedSet := make(map[string]bool, len(shared))
 	for _, name := range shared {
@@ -548,27 +523,6 @@ func (p *Pool) Profile(ctx context.Context, fn string) (*core.FuncProfile, error
 	}
 	defer p.release(e)
 	return guard(func() (*core.FuncProfile, error) { return e.Profile(fn) })
-}
-
-// Infer runs fn on one input tensor through the request batcher: concurrent
-// calls with the same function and item signature are stacked along the
-// leading (batch) axis, executed once, and split back. x must have a leading
-// batch dimension (use shape [1, ...] for a single example).
-func (p *Pool) Infer(fn string, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return p.InferCtx(context.Background(), fn, x)
-}
-
-// InferCtx is Infer under a context.
-func (p *Pool) InferCtx(ctx context.Context, fn string, x *tensor.Tensor) (*tensor.Tensor, error) {
-	p.metrics.requests.Inc()
-	outs, err := p.batcher.submit(ctx, fn, []feed{{name: positionalFeed, t: x}})
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) != 1 {
-		return nil, fmt.Errorf("serve: %s returned %d outputs, want one tensor (use CallNamed for multi-output functions)", fn, len(outs))
-	}
-	return outs[0], nil
 }
 
 // execOn runs src on one engine — in env when non-nil, in the worker's own
@@ -669,7 +623,7 @@ type Session struct {
 
 	// sem is a one-token semaphore serializing the session's stateful
 	// requests: env can be attached to only one worker engine at a time
-	// (Infer is stateless and bypasses it). Waiters go through the pool's
+	// (CallNamed is stateless and bypasses it). Waiters go through the pool's
 	// admission rules (admitWait) — bounded queue, acquire timeout — so a
 	// pile-up on one session fails fast with 429/503 instead of parking
 	// goroutines on a mutex forever.
@@ -692,7 +646,7 @@ func (p *Pool) NewSession() *Session {
 // lock claims the session's serialization token under the pool's
 // backpressure rules; the caller must unlock() on success.
 func (s *Session) lock(ctx context.Context) error {
-	_, err := admitWait(s.pool, ctx, s.sem)
+	_, err := admitWait(s.pool, ctx, s.sem, nil)
 	return err
 }
 
@@ -721,26 +675,13 @@ func (s *Session) CallCtx(ctx context.Context, fn string, args []minipy.Value) (
 	return guard(func() (minipy.Value, error) { return e.CallInCtx(ctx, s.env, fn, args) })
 }
 
-// CallNamed runs a batched named-feed call for this session. Like Infer it
-// is stateless with respect to the session environment (the function is a
+// CallNamed runs a batched named-feed call for this session. It is
+// stateless with respect to the session environment (the function is a
 // pool-wide definition), so it goes straight to the batcher and never
 // serializes on the session.
 func (s *Session) CallNamed(ctx context.Context, fn string, feeds map[string]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	s.requests.Add(1)
 	return s.pool.CallNamed(ctx, fn, feeds)
-}
-
-// Infer runs batched inference for this session. Inference is stateless
-// (the model function is a pool-wide definition), so it goes straight to
-// the batcher and never serializes on the session.
-func (s *Session) Infer(fn string, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.InferCtx(context.Background(), fn, x)
-}
-
-// InferCtx is Infer under a context.
-func (s *Session) InferCtx(ctx context.Context, fn string, x *tensor.Tensor) (*tensor.Tensor, error) {
-	s.requests.Add(1)
-	return s.pool.InferCtx(ctx, fn, x)
 }
 
 // Exec runs an ad-hoc script for this session. Top-level names the script

@@ -50,13 +50,22 @@ func newTestPool(t *testing.T, cfg Config) *Pool {
 	return p
 }
 
-// warm drives enough requests through fn to get past profiling and leave a
-// compiled graph in the cache.
-func warm(t *testing.T, p *Pool, fn string, x *tensor.Tensor, n int) {
+// predict runs one batched predict call and returns its single output.
+func predict(p *Pool, x *tensor.Tensor) (*tensor.Tensor, error) {
+	outs, err := p.CallNamed(context.Background(), "predict", map[string]*tensor.Tensor{"x": x})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// warm drives enough predict requests through the pool to get past profiling
+// and leave a compiled graph in the cache.
+func warm(t *testing.T, p *Pool, x *tensor.Tensor, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := p.Infer(fn, x); err != nil {
-			t.Fatalf("warm %s: %v", fn, err)
+		if _, err := predict(p, x); err != nil {
+			t.Fatalf("warm predict: %v", err)
 		}
 	}
 }
@@ -65,10 +74,9 @@ func input(i int) *tensor.Tensor {
 	return tensor.New([]int{1, 2}, []float64{float64(i % 7), float64(i%5) - 2})
 }
 
-func TestConcurrentInferMatchesSequential(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 4, MaxBatch: 8, MaxLatency: time.Millisecond,
-		Engine: janusConfig(1)})
-	warm(t, p, "predict", input(0), 3)
+func TestConcurrentCallNamedMatchesSequential(t *testing.T) {
+	p := newTestPool(t, Config{Workers: 4, MaxBatch: 8, Engine: janusConfig(1)})
+	warm(t, p, input(0), 3)
 
 	w, ok := p.Store().Get("w")
 	if !ok {
@@ -86,13 +94,14 @@ func TestConcurrentInferMatchesSequential(t *testing.T) {
 			sess := p.NewSession()
 			for r := 0; r < perClient; r++ {
 				i := c*perClient + r
-				got, err := sess.Infer("predict", input(i))
+				got, err := sess.CallNamed(context.Background(), "predict",
+					map[string]*tensor.Tensor{"x": input(i)})
 				if err != nil {
 					errs <- fmt.Errorf("client %d req %d: %v", c, r, err)
 					return
 				}
-				if !tensor.AllClose(got, expected(i), 1e-9) {
-					errs <- fmt.Errorf("client %d req %d: got %v want %v", c, r, got, expected(i))
+				if !tensor.AllClose(got[0], expected(i), 1e-9) {
+					errs <- fmt.Errorf("client %d req %d: got %v want %v", c, r, got[0], expected(i))
 					return
 				}
 			}
@@ -113,9 +122,8 @@ func TestConcurrentInferMatchesSequential(t *testing.T) {
 }
 
 func TestBatchedEqualsUnbatched(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 8, MaxLatency: 2 * time.Millisecond,
-		Engine: janusConfig(1)})
-	warm(t, p, "predict", input(0), 3)
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 8, Engine: janusConfig(1)})
+	warm(t, p, input(0), 3)
 
 	// Unbatched reference: direct Call bypasses the batcher entirely.
 	const n = 24
@@ -136,7 +144,7 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = p.Infer("predict", input(i))
+			got[i], errs[i] = predict(p, input(i))
 		}(i)
 	}
 	wg.Wait()
@@ -153,67 +161,13 @@ func TestBatchedEqualsUnbatched(t *testing.T) {
 	}
 }
 
-func TestBatcherFlushOnFull(t *testing.T) {
-	// MaxLatency is far beyond the test deadline: completion proves the
-	// size trigger fired.
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 4, MaxLatency: 5 * time.Minute,
-		Engine: janusConfig(1)})
-	before := p.Stats()
-
-	const n = 4
-	results := make(chan error, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			_, err := p.Infer("predict", input(i))
-			results <- err
-		}(i)
-	}
-	deadline := time.After(30 * time.Second)
-	for i := 0; i < n; i++ {
-		select {
-		case err := <-results:
-			if err != nil {
-				t.Fatalf("infer: %v", err)
-			}
-		case <-deadline:
-			t.Fatal("batch never flushed on reaching MaxBatch")
-		}
-	}
-	after := p.Stats()
-	if got := after.Batches - before.Batches; got != 1 {
-		t.Fatalf("flush-on-full ran %d batches, want 1", got)
-	}
-	if got := after.BatchedRequests - before.BatchedRequests; got != n {
-		t.Fatalf("batched %d requests, want %d", got, n)
-	}
-}
-
-func TestBatcherFlushOnTimeout(t *testing.T) {
-	// MaxBatch is unreachable: completion proves the latency trigger fired.
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1000, MaxLatency: 20 * time.Millisecond,
-		Engine: janusConfig(1)})
-	before := p.Stats()
-	start := time.Now()
-	if _, err := p.Infer("predict", input(1)); err != nil {
-		t.Fatalf("infer: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("lone request returned after %v, before the %v batch window closed", elapsed, 20*time.Millisecond)
-	}
-	after := p.Stats()
-	if got := after.Batches - before.Batches; got != 1 {
-		t.Fatalf("flush-on-timeout ran %d batches, want 1", got)
-	}
-}
-
 func TestCrossSessionGraphCacheHit(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, MaxLatency: time.Millisecond,
-		Engine: janusConfig(1)})
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, Engine: janusConfig(1)})
 	a, b := p.NewSession(), p.NewSession()
 
 	// Session A: one profiling run, then the conversion.
 	for i := 0; i < 3; i++ {
-		if _, err := a.Infer("predict", input(i)); err != nil {
+		if _, err := a.CallNamed(context.Background(), "predict", map[string]*tensor.Tensor{"x": input(i)}); err != nil {
 			t.Fatalf("session a: %v", err)
 		}
 	}
@@ -224,7 +178,7 @@ func TestCrossSessionGraphCacheHit(t *testing.T) {
 	hitsAfterA := st.CacheHits
 
 	// Session B, same signature: must hit A's graph, never reconvert.
-	if _, err := b.Infer("predict", input(9)); err != nil {
+	if _, err := b.CallNamed(context.Background(), "predict", map[string]*tensor.Tensor{"x": input(9)}); err != nil {
 		t.Fatalf("session b: %v", err)
 	}
 	st = p.Stats()
@@ -240,8 +194,7 @@ func TestCrossSessionGraphCacheHit(t *testing.T) {
 }
 
 func TestTrainingThroughPoolConverges(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 4, MaxLatency: time.Millisecond,
-		Engine: janusConfig(2)})
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 4, Engine: janusConfig(2)})
 	x := minipy.NewTensor(tensor.New([]int{4, 2}, []float64{0, 0, 1, 0, 0, 1, 1, 1}))
 	// Target: y = x @ [[1,2,3],[4,5,6]].
 	wTrue := tensor.New([]int{2, 3}, []float64{1, 2, 3, 4, 5, 6})
@@ -265,56 +218,12 @@ func TestTrainingThroughPoolConverges(t *testing.T) {
 	}
 }
 
-// TestBatcherTimeoutFlushStress hammers the timer-path flush: many
-// concurrent waves of requests against an unreachable MaxBatch, so every
-// batch flushes on max-latency from the timer goroutine. Run under -race in
-// CI; correctness of every scattered row is checked.
-func TestBatcherTimeoutFlushStress(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 4, MaxBatch: 1 << 20, MaxLatency: time.Millisecond,
-		Engine: janusConfig(1)})
-	warm(t, p, "predict", input(0), 3)
-	w, _ := p.Store().Get("w")
-
-	const goroutines, waves = 12, 6
-	errs := make(chan error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < waves; r++ {
-				i := g*waves + r
-				got, err := p.Infer("predict", input(i))
-				if err != nil {
-					errs <- fmt.Errorf("goroutine %d wave %d: %v", g, r, err)
-					return
-				}
-				if want := tensor.MatMul(input(i), w); !tensor.AllClose(got, want, 1e-9) {
-					errs <- fmt.Errorf("goroutine %d wave %d: got %v want %v", g, r, got, want)
-					return
-				}
-				// Jitter so waves straddle the flush window boundary.
-				time.Sleep(time.Duration(i%3) * 300 * time.Microsecond)
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if st := p.Stats(); st.Batches == 0 {
-		t.Fatalf("timer path never flushed: %+v", st)
-	}
-}
-
 // TestMalformedCallReturnsError drives a malformed feed through the pool: a
 // kernel panic deep in the executor must come back as a request error, and
 // the pool must keep serving afterwards.
 func TestMalformedCallReturnsError(t *testing.T) {
-	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, MaxLatency: time.Millisecond,
-		Engine: janusConfig(1)})
-	warm(t, p, "predict", input(0), 3)
+	p := newTestPool(t, Config{Workers: 2, MaxBatch: 1, Engine: janusConfig(1)})
+	warm(t, p, input(0), 3)
 
 	// predict expects [n, 2] against w [2, 3]; a [1, 5] input breaks matmul.
 	bad := tensor.New([]int{1, 5}, []float64{1, 2, 3, 4, 5})
@@ -322,7 +231,7 @@ func TestMalformedCallReturnsError(t *testing.T) {
 		t.Fatal("malformed call succeeded")
 	}
 	// The offending request must not have poisoned the pool.
-	if _, err := p.Infer("predict", input(1)); err != nil {
+	if _, err := predict(p, input(1)); err != nil {
 		t.Fatalf("pool broken after malformed call: %v", err)
 	}
 }
@@ -496,7 +405,7 @@ func TestSessionlessRunIsEphemeralAndParallel(t *testing.T) {
 // inspection endpoint.
 func TestCacheEndpointAndEviction(t *testing.T) {
 	const capacity = 3
-	srv := NewServer(Config{Workers: 2, MaxBatch: 1, MaxLatency: time.Millisecond,
+	srv := NewServer(Config{Workers: 2, MaxBatch: 1,
 		CacheCapacity: capacity, Engine: janusConfig(1)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -509,7 +418,7 @@ func TestCacheEndpointAndEviction(t *testing.T) {
 			x[r] = []float64{float64(r), 1}
 		}
 		for i := 0; i < 3; i++ { // past profiling, then compile
-			postJSON(t, ts.Client(), ts.URL+"/v1/infer", map[string]any{"fn": "predict", "x": x})
+			postJSON(t, ts.Client(), ts.URL+"/v1/call", map[string]any{"fn": "predict", "feeds": map[string]any{"x": x}})
 		}
 	}
 
@@ -575,8 +484,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body any) map[strin
 }
 
 func TestHTTPServesConcurrentClients(t *testing.T) {
-	srv := NewServer(Config{Workers: 4, MaxBatch: 8, MaxLatency: time.Millisecond,
-		Engine: janusConfig(1)})
+	srv := NewServer(Config{Workers: 4, MaxBatch: 8, Engine: janusConfig(1)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -584,8 +492,8 @@ func TestHTTPServesConcurrentClients(t *testing.T) {
 
 	// Warm sequentially so w exists and the graph is compiled.
 	for i := 0; i < 3; i++ {
-		postJSON(t, ts.Client(), ts.URL+"/v1/infer",
-			map[string]any{"fn": "predict", "x": [][]float64{{1, 2}}})
+		postJSON(t, ts.Client(), ts.URL+"/v1/call",
+			map[string]any{"fn": "predict", "feeds": map[string]any{"x": [][]float64{{1, 2}}}})
 	}
 	w, ok := srv.Pool().Store().Get("w")
 	if !ok {
@@ -593,7 +501,8 @@ func TestHTTPServesConcurrentClients(t *testing.T) {
 	}
 
 	// The acceptance bar: >= 8 concurrent clients against one loaded model,
-	// each with its own session, all receiving correct per-request rows.
+	// each opening its own session, all receiving correct per-request rows
+	// (the batched named-feed call itself is sessionless).
 	const clients, perClient = 10, 12
 	const maxConcurrentRows = 8 // the pool's MaxBatch: bound on distinct batched shapes
 	errs := make(chan error, clients)
@@ -611,10 +520,15 @@ func TestHTTPServesConcurrentClients(t *testing.T) {
 			for r := 0; r < perClient; r++ {
 				i := c*perClient + r
 				in := input(i)
-				resp := postJSON(t, ts.Client(), ts.URL+"/v1/infer",
-					map[string]any{"session": sid, "fn": "predict",
-						"x": [][]float64{{in.At(0, 0), in.At(0, 1)}}})
-				got, err := jsonRows(resp["y"])
+				resp := postJSON(t, ts.Client(), ts.URL+"/v1/call",
+					map[string]any{"fn": "predict", "feeds": map[string]any{
+						"x": [][]float64{{in.At(0, 0), in.At(0, 1)}}}})
+				outputs, _ := resp["outputs"].([]any)
+				if len(outputs) != 1 {
+					errs <- fmt.Errorf("client %d req %d: outputs %v", c, r, resp["outputs"])
+					return
+				}
+				got, err := jsonRows(outputs[0])
 				if err != nil {
 					errs <- fmt.Errorf("client %d req %d: %v", c, r, err)
 					return
@@ -660,7 +574,7 @@ func TestHTTPServesConcurrentClients(t *testing.T) {
 func jsonRows(v any) (*tensor.Tensor, error) {
 	rows, ok := v.([]any)
 	if !ok {
-		return nil, fmt.Errorf("y is %T", v)
+		return nil, fmt.Errorf("output is %T", v)
 	}
 	out := make([][]float64, len(rows))
 	for i, r := range rows {
@@ -720,15 +634,11 @@ func TestAcquireHonorsContext(t *testing.T) {
 	}
 }
 
-// TestInferScalarRejectedUpFront: a feed without a leading batch dimension
+// TestScalarFeedRejectedUpFront: a feed without a leading batch dimension
 // is a clear client error, not a recovered kernel panic.
-func TestInferScalarRejectedUpFront(t *testing.T) {
+func TestScalarFeedRejectedUpFront(t *testing.T) {
 	p := newTestPool(t, Config{Workers: 1, Engine: janusConfig(1)})
-	_, err := p.Infer("predict", tensor.Scalar(3))
-	if err == nil || !strings.Contains(err.Error(), "leading batch dimension") {
-		t.Fatalf("scalar infer: got %v, want a clear batch-dimension error", err)
-	}
-	_, err = p.CallNamed(context.Background(), "predict", map[string]*tensor.Tensor{"x": tensor.Scalar(3)})
+	_, err := p.CallNamed(context.Background(), "predict", map[string]*tensor.Tensor{"x": tensor.Scalar(3)})
 	if err == nil || !strings.Contains(err.Error(), "leading batch dimension") {
 		t.Fatalf("scalar named feed: got %v, want a clear batch-dimension error", err)
 	}

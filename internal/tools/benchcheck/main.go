@@ -1,15 +1,15 @@
 // Command benchcheck is the CI benchmark-regression gate: it reads the
 // machine-readable reports `janusbench -json` emits (BENCH_dist.json,
-// BENCH_serve.json) and exits non-zero when a gated metric regresses past
+// BENCH_kernels.json) and exits non-zero when a gated metric regresses past
 // the committed thresholds file.
 //
-//	benchcheck -thresholds bench-thresholds.json BENCH_dist.json BENCH_serve.json
+//	benchcheck -thresholds bench-thresholds.json BENCH_dist.json BENCH_kernels.json
 //
 // Only properties of the computation gate the build: final training loss
-// (dist — barriered anchor and every async staleness bound) and graph-cache
-// hit rate / failure fraction (serve). Throughput and latency are recorded
-// in the uploaded artifacts but never gated — shared CI runners make them
-// too noisy to fail a build on.
+// (dist — barriered anchor and every async staleness bound) and allocation,
+// loss and fusion bounds (kernels). Throughput and latency are recorded in
+// the uploaded artifacts but never gated — shared CI runners make them too
+// noisy to fail a build on.
 //
 // With -metrics FILE the gate additionally parses FILE as a Prometheus
 // text exposition (a CI scrape of a live janusd /metrics) and fails unless
@@ -50,21 +50,6 @@ type thresholds struct {
 		// stopped churning must fail the gate, not pass it vacuously.
 		MaxChurnLossRatio float64 `json:"max_churn_loss_ratio"`
 	} `json:"dist"`
-	Serve struct {
-		// MinCacheHitRate bounds the shared graph-cache hit rate from below.
-		MinCacheHitRate float64 `json:"min_cache_hit_rate"`
-		// MaxFailedFrac bounds failed/total requests from above.
-		MaxFailedFrac float64 `json:"max_failed_frac"`
-		// MinCacheHitRateBucketed bounds the hit rate of the shape-bucketed
-		// pool driven with variable batch sizes — the rate that collapses
-		// when bucketing stops mapping near-miss sizes onto shared graphs.
-		MinCacheHitRateBucketed float64 `json:"min_cache_hit_rate_bucketed"`
-		// RequireSnapshotRoundTrip gates the artifact round trip: the report
-		// must show snapshot_saved > 0, snapshot_loaded == snapshot_saved,
-		// and warm_conversions == 0 (a restored pool served its whole warm
-		// measurement without converting a single graph).
-		RequireSnapshotRoundTrip bool `json:"require_snapshot_round_trip"`
-	} `json:"serve"`
 	Metrics struct {
 		// Require lists metric family names that must appear in the
 		// -metrics exposition scrape (histogram families match their
@@ -96,7 +81,7 @@ type thresholds struct {
 	} `json:"kernels"`
 }
 
-// report is the union of the dist and serve shapes janusbench writes; Mode
+// report is the union of the dist and kernels shapes janusbench writes; Mode
 // discriminates.
 type report struct {
 	Mode      string `json:"mode"`
@@ -120,14 +105,7 @@ type report struct {
 		Failovers       int     `json:"shard_failovers"`
 		LeaseExpiries   int64   `json:"lease_expiries"`
 	} `json:"churn"`
-	Requests             int64   `json:"requests"`
-	Failed               int64   `json:"failed"`
-	CacheHitRate         float64 `json:"cache_hit_rate"`
-	CacheHitRateBucketed float64 `json:"cache_hit_rate_bucketed"`
-	SnapshotSaved        int     `json:"snapshot_saved"`
-	SnapshotLoaded       int     `json:"snapshot_loaded"`
-	WarmConversions      *int64  `json:"warm_conversions"`
-	TrainStep            *struct {
+	TrainStep *struct {
 		FinalLossOn float64 `json:"final_loss_on"`
 	} `json:"train_step"`
 	Elementwise *struct {
@@ -170,8 +148,6 @@ func main() {
 		switch r.Mode {
 		case "dist":
 			failures += checkDist(path, r, th)
-		case "serve":
-			failures += checkServe(path, r, th)
 		case "kernels":
 			failures += checkKernels(path, r, th)
 		default:
@@ -256,61 +232,6 @@ func checkChurn(path string, r report, th thresholds) int {
 	fmt.Printf("benchcheck: %s: churn final loss %.4f within %.2fx of anchor %.4f (kills %d, failovers %d, lease expiries %d) ok\n",
 		path, c.FinalLoss, ratio, c.AnchorFinalLoss, c.WorkerKills, c.Failovers, c.LeaseExpiries)
 	return 0
-}
-
-func checkServe(path string, r report, th thresholds) int {
-	bad := 0
-	if min := th.Serve.MinCacheHitRate; min > 0 {
-		if r.CacheHitRate < min {
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: cache hit rate %.3f below threshold %.3f\n",
-				path, r.CacheHitRate, min)
-			bad++
-		} else {
-			fmt.Printf("benchcheck: %s: cache hit rate %.3f >= %.3f ok\n", path, r.CacheHitRate, min)
-		}
-	}
-	if maxf := th.Serve.MaxFailedFrac; maxf > 0 && r.Requests+r.Failed > 0 {
-		frac := float64(r.Failed) / float64(r.Requests+r.Failed)
-		if frac > maxf {
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: failed fraction %.3f exceeds threshold %.3f\n",
-				path, frac, maxf)
-			bad++
-		} else {
-			fmt.Printf("benchcheck: %s: failed fraction %.3f <= %.3f ok\n", path, frac, maxf)
-		}
-	}
-	if min := th.Serve.MinCacheHitRateBucketed; min > 0 {
-		if r.CacheHitRateBucketed < min {
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: bucketed cache hit rate %.3f below threshold %.3f\n",
-				path, r.CacheHitRateBucketed, min)
-			bad++
-		} else {
-			fmt.Printf("benchcheck: %s: bucketed cache hit rate %.3f >= %.3f ok\n",
-				path, r.CacheHitRateBucketed, min)
-		}
-	}
-	if th.Serve.RequireSnapshotRoundTrip {
-		switch {
-		case r.SnapshotSaved <= 0:
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: snapshot round trip saved no entries\n", path)
-			bad++
-		case r.SnapshotLoaded != r.SnapshotSaved:
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: snapshot restored %d of %d saved entries\n",
-				path, r.SnapshotLoaded, r.SnapshotSaved)
-			bad++
-		case r.WarmConversions == nil:
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: report lacks warm_conversions (stale janusbench?)\n", path)
-			bad++
-		case *r.WarmConversions != 0:
-			fmt.Fprintf(os.Stderr, "benchcheck: %s: snapshot-restored pool converted %d graphs, want 0\n",
-				path, *r.WarmConversions)
-			bad++
-		default:
-			fmt.Printf("benchcheck: %s: snapshot round trip %d entries, 0 warm conversions ok\n",
-				path, r.SnapshotSaved)
-		}
-	}
-	return bad
 }
 
 func checkKernels(path string, r report, th thresholds) int {

@@ -14,8 +14,8 @@ import (
 )
 
 // ServerOptions configures a serving pool (see internal/serve). The zero
-// value serves with the full JANUS engine, 4 pool workers, and a batching
-// window of 8 requests / 2 ms.
+// value serves with the full JANUS engine, 4 pool workers, and batches of
+// at most 8 requests.
 type ServerOptions struct {
 	// Options configures every worker engine.
 	Options
@@ -23,12 +23,11 @@ type ServerOptions struct {
 	// requests (default 4). Distinct from Options.Workers, which bounds
 	// per-graph executor parallelism inside one request.
 	PoolSize int
-	// MaxBatch caps how many inference requests coalesce into one batched
-	// execution (default 8).
+	// MaxBatch caps how many same-signature requests, pending when a pool
+	// worker is claimed, that worker runs as one batched execution
+	// (default 8). A request is pending for a fixed 1 ms, plus however long
+	// every worker stays busy.
 	MaxBatch int
-	// MaxLatency bounds how long a request waits for batch-mates before a
-	// partial batch flushes (default 2ms).
-	MaxLatency time.Duration
 	// MaxQueue bounds how many requests may wait for a worker before new
 	// arrivals are rejected (HTTP 429); default 16 x PoolSize.
 	MaxQueue int
@@ -63,7 +62,6 @@ func NewServer(opts ServerOptions) *Server {
 	return &Server{srv: serve.NewServer(serve.Config{
 		Workers:        opts.PoolSize,
 		MaxBatch:       opts.MaxBatch,
-		MaxLatency:     opts.MaxLatency,
 		MaxQueue:       opts.MaxQueue,
 		AcquireTimeout: opts.AcquireTimeout,
 		CacheCapacity:  opts.CacheCapacity,
@@ -219,13 +217,6 @@ func (s *Session) ID() string { return s.sess.ID }
 // sliced); use Call for strict one-step-per-call semantics.
 func (s *Session) Func(name string) (*Function, error) {
 	return (&Program{b: serverBackend{pool: s.sess.Pool(), sess: s.sess}}).Func(name)
-}
-
-// Infer runs fn on one input through the request batcher. x must keep a
-// leading batch dimension (shape [1, ...] for a single example). Prefer
-// Func, which supports multi-input/multi-output signatures.
-func (s *Session) Infer(fn string, x *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.sess.Infer(fn, x)
 }
 
 // Call invokes a loaded module-level function (an inference function or a

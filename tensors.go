@@ -7,7 +7,7 @@ import "repro/internal/tensor"
 // forbids from outside this module. The constructors below cover the feed
 // shapes the handle API needs; the alias means values they return are
 // interchangeable with every internal API that this package already exposes
-// (Parameter, Outputs, Session.Infer, ...).
+// (Parameter, Outputs, Session.Call, ...).
 type Tensor = tensor.Tensor
 
 // NewTensor builds a tensor of the given shape from row-major flat data.
