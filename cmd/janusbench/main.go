@@ -12,17 +12,17 @@
 // Absolute numbers differ from the paper (this substrate is a pure-Go
 // simulator, not a TITAN Xp testbed); the comparisons — who wins, by what
 // rough factor, where the failures land — are the reproduction targets.
-// EXPERIMENTS.md records paper-vs-measured for every row.
+//
+// The paper's evaluation is all this command does. Speed is measured by
+// bench/run.sh (BENCHMARK.json); correctness is gated by go test.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -33,64 +33,7 @@ func main() {
 	exp := flag.String("experiment", "all", "table2|table3|fig6|fig7|fig8|assertcost|all")
 	steps := flag.Int("steps", 20, "measured steps per configuration")
 	warmup := flag.Int("warmup", 6, "warmup steps (covers profiling + conversion)")
-	kernelsMode := flag.Bool("kernels", false,
-		"kernel/memory-plan microbenchmarks: blocked matmul, plan-on/off LeNet replay, allocs/op")
-	traceMode := flag.Bool("trace", false,
-		"trace mode: run real fn.Call requests through an in-process janusd and print the /v1/trace span trees")
-	traceCalls := flag.Int("trace-calls", 4, "requests to trace in -trace mode")
-	profileMode := flag.Bool("profile", false,
-		"profile mode: drive an in-process janusd and print the /v1/profile per-op cost view of the compiled graph")
-	profileCalls := flag.Int("profile-calls", 8, "requests to drive in -profile mode")
-	profileTop := flag.Int("profile-top", 12, "top-K nodes by estimated time in -profile mode")
-	distMode := flag.Bool("dist", false, "distributed mode: real data-parallel scaling on the internal/ps runtime")
-	workers := flag.Int("workers", 4, "max worker replicas in -dist mode (measured at 1, 2, 4, ... up to this)")
-	shards := flag.Int("shards", 4, "parameter-server shards in -dist mode")
-	distModel := flag.String("dist-model", "LeNet", "model trained in -dist mode")
-	deviceTime := flag.Duration("device-time", 2*time.Millisecond,
-		"simulated accelerator time per local step in -dist mode (0 = host-bound)")
-	asyncMode := flag.Bool("async", false,
-		"free-running workers in -dist mode: no round barrier, the staleness bound arbitrates")
-	staleness := flag.Int("staleness", -1,
-		"staleness bound in -dist -async mode (-1 = sweep bounds 0, 2, 8)")
-	optimizer := flag.String("optimizer", "sgd", "server-side optimizer in -dist mode: sgd, momentum, or adam")
-	churnMode := flag.Bool("churn", false,
-		"in -dist mode (implies -async): add a fault-injected churn run — seeded wire faults, a worker kill+rejoin, a shard kill+snapshot failover — anchored against the fault-free async run")
-	jsonOut := flag.String("json", "",
-		"write machine-readable results to this file (-dist and -kernels modes; the CI regression gate reads it)")
 	flag.Parse()
-
-	if *traceMode {
-		fmt.Printf("========== Request-phase trace (/v1/trace on an in-process janusd) ==========\n")
-		traceBench(*traceCalls)
-		return
-	}
-	if *profileMode {
-		fmt.Printf("========== Always-on op profiler (/v1/profile on an in-process janusd) ==========\n")
-		profileBench(*profileCalls, *profileTop)
-		return
-	}
-	if *kernelsMode {
-		fmt.Printf("========== Kernel + memory-plan microbenchmarks ==========\n")
-		kernelsBench(*warmup, *steps, *jsonOut)
-		return
-	}
-	if *distMode {
-		if *churnMode {
-			*asyncMode = true // churn needs the free-running harness and its anchor
-		}
-		if *asyncMode {
-			fmt.Printf("========== Distributed free-running training (async, staleness-bounded) ==========\n")
-		} else {
-			fmt.Printf("========== Distributed data-parallel scaling (real, vs Figure 8 model) ==========\n")
-		}
-		distBench(distOptions{
-			model: *distModel, maxWorkers: *workers, shards: *shards,
-			warmup: *warmup, steps: *steps, deviceTime: *deviceTime,
-			optimizer: *optimizer, async: *asyncMode, staleness: *staleness,
-			churn: *churnMode, jsonPath: *jsonOut,
-		})
-		return
-	}
 
 	run := func(name string, f func(int, int)) {
 		fmt.Printf("\n========== %s ==========\n", name)
@@ -120,24 +63,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
-}
-
-// writeReport writes a machine-readable benchmark result for the CI
-// regression gate (internal/tools/benchcheck). No-op when path is empty.
-func writeReport(path string, v any) {
-	if path == "" {
-		return
-	}
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: marshal report: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: write report: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %s\n", path)
 }
 
 func mark(b bool) string {

@@ -19,7 +19,7 @@
 //
 // Workers connect through the public handle API — janus.NewCluster with
 // TrainOptions.ServerAddr pointed here — or directly with ps.NewClient /
-// ps.Worker; see `janusbench -dist` for the in-process equivalent and
+// ps.Worker; omitting ServerAddr gives the in-process equivalent. See
 // README.md for the quickstart.
 package main
 

@@ -56,8 +56,8 @@ const (
 var artifactRejectReasons = []string{"open", "decode", "version", "wire", "program", "entry"}
 
 // RegisterArtifactMetrics eagerly resolves every janus_artifact_* series in
-// reg so family-presence gates (benchcheck -metrics) see them on a fresh
-// boot, before any snapshot activity.
+// reg so family-presence checks (TestRequiredMetricFamilies) see them on a
+// fresh boot, before any snapshot activity.
 func RegisterArtifactMetrics(reg *obs.Registry) {
 	reg.Counter("janus_artifact_saves_total", helpArtifactSaves)
 	reg.Counter("janus_artifact_loads_total", helpArtifactLoads)

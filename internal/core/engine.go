@@ -88,12 +88,12 @@ type Config struct {
 	// (the memory plan is ON by default): with the plan, replayed graphs
 	// rent every intermediate tensor from a per-engine pool per the cached
 	// liveness analysis and run destination-passing kernels, so steady-state
-	// replay allocates ~nothing. The flag exists for A/B benchmarking
-	// (janusbench -kernels) and as an escape hatch.
+	// replay allocates ~nothing. The flag exists for A/B tests and
+	// benchmarks and as an escape hatch.
 	NoMemoryPlan bool
 	// DisablePasses skips post-processor passes by name ("arith", "fold",
 	// "cse", "dce", "im2col", "fuse"; "all" disables the pipeline) for A/B
-	// benchmarking (janusbench -kernels), mirroring NoMemoryPlan.
+	// tests and benchmarks, mirroring NoMemoryPlan.
 	DisablePasses []string
 	// VerifyPasses runs the graph-invariant verifier (acyclicity, port
 	// arity, consumer consistency) between passes; tests and debug builds

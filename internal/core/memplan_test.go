@@ -52,8 +52,8 @@ func trainedState(t *testing.T, cfg Config, src string) ([]float64, map[string][
 }
 
 // TestMemoryPlanEngineEquivalence trains the same conv model with the plan
-// on and off: losses and final parameters must be bit-identical, and the
-// plan-on engine must show real pool traffic.
+// on and off, and with the pass pipeline on and off: final parameters must be
+// bit-identical, and the plan-on engine must show real pool traffic.
 func TestMemoryPlanEngineEquivalence(t *testing.T) {
 	src := lenetProgram
 	base := DefaultJanusConfig()
@@ -77,17 +77,30 @@ func TestMemoryPlanEngineEquivalence(t *testing.T) {
 	if statsOn.GraphSteps == 0 {
 		t.Fatal("model never reached graph execution")
 	}
-	if len(paramsOn) != len(paramsOff) {
-		t.Fatalf("param sets differ: %d vs %d", len(paramsOn), len(paramsOff))
+	sameParams(t, "plan-on vs plan-off", paramsOn, paramsOff)
+
+	// The pass pipeline is as invisible as the plan: with every pass off the
+	// same bits come out.
+	noPasses := base
+	noPasses.DisablePasses = []string{"all"}
+	_, paramsNoPasses, _ := trainedState(t, noPasses, src)
+	sameParams(t, "passes-on vs passes-off", paramsOn, paramsNoPasses)
+}
+
+// sameParams requires two trained parameter sets to be bit-identical.
+func sameParams(t *testing.T, what string, got, want map[string][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: param sets differ: %d vs %d", what, len(got), len(want))
 	}
-	for name, want := range paramsOff {
-		got, ok := paramsOn[name]
+	for name, w := range want {
+		g, ok := got[name]
 		if !ok {
-			t.Fatalf("missing param %q", name)
+			t.Fatalf("%s: missing param %q", what, name)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("param %q[%d]: plan-on %v != plan-off %v", name, i, got[i], want[i])
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s: param %q[%d]: %v != %v", what, name, i, g[i], w[i])
 			}
 		}
 	}
@@ -105,14 +118,7 @@ func TestMemoryPlanParallelWorkersEquivalence(t *testing.T) {
 	par := base
 	par.Workers = 4
 	_, parParams, _ := trainedState(t, par, lenetProgram)
-	for name, want := range serialParams {
-		got := parParams[name]
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("param %q[%d]: parallel %v != serial %v", name, i, got[i], want[i])
-			}
-		}
-	}
+	sameParams(t, "parallel vs serial", parParams, serialParams)
 }
 
 // TestSigHashMemoizedLookups: repeated Calls with a repeated concrete

@@ -29,9 +29,9 @@ func (e *Engine) runPasses(res *convert.Result, enabled bool) (*passes.Report, e
 
 // PassSummary aggregates the post-processor outcome across every compiled
 // graph in the engine's cache: how many graphs exist, their total node
-// count after the pipeline ran, and the per-pass rewrite totals. This is
-// the A/B hook janusbench uses to compare graph sizes between pipeline
-// configurations without reaching into cache internals.
+// count after the pipeline ran, and the per-pass rewrite totals: an A/B
+// hook for comparing graph sizes between pipeline configurations without
+// reaching into cache internals.
 type PassSummary struct {
 	Graphs   int            `json:"graphs"`
 	Nodes    int            `json:"nodes"`

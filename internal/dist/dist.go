@@ -22,9 +22,7 @@ type ClusterConfig struct {
 	// GradBytes is the total gradient payload exchanged per step.
 	GradBytes float64
 	// Bandwidth is the interconnect in bytes/second; 0 selects LinkBandwidth
-	// (the paper-scale 100 Gbps testbed). janusbench -dist overrides it with
-	// an in-process memory-transfer estimate so the prediction is comparable
-	// to the measured run.
+	// (the paper-scale 100 Gbps testbed).
 	Bandwidth float64
 	// Overlap reports whether gradient exchange overlaps backprop (graph
 	// engines schedule collectives as soon as each layer's gradient is
@@ -102,40 +100,10 @@ func ScaleFactor(c ClusterConfig, batch int) float64 {
 // order-statistics approximation for the expected maximum of d draws. The
 // returned factor (>= 1) is how much slower a barriered engine runs than a
 // free-running one whose throughput is bounded by the MEAN step time
-// (asynchrony absorbs stragglers up to the staleness bound). janusbench
-// -dist -async inverts this to report the per-step variation implied by the
-// measured barrier-removal speedup.
+// (asynchrony absorbs stragglers up to the staleness bound).
 func BarrierFactor(devices int, cv float64) float64 {
 	if devices <= 1 || cv <= 0 {
 		return 1
 	}
 	return 1 + cv*math.Sqrt(2*math.Log(float64(devices)))
-}
-
-// ImpliedStepCV inverts BarrierFactor: given the measured speedup of a
-// free-running run over a barriered run on the same cluster, it returns the
-// per-step coefficient of variation that would explain it.
-func ImpliedStepCV(devices int, speedup float64) float64 {
-	if devices <= 1 || speedup <= 1 {
-		return 0
-	}
-	return (speedup - 1) / math.Sqrt(2*math.Log(float64(devices)))
-}
-
-// Measured builds the model's configuration from a real single-worker
-// profile — measured step-compute seconds, actual gradient payload and
-// tensor count — so janusbench -dist can print the analytical prediction
-// next to the measured scaling of the parameter-server runtime and make the
-// model a checkable claim. Overlap is true because the runtime streams
-// per-tensor gradients during backprop, which is precisely the overlap this
-// model assumes for graph engines.
-func Measured(devices int, stepSeconds, gradBytes, bandwidth float64, tensors int) ClusterConfig {
-	return ClusterConfig{
-		Devices:     devices,
-		StepCompute: stepSeconds,
-		GradBytes:   gradBytes,
-		Bandwidth:   bandwidth,
-		Overlap:     true,
-		Tensors:     tensors,
-	}
 }

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestOverlapHidesCommunication(t *testing.T) {
 	// Communication smaller than half the step must vanish entirely under
@@ -45,17 +42,6 @@ func TestBandwidthOverrideChangesCommTime(t *testing.T) {
 	}
 }
 
-func TestMeasuredMapsProfileToConfig(t *testing.T) {
-	c := Measured(4, 0.02, 8e6, 2e9, 12)
-	if !c.Overlap || c.Devices != 4 || c.Tensors != 12 {
-		t.Fatalf("Measured produced %+v", c)
-	}
-	sf := ScaleFactor(c, 8)
-	if math.IsNaN(sf) || sf <= 0 || sf > 1.0001 {
-		t.Fatalf("measured-profile scale factor %v out of range", sf)
-	}
-}
-
 func TestBarrierFactor(t *testing.T) {
 	if got := BarrierFactor(1, 0.5); got != 1 {
 		t.Fatalf("single device has no barrier cost: %v", got)
@@ -66,13 +52,5 @@ func TestBarrierFactor(t *testing.T) {
 	f4, f16 := BarrierFactor(4, 0.2), BarrierFactor(16, 0.2)
 	if f4 <= 1 || f16 <= f4 {
 		t.Fatalf("barrier cost must grow with devices: 4 -> %v, 16 -> %v", f4, f16)
-	}
-	// Round trip through the inversion.
-	cv := ImpliedStepCV(4, f4)
-	if diff := cv - 0.2; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("ImpliedStepCV(BarrierFactor(cv)) = %v, want 0.2", cv)
-	}
-	if got := ImpliedStepCV(4, 0.9); got != 0 {
-		t.Fatalf("slowdown implies no positive cv: %v", got)
 	}
 }

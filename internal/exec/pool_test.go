@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/vars"
 )
@@ -305,10 +306,28 @@ func TestPooledConvGraph(t *testing.T) {
 	}
 }
 
-// BenchmarkElementwiseChainReplay measures steady-state replay of a 64-op
-// elementwise chain. The acceptance target is ≤2 allocs per graph op; the
-// custom allocs/op metric divides the per-replay allocations by the op
-// count.
+// TestElementwiseChainReplayAllocs: steady-state replay of the 64-op chain on
+// the memory plan costs at most 2 allocations per graph op (measured ~0.12;
+// ~5 without the pool), with metrics attached as in production so the
+// sampled kernel timers are covered.
+func TestElementwiseChainReplayAllocs(t *testing.T) {
+	g := chainGraph(64)
+	feeds, _, _ := feedsXY(8, 32)
+	opts := Options{Pool: tensor.NewPool(), Arena: NewArena(), Metrics: NewMetrics(obs.NewRegistry())}
+	replay := func() {
+		if _, err := Run(g, feeds, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay()
+	if perOp := testing.AllocsPerRun(20, replay) / float64(len(g.Nodes)); perOp > 2 {
+		t.Fatalf("plan-on replay allocates %.2f times per graph op, want <= 2: the executor is heap-allocating again", perOp)
+	}
+}
+
+// BenchmarkElementwiseChainReplay measures steady-state replay of the same
+// 64-op elementwise chain, plan off and on; the custom allocs/graphop metric
+// divides the per-replay allocations by the op count.
 func BenchmarkElementwiseChainReplay(b *testing.B) {
 	const ops = 64
 	for _, mode := range []string{"plan-off", "plan-on"} {

@@ -64,6 +64,12 @@ type OpDef struct {
 	// SideEffect keeps the op alive regardless of liveness and out of
 	// folding, CSE and fusion (state mutation, assertion, output).
 	SideEffect bool
+	// Fuse makes the op a link of fused elementwise chains. It has one
+	// entry per input: the tensor.FusedOpCode, plus one, that applies the op
+	// to a chain value arriving at that input, the other input (if any)
+	// becoming the step's extra operand; zero means the op has no pointwise
+	// form in that orientation. Nil keeps the op out of fusion.
+	Fuse []uint8
 }
 
 var ops = map[string]*OpDef{}
@@ -89,6 +95,19 @@ func Lookup(op string) *OpDef { return ops[op] }
 // graph-optimization time and merged by CSE. An unregistered op (nil) is
 // not.
 func (d *OpDef) Foldable() bool { return d != nil && (d.Into != nil || d.Kernel != nil) }
+
+// fuseAs encodes a step code as an OpDef.Fuse entry.
+func fuseAs(c tensor.FusedOpCode) uint8 { return uint8(c) + 1 }
+
+// FusedCode returns the step code that applies the op to a chain value
+// arriving at input pos of a node with arity inputs; ok is false when the op,
+// that arity or that orientation does not fuse.
+func (d *OpDef) FusedCode(arity, pos int) (code tensor.FusedOpCode, ok bool) {
+	if d == nil || len(d.Fuse) != arity || pos >= arity || d.Fuse[pos] == 0 {
+		return 0, false
+	}
+	return tensor.FusedOpCode(d.Fuse[pos] - 1), true
+}
 
 // Eval runs a pure op on the Go heap: the executor's generic path (no pool,
 // or tape mode) and the constant folder both come through here.

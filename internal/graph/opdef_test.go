@@ -194,6 +194,50 @@ func TestOpDefFlagsAreConsistent(t *testing.T) {
 		if d.SideEffect && d.Into != nil {
 			t.Errorf("%s: side-effecting op with a pure Into kernel", name)
 		}
+		if d.Fuse != nil && !d.InPlace {
+			t.Errorf("%s: fusable, so same-shape pointwise, but not in-place-safe", name)
+		}
+	}
+}
+
+// TestFuseCodesMatchKernels: every OpDef.Fuse entry names the fused step that
+// computes, bit for bit, what the op's own kernel computes with the chain
+// value at that input — so the fusable set and its orientations are checked
+// against the kernels they replace, not against a second list of names.
+func TestFuseCodesMatchKernels(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	fusable := 0
+	for name, d := range ops {
+		for pos := range d.Fuse {
+			code, ok := d.FusedCode(len(d.Fuse), pos)
+			if !ok {
+				continue
+			}
+			fusable++
+			v, e := rng.Randn(3, 4), rng.Randn(3, 4)
+			if name == "ScaleByScalar" {
+				e = tensor.Scalar(0.7)
+			}
+			in, extras := []Val{v}, []*tensor.Tensor(nil)
+			if len(d.Fuse) == 2 {
+				in, extras = []Val{v, e}, []*tensor.Tensor{e}
+				in[0], in[pos] = in[pos], in[0]
+			}
+			n := &Node{Op: name, Attrs: map[string]Val{"s": 0.5}}
+			want, err := d.Eval(n, in)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			prog := []tensor.FusedStep{{Code: code, Scalar: 0.5}}
+			got := tensor.FusedElementwise(v, extras, prog)
+			// Tolerance 0 and not Equal: Log of a negative is NaN on both sides.
+			if !tensor.AllClose(got, want[0].(*tensor.Tensor), 0) {
+				t.Errorf("%s with the chain at input %d: step code %d gives %v, the kernel %v", name, pos, code, got, want[0])
+			}
+		}
+	}
+	if fusable != 25 {
+		t.Errorf("%d fusable (op, input) pairs, want 25: the fusable set decides the graphs the pass pipeline produces", fusable)
 	}
 }
 

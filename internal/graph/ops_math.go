@@ -63,12 +63,14 @@ func logitsAndLabels(n *Node, in []Val) (logits, labels *tensor.Tensor, shape []
 func init() {
 	register(
 		OpDef{Name: "Add", Into: zipInto(tensor.AddInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedAdd), fuseAs(tensor.FusedAdd)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				unbroadcastTo(g, addGrad, n.Inputs[0], gout)
 				unbroadcastTo(g, addGrad, n.Inputs[1], gout)
 				return nil
 			}},
 		OpDef{Name: "Sub", Into: zipInto(tensor.SubInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedSub), fuseAs(tensor.FusedRSub)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				unbroadcastTo(g, addGrad, n.Inputs[0], gout)
 				neg := g.Add("Neg", nil, gout)
@@ -76,6 +78,7 @@ func init() {
 				return nil
 			}},
 		OpDef{Name: "Mul", Into: zipInto(tensor.MulInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedMul), fuseAs(tensor.FusedMul)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				in := n.Inputs
 				ga := g.Add("Mul", nil, gout, in[1])
@@ -85,6 +88,7 @@ func init() {
 				return nil
 			}},
 		OpDef{Name: "Div", Into: zipInto(tensor.DivInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedDiv), fuseAs(tensor.FusedRDiv)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				in := n.Inputs
 				ga := g.Add("Div", nil, gout, in[1])
@@ -112,40 +116,49 @@ func init() {
 				addGrad(n.Inputs[0], pg.P())
 				return nil
 			}},
-		OpDef{Name: "Maximum", Into: zipInto(tensor.MaximumInto), ReadsOnly: true, InPlace: true, Grad: gradExtremum},
-		OpDef{Name: "Minimum", Into: zipInto(tensor.MinimumInto), ReadsOnly: true, InPlace: true, Grad: gradExtremum},
+		OpDef{Name: "Maximum", Into: zipInto(tensor.MaximumInto), ReadsOnly: true, InPlace: true, Grad: gradExtremum,
+			Fuse: []uint8{fuseAs(tensor.FusedMaximum), fuseAs(tensor.FusedMaximum)}},
+		OpDef{Name: "Minimum", Into: zipInto(tensor.MinimumInto), ReadsOnly: true, InPlace: true, Grad: gradExtremum,
+			Fuse: []uint8{fuseAs(tensor.FusedMinimum), fuseAs(tensor.FusedMinimum)}},
 
 		OpDef{Name: "Neg", Into: mapInto(tensor.NegInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedNeg)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				addGrad(n.Inputs[0], g.Add("Neg", nil, gout).P())
 				return nil
 			}},
 		OpDef{Name: "ReLU", Into: mapInto(tensor.ReLUInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedReLU)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				addGrad(n.Inputs[0], g.Add("ReLUGrad", nil, n.Inputs[0], gout).P())
 				return nil
 			}},
 		OpDef{Name: "Sigmoid", Into: mapInto(tensor.SigmoidInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedSigmoid)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				addGrad(n.Inputs[0], g.Add("SigmoidGradFromOut", nil, n.P(), gout).P())
 				return nil
 			}},
 		OpDef{Name: "Tanh", Into: mapInto(tensor.TanhInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedTanh)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				addGrad(n.Inputs[0], g.Add("TanhGradFromOut", nil, n.P(), gout).P())
 				return nil
 			}},
 		OpDef{Name: "Exp", Into: mapInto(tensor.ExpInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedExp)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				addGrad(n.Inputs[0], g.Add("Mul", nil, gout, n.P()).P())
 				return nil
 			}},
 		OpDef{Name: "Log", Into: mapInto(tensor.LogInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedLog)},
 			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
 				addGrad(n.Inputs[0], g.Add("LogGrad", nil, n.Inputs[0], gout).P())
 				return nil
 			}},
-		OpDef{Name: "Abs", Into: mapInto(tensor.AbsInto), ReadsOnly: true, InPlace: true},
+		OpDef{Name: "Abs", Into: mapInto(tensor.AbsInto), ReadsOnly: true, InPlace: true,
+			Fuse: []uint8{fuseAs(tensor.FusedAbs)}},
 		OpDef{Name: "Floor", ReadsOnly: true, Fresh: true,
 			Kernel: func(n *Node, in []Val) ([]Val, error) {
 				x, err := t1(n, in)
@@ -172,8 +185,11 @@ func init() {
 			}},
 
 		// Scale multiplies by the static attr "s"; ScaleByScalar by the
-		// scalar tensor input 1.
+		// scalar tensor input 1, a size-1 tensor in every well-formed graph
+		// (the gradient of a scalar loss), so in a chain through input 0 it
+		// is a Mul by the broadcast extra.
 		OpDef{Name: "Scale", ReadsOnly: true, InPlace: true, StopGrad: true,
+			Fuse: []uint8{fuseAs(tensor.FusedScale)},
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				a, err := t1(n, in)
 				if err != nil {
@@ -182,6 +198,7 @@ func init() {
 				return tensor.MulScalarInto(alloc.Get(a.Shape()...), a, n.Attr("s").(float64)), nil
 			}},
 		OpDef{Name: "ScaleByScalar", ReadsOnly: true, InPlace: true, StopGrad: true,
+			Fuse: []uint8{fuseAs(tensor.FusedMul), 0},
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				a, b, err := t2(n, in)
 				if err != nil {
@@ -280,16 +297,20 @@ func init() {
 
 		// Gradient ops. Gradient-of-gradient is out of scope, so they all
 		// stop gradients.
-		OpDef{Name: "ReLUGrad", Into: zipInto(tensor.ReLUGradInto), ReadsOnly: true, InPlace: true, StopGrad: true},
+		OpDef{Name: "ReLUGrad", Into: zipInto(tensor.ReLUGradInto), ReadsOnly: true, InPlace: true, StopGrad: true,
+			Fuse: []uint8{fuseAs(tensor.FusedReLUMask), fuseAs(tensor.FusedReLUGate)}},
 		// SigmoidGradFromOut(s, g) and TanhGradFromOut(v, g) take the forward
-		// op's output rather than its input.
+		// op's output rather than its input, and fuse only into a chain that
+		// carries the gradient.
 		OpDef{Name: "SigmoidGradFromOut", ReadsOnly: true, InPlace: true, StopGrad: true,
+			Fuse: []uint8{0, fuseAs(tensor.FusedSigmoidGradOut)},
 			Into: zipInto(func(dst, s, g *tensor.Tensor) *tensor.Tensor {
 				return tensor.ZipInto(dst, s, g, func(sv, gv float64) float64 {
 					return gv * (sv * (1 - sv))
 				})
 			})},
 		OpDef{Name: "TanhGradFromOut", ReadsOnly: true, InPlace: true, StopGrad: true,
+			Fuse: []uint8{0, fuseAs(tensor.FusedTanhGradOut)},
 			Into: zipInto(func(dst, v, g *tensor.Tensor) *tensor.Tensor {
 				return tensor.ZipInto(dst, v, g, func(vv, gv float64) float64 {
 					return gv * (1 - vv*vv)

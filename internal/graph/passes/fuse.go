@@ -17,88 +17,22 @@ import (
 // node saves one executor dispatch (~270 ns, DESIGN.md §5) and one
 // intermediate buffer per replay.
 
-// fuseStep maps op -> program step, given which input position carries the
-// incoming chain value. ok=false means the op (or that orientation) is not
-// fusable.
+// fuseStep reports whether n can join a chain with the incoming value at
+// input chainPos, and returns its program step, read from the op's
+// OpDef.Fuse; ok=false means the node, or the op in that arity or
+// orientation, is not fusable.
 func fuseStep(n *graph.Node, chainPos int) (tensor.FusedStep, bool) {
-	switch n.Op {
-	// Unaries: chain value is the only input.
-	case "Neg":
-		return tensor.FusedStep{Code: tensor.FusedNeg}, true
-	case "Abs":
-		return tensor.FusedStep{Code: tensor.FusedAbs}, true
-	case "Exp":
-		return tensor.FusedStep{Code: tensor.FusedExp}, true
-	case "Log":
-		return tensor.FusedStep{Code: tensor.FusedLog}, true
-	case "ReLU":
-		return tensor.FusedStep{Code: tensor.FusedReLU}, true
-	case "Sigmoid":
-		return tensor.FusedStep{Code: tensor.FusedSigmoid}, true
-	case "Tanh":
-		return tensor.FusedStep{Code: tensor.FusedTanh}, true
-	case "Scale":
-		s, ok := n.Attr("s").(float64)
-		if !ok {
+	code, ok := graph.Lookup(n.Op).FusedCode(len(n.Inputs), chainPos)
+	if !ok || n.NumOutputs > 1 || len(n.ControlDeps) > 0 {
+		return tensor.FusedStep{}, false
+	}
+	step := tensor.FusedStep{Code: code}
+	if code == tensor.FusedScale {
+		if step.Scalar, ok = n.Attr("s").(float64); !ok {
 			return tensor.FusedStep{}, false
 		}
-		return tensor.FusedStep{Code: tensor.FusedScale, Scalar: s}, true
-
-	// Symmetric binaries: either input may carry the chain.
-	case "Add":
-		return tensor.FusedStep{Code: tensor.FusedAdd}, true
-	case "Mul":
-		return tensor.FusedStep{Code: tensor.FusedMul}, true
-	case "Maximum":
-		return tensor.FusedStep{Code: tensor.FusedMaximum}, true
-	case "Minimum":
-		return tensor.FusedStep{Code: tensor.FusedMinimum}, true
-
-	// Ordered binaries: the orientation picks the op code.
-	case "Sub":
-		if chainPos == 0 {
-			return tensor.FusedStep{Code: tensor.FusedSub}, true
-		}
-		return tensor.FusedStep{Code: tensor.FusedRSub}, true
-	case "Div":
-		if chainPos == 0 {
-			return tensor.FusedStep{Code: tensor.FusedDiv}, true
-		}
-		return tensor.FusedStep{Code: tensor.FusedRDiv}, true
-
-	// ScaleByScalar(x, s) is x * s.Item(); s is a size-1 tensor in every
-	// well-formed graph (it is the gradient of a scalar loss), so
-	// multiplying by the broadcast extra is the same expression.
-	case "ScaleByScalar":
-		if chainPos == 0 {
-			return tensor.FusedStep{Code: tensor.FusedMul}, true
-		}
-
-	// Gradient gates: only specific positions have a pointwise form.
-	case "ReLUGrad": // (x, grad)
-		if chainPos == 1 {
-			return tensor.FusedStep{Code: tensor.FusedReLUGate}, true
-		}
-		return tensor.FusedStep{Code: tensor.FusedReLUMask}, true
-	case "SigmoidGradFromOut": // (out, grad): chain must be the grad
-		if chainPos == 1 {
-			return tensor.FusedStep{Code: tensor.FusedSigmoidGradOut}, true
-		}
-	case "TanhGradFromOut":
-		if chainPos == 1 {
-			return tensor.FusedStep{Code: tensor.FusedTanhGradOut}, true
-		}
 	}
-	return tensor.FusedStep{}, false
-}
-
-func fusableBinary(op string) bool {
-	switch op {
-	case "Add", "Sub", "Mul", "Div", "Maximum", "Minimum", "ScaleByScalar",
-		"ReLUGrad", "SigmoidGradFromOut", "TanhGradFromOut":
-		return true
-	}
-	return false
+	return step, true
 }
 
 // use records one reference to a node's output port 0.
@@ -136,30 +70,6 @@ func fuseElementwise(g *graph.Graph) int {
 		escapes[u] = true
 	}
 
-	// fusableAt reports whether n can join a chain with the incoming value at
-	// input chainPos, and returns its program step.
-	fusableAt := func(n *graph.Node, chainPos int) (tensor.FusedStep, bool) {
-		if n.Op == "Fused" || n.NumOutputs > 1 || len(n.ControlDeps) > 0 {
-			return tensor.FusedStep{}, false
-		}
-		if def := graph.Lookup(n.Op); def != nil && def.SideEffect {
-			return tensor.FusedStep{}, false
-		}
-		switch len(n.Inputs) {
-		case 1:
-			if chainPos != 0 || fusableBinary(n.Op) {
-				return tensor.FusedStep{}, false
-			}
-		case 2:
-			if !fusableBinary(n.Op) {
-				return tensor.FusedStep{}, false
-			}
-		default:
-			return tensor.FusedStep{}, false
-		}
-		return fuseStep(n, chainPos)
-	}
-
 	inChain := make(map[*graph.Node]bool)
 	fused := 0
 	for _, head := range g.Nodes {
@@ -167,7 +77,7 @@ func fuseElementwise(g *graph.Graph) int {
 			continue
 		}
 		// The head consumes its chain value at input 0 by convention.
-		if _, ok := fusableAt(head, 0); !ok {
+		if _, ok := fuseStep(head, 0); !ok {
 			continue
 		}
 		// Walk downstream while each link is the sole consumer of the
@@ -184,7 +94,7 @@ func fuseElementwise(g *graph.Graph) int {
 			if inChain[next] {
 				break
 			}
-			if _, ok := fusableAt(next, pos); !ok {
+			if _, ok := fuseStep(next, pos); !ok {
 				break
 			}
 			chain = append(chain, next)
@@ -202,7 +112,7 @@ func fuseElementwise(g *graph.Graph) int {
 		extras := make([]graph.Port, 0, len(chain))
 		labels := make([]string, 0, len(chain))
 		for i, n := range chain {
-			step, _ := fusableAt(n, poss[i])
+			step, _ := fuseStep(n, poss[i])
 			if len(n.Inputs) == 2 {
 				extras = append(extras, n.Inputs[1-poss[i]])
 				step.Arg = len(extras) - 1

@@ -9,8 +9,8 @@
 // bounded fixed point, then the structural passes (im2col extraction,
 // elementwise-chain fusion) run once, then the scalar loop runs again to
 // sweep up the nodes the structural rewrites orphaned. Every pass is
-// individually A/B-flaggable (core.Config.DisablePasses, janusbench
-// -kernels), reports are returned in deterministic pipeline order, and —
+// individually A/B-flaggable (core.Config.DisablePasses), reports are
+// returned in deterministic pipeline order, and —
 // in debug/test builds — a graph-invariant verifier (acyclicity, port
 // arity, consumer consistency) runs between passes.
 package passes

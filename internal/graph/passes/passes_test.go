@@ -302,6 +302,10 @@ func TestFuseElementwiseChain(t *testing.T) {
 			t.Fatalf("%s survived fusion+dce", op)
 		}
 	}
+	// What fusion is for: at least 15% fewer nodes to dispatch.
+	if cut := 1 - float64(g2.NumNodes())/float64(g1.NumNodes()); cut < 0.15 {
+		t.Fatalf("fusion cut %d nodes to %d (%.2f), want >= 0.15", g1.NumNodes(), g2.NumNodes(), cut)
+	}
 	var fused *graph.Node
 	for _, n := range g2.Nodes {
 		if n.Op == "Fused" {

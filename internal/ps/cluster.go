@@ -13,7 +13,7 @@ import (
 
 // ClusterConfig describes an in-process data-parallel training cluster: N
 // worker replicas around one sharded parameter server, all in one binary —
-// the harness behind `janusbench -dist` and the distributed tests.
+// the harness behind the distributed tests and the benchmark's bypass ladder.
 type ClusterConfig struct {
 	// Workers is the number of data-parallel replicas (default 1).
 	Workers int
@@ -225,8 +225,8 @@ type AsyncResult struct {
 }
 
 // TailMean smooths single-batch loss noise: the mean of the last few (four)
-// values of a loss trajectory. Both the harness's FinalLoss and janusbench
-// use it, so "final loss" means the same thing everywhere it is compared.
+// values of a loss trajectory. Every FinalLoss uses it, so "final loss"
+// means the same thing everywhere it is compared.
 func TailMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0

@@ -66,8 +66,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 	// Eagerly resolve the client-side families (retries, injected faults) on
 	// the server registry too, so a scrape of a quiet janusps still advertises
-	// every family the bench gate requires. In-process runs (janusbench,
-	// tests) share this registry, so the same series then carry live counts.
+	// every family TestRequiredMetricFamilies requires. In-process runs
+	// share this registry, so the same series then carry live counts.
 	for _, rpc := range retryRPCs {
 		reg.Counter("janus_ps_retries_total", helpRetries, "rpc", rpc)
 	}

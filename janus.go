@@ -51,8 +51,8 @@
 // — and, on graph backends, between scheduled graph nodes mid-execution —
 // with ErrCanceled, leaving parameters in an all-or-nothing state.
 //
-// Runtime.Run (whole-script execution) and Session.Infer (single-tensor
-// inference) remain as thin shims over the same machinery.
+// Runtime.Run (whole-script execution) remains as a thin shim over the same
+// machinery.
 package janus
 
 import (
