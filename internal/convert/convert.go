@@ -214,7 +214,8 @@ func ConvertCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile,
 // static graph ("operations for automatic differentiation and model
 // parameter updates are also automatically inserted", §3.1). Every update
 // gets control dependencies on every AssertOp so state changes only happen
-// once all assumptions validated. Dynamic graphs skip this: the runtime uses
+// once all assumptions validated; under exec.Options.GradSink the same ops
+// emit their gradients instead. Dynamic graphs skip this: the runtime uses
 // the executor's trace tape and applies the optimizer itself.
 func FinalizeTraining(r *Result, lr float64) error {
 	if r.Dynamic {

@@ -453,11 +453,10 @@ func (e *Engine) Config() Config { return e.cfg }
 // running, overlapping communication with compute — the effect the paper's
 // §6.3.2 attributes the graph engine's multi-device scalability to.
 //
-// Set the sink before the first training step: under the Janus mode a sink
-// forces newly generated graphs onto the trace-tape (dynamic) path so
-// gradients stream per tensor, and graphs compiled earlier with baked-in
-// update ops would bypass the sink. Passing nil restores local updates. The
-// trace mode ignores the sink for already-traced static graphs.
+// The sink is read at every step, in every mode, and compiled graphs do not
+// depend on it: a static graph's update ops emit to the sink when one is
+// installed, so it may be set or cleared (nil restores local updates)
+// between any two steps without reconversion.
 func (e *Engine) SetGradSink(sink func(name string, g *tensor.Tensor)) { e.gradSink = sink }
 
 // Stats returns a race-safe snapshot of the engine's counters, including
@@ -744,18 +743,10 @@ func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, args []minipy.Value
 	}
 	ksp := obs.StartSpan(e.runCtx, "compile")
 	t1 := time.Now()
-	if train {
-		if e.gradSink != nil && !copts.Trace {
-			// Gradient streaming needs the trace tape: skip the static
-			// gradient/update ops so backprop runs on the tape and per-tensor
-			// gradients reach the sink as they finalize. (The defun baseline
-			// keeps its static graph and ignores the sink: SetGradSink.)
-			res.Dynamic = true
-		} else if err := convert.FinalizeTraining(res, e.cfg.LR); err != nil {
-			// Static gradient generation failed (e.g. an op without a
-			// gradient): run the graph dynamically via the trace tape instead.
-			res.Dynamic = true
-		}
+	if train && convert.FinalizeTraining(res, e.cfg.LR) != nil {
+		// Static gradient generation failed (e.g. an op without a
+		// gradient): run the graph dynamically via the trace tape instead.
+		res.Dynamic = true
 	}
 	rep, perr := e.runPasses(res, copts.Specialize)
 	e.stats.phaseCompile.Since(t1)
@@ -840,9 +831,11 @@ func (e *Engine) execute(c *compiled, leaves []minipy.Value, train bool) (minipy
 }
 
 // executeGraph feeds and runs c's graph. A training graph yields its loss —
-// a static one applied its own update ops, a dynamic one is differentiated
-// here through the executor's trace tape; a forward graph's outputs convert
-// back to minipy values (a single output unwraps, several become a tuple).
+// a static one ran its own update ops, which hand each gradient to the sink
+// installed at this run (if any) instead of updating locally; a dynamic one
+// is differentiated here through the executor's trace tape. A forward
+// graph's outputs convert back to minipy values (a single output unwraps,
+// several become a tuple).
 func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value, train bool) (minipy.Value, error) {
 	feeds := make(map[string]graph.Val, len(leaves))
 	for i, v := range leaves {
@@ -861,7 +854,8 @@ func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value, train bool) (m
 		// The scheduler checks the run context between nodes (and inside
 		// While/Invoke subgraphs), so cancellation lands mid-execution on
 		// long graphs, not just at the next step boundary.
-		Ctx: e.runCtx,
+		Ctx:      e.runCtx,
+		GradSink: e.gradSink,
 	}
 	var tape *autodiff.Tape
 	if !c.static {

@@ -621,12 +621,9 @@ for step in range(40):
 	}
 }
 
-// TestGradSinkDivertsUpdatesAndStreamsPerTensor checks the parameter-server
-// hook: with a sink installed, local parameters never move, every watched
-// variable's gradient is emitted once per step, and the Janus engine still
-// runs steady-state steps on the graph executor.
-func TestGradSinkDivertsUpdatesAndStreamsPerTensor(t *testing.T) {
-	prog := `
+// gradSinkProg is a two-parameter regression step; step() is named so
+// Explain can find its training entry.
+const gradSinkProg = `
 def loss_fn(x, y):
     w = variable("w", [1, 1])
     b = variable("b", [1])
@@ -634,42 +631,155 @@ def loss_fn(x, y):
 
 x = constant([[0.0], [1.0], [2.0], [3.0]])
 y = constant([[-3.0], [-1.0], [1.0], [3.0]])
-__loss = optimize(lambda: loss_fn(x, y))
+
+def step():
+    return loss_fn(x, y)
+
+__loss = optimize(step)
 `
-	cfg := DefaultJanusConfig()
-	cfg.ProfileIters = 2
-	cfg.Seed = 7
-	e := NewEngine(cfg)
-	perStep := map[string]int{}
-	e.SetGradSink(func(name string, g *tensor.Tensor) {
-		perStep[name]++
-		if tensor.Sum(g) == nil {
-			t.Fatalf("nil gradient for %q", name)
-		}
-	})
-	// Parse once so the step function keeps one AST identity across steps
-	// (as the model harnesses do); re-parsing would defeat the graph cache.
-	driver := minipy.MustParse(prog)
-	const steps = 8
-	var w0 *tensor.Tensor
-	for i := 0; i < steps; i++ {
-		if err := e.RunProgram(driver); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if i == 0 {
-			w0 = e.Store.MustGet("w")
-		}
+
+// emission is one gradient handed to a sink: the tensor itself and a copy
+// taken at emission, so a later write to the emitted tensor shows up.
+type emission struct {
+	name      string
+	g, atEmit *tensor.Tensor
+}
+
+// recordingSink returns a sink appending to *got.
+func recordingSink(got *[]emission) func(string, *tensor.Tensor) {
+	return func(name string, g *tensor.Tensor) {
+		*got = append(*got, emission{name, g, g.Clone()})
 	}
-	if perStep["w"] != steps || perStep["b"] != steps {
-		t.Fatalf("sink emissions %v, want %d per variable", perStep, steps)
+}
+
+// TestGradSinkDivertsUpdatesAndStreamsPerTensor checks the parameter-server
+// hook: with a sink installed, local parameters never move, every watched
+// variable's gradient is emitted once per step, top layer first, and the
+// Janus engine's steady state is the static training graph — whose
+// emissions are never written afterwards and match the imperative engine's.
+func TestGradSinkDivertsUpdatesAndStreamsPerTensor(t *testing.T) {
+	run := func(mode Mode) (e *Engine, steps [][]emission, w0 *tensor.Tensor) {
+		cfg := DefaultJanusConfig()
+		cfg.Mode = mode
+		cfg.ProfileIters = 2
+		cfg.Seed = 7
+		cfg.Workers = 1 // the serial scheduler's order is the one pinned below
+		e = NewEngine(cfg)
+		// Parse once so the step function keeps one AST identity across steps
+		// (as the model harnesses do); re-parsing would defeat the graph cache.
+		driver := minipy.MustParse(gradSinkProg)
+		for i := 0; i < 8; i++ {
+			var got []emission
+			e.SetGradSink(recordingSink(&got))
+			if err := e.RunProgram(driver); err != nil {
+				t.Fatalf("%v step %d: %v", mode, i, err)
+			}
+			steps = append(steps, got)
+			if i == 0 {
+				w0 = e.Store.MustGet("w")
+			}
+		}
+		return e, steps, w0
+	}
+	e, steps, w0 := run(Janus)
+	_, ref, _ := run(Imperative)
+	for i, got := range steps {
+		if len(got) != 2 {
+			t.Fatalf("step %d emitted %v, want b and w once each", i, names(got))
+		}
+		// Past profiling the static graph runs: top layer first.
+		if i >= e.cfg.ProfileIters && (got[0].name != "b" || got[1].name != "w") {
+			t.Fatalf("graph step %d emitted %v, want b then w", i, names(got))
+		}
+		for _, em := range got {
+			if !tensor.Equal(em.g, em.atEmit) {
+				t.Fatalf("step %d: %s written after emission: %v -> %v", i, em.name, em.atEmit, em.g)
+			}
+			if want := emitted(ref[i], em.name); want == nil || !tensor.AllClose(em.g, want, 1e-9) {
+				t.Fatalf("step %d: %s = %v, imperative emitted %v", i, em.name, em.g, want)
+			}
+		}
 	}
 	// Local parameters never moved: updates were diverted to the sink.
 	if got := e.Store.MustGet("w"); !tensor.AllClose(got, w0, 0) {
 		t.Fatalf("local parameter updated despite grad sink: %v -> %v", w0, got)
 	}
-	// The graph path still carries steady-state steps (forced dynamic).
 	if st := e.Stats(); st.GraphSteps == 0 {
 		t.Fatalf("no graph steps under grad sink: %+v", st)
+	}
+	rep, err := e.Explain("step")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.States) != 1 || len(rep.States[0].Graphs) != 1 || !rep.States[0].Graphs[0].Static {
+		t.Fatalf("steady state under a sink is not one static graph: %+v", rep.States)
+	}
+}
+
+// emitted returns the gradient emitted for name, or nil.
+func emitted(ems []emission, name string) *tensor.Tensor {
+	for _, em := range ems {
+		if em.name == name {
+			return em.g
+		}
+	}
+	return nil
+}
+
+func names(ems []emission) []string {
+	var out []string
+	for _, em := range ems {
+		out = append(out, em.name)
+	}
+	return out
+}
+
+// TestGradSinkReadAtRunTime: the sink is not part of a compiled graph. A
+// function warmed locally onto the graph path sends its next step to a
+// newly installed sink without reconverting, and clearing the sink resumes
+// local updates on the same graph.
+func TestGradSinkReadAtRunTime(t *testing.T) {
+	cfg := DefaultJanusConfig()
+	cfg.ProfileIters = 2
+	cfg.Seed = 7
+	e := NewEngine(cfg)
+	driver := minipy.MustParse(gradSinkProg)
+	step := func() {
+		t.Helper()
+		if err := e.RunProgram(driver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	before := e.Stats()
+	if before.GraphSteps == 0 {
+		t.Fatalf("warm-up never reached the graph path: %+v", before)
+	}
+	w0 := e.Store.MustGet("w").Clone()
+
+	var got []emission
+	e.SetGradSink(recordingSink(&got))
+	step()
+	if len(got) != 2 {
+		t.Fatalf("sink saw %v, want b and w", names(got))
+	}
+	if w := e.Store.MustGet("w"); !tensor.Equal(w, w0) {
+		t.Fatalf("local parameter moved under a sink: %v -> %v", w0, w)
+	}
+
+	e.SetGradSink(nil)
+	step()
+	if len(got) != 2 {
+		t.Fatalf("cleared sink still called: %v", names(got))
+	}
+	if w := e.Store.MustGet("w"); tensor.Equal(w, w0) {
+		t.Fatal("local updates did not resume after clearing the sink")
+	}
+	after := e.Stats()
+	if after.Conversions != before.Conversions || after.GraphSteps != before.GraphSteps+2 {
+		t.Fatalf("toggling the sink reconverted or left the graph path: %+v -> %+v", before, after)
 	}
 }
 

@@ -26,34 +26,3 @@ func (e *Engine) runPasses(res *convert.Result, enabled bool) (*passes.Report, e
 	})
 	return pl.Run(res.Graph)
 }
-
-// PassSummary aggregates the post-processor outcome across every compiled
-// graph in the engine's cache: how many graphs exist, their total node
-// count after the pipeline ran, and the per-pass rewrite totals: an A/B
-// hook for comparing graph sizes between pipeline configurations without
-// reaching into cache internals.
-type PassSummary struct {
-	Graphs   int            `json:"graphs"`
-	Nodes    int            `json:"nodes"`
-	Rewrites map[string]int `json:"rewrites,omitempty"`
-}
-
-// PassSummary snapshots the cache. Callers must hold the engine
-// exclusively (as for Call).
-func (e *Engine) PassSummary() PassSummary {
-	sum := PassSummary{Rewrites: make(map[string]int)}
-	for _, fs := range e.cache.states() {
-		fs.mu.Lock()
-		for _, c := range fs.entries {
-			sum.Graphs++
-			sum.Nodes += len(c.res.Graph.Nodes)
-			if c.passes != nil {
-				for _, pr := range c.passes.Passes {
-					sum.Rewrites[pr.Pass] += pr.Rewrites
-				}
-			}
-		}
-		fs.mu.Unlock()
-	}
-	return sum
-}

@@ -99,6 +99,12 @@ type Options struct {
 	// state (heap overlay, variable updates) is committed, preserving the
 	// all-or-nothing semantics.
 	Ctx context.Context
+	// GradSink, when non-nil, receives each AssignSub's raw gradient (a
+	// private copy, not scaled by lr) the moment the node fires, instead of
+	// a deferred local update. AssignSub waits on every Assert, so the first
+	// emission is the run's commit point: from then on cancellation no
+	// longer stops the run. Calls are serialized.
+	GradSink func(name string, g *tensor.Tensor)
 }
 
 // Stats counts scheduler activity for tests and the evaluation harness.
@@ -206,10 +212,13 @@ type ctx struct {
 	overlay *overlay
 	printMu sync.Mutex
 	printed []string
-	// pendingUpdates collects deferred variable updates (AssignSub); they are
+	// updates collects deferred variable updates (AssignSub); they are
 	// applied only after every assertion in the whole run has passed.
+	// updMu also serializes GradSink calls; emitted records that one has
+	// been made.
 	updMu   sync.Mutex
 	updates []func()
+	emitted bool
 }
 
 func (c *ctx) ov() *overlay {
@@ -218,15 +227,24 @@ func (c *ctx) ov() *overlay {
 }
 
 // canceled reports whether the run's context (if any) has been canceled,
-// as an error wrapping the cancellation cause.
+// as an error wrapping the cancellation cause — unless a gradient has
+// already left through the sink, after which the run must finish so the
+// whole step reaches the sink.
 func (c *ctx) canceled() error {
-	if c.opts.Ctx == nil {
+	if c.opts.Ctx == nil || c.opts.Ctx.Err() == nil {
 		return nil
 	}
-	if c.opts.Ctx.Err() != nil {
-		return fmt.Errorf("exec: run canceled: %w", context.Cause(c.opts.Ctx))
+	c.updMu.Lock()
+	defer c.updMu.Unlock()
+	return c.canceledLocked()
+}
+
+// canceledLocked is canceled with updMu held.
+func (c *ctx) canceledLocked() error {
+	if c.emitted || c.opts.Ctx == nil || c.opts.Ctx.Err() == nil {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("exec: run canceled: %w", context.Cause(c.opts.Ctx))
 }
 
 // Run executes g with the given placeholder feeds. On success all deferred

@@ -3,7 +3,9 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -572,5 +574,74 @@ func TestCtxPreCanceledRunsNothing(t *testing.T) {
 	}
 	if st.OpsExecuted.Load() != 0 {
 		t.Fatalf("pre-canceled run executed %d ops", st.OpsExecuted.Load())
+	}
+}
+
+// TestGradSinkFirstEmissionCommitsTheRun: with Options.GradSink, AssignSub
+// hands its raw gradient to the sink instead of updating the store, and the
+// first emission is the run's commit point — a sink that cancels the context
+// on its first call still receives every parameter exactly once and Run
+// succeeds, while a run canceled before it starts emits nothing. The sink is
+// never called concurrently, under either scheduler.
+func TestGradSinkFirstEmissionCommitsTheRun(t *testing.T) {
+	const params = 4
+	for _, workers := range []int{1, 2} {
+		for _, preCanceled := range []bool{false, true} {
+			g := graph.New()
+			store := vars.NewStore()
+			x := g.Placeholder("x")
+			sum := x.P()
+			for k := 0; k < params; k++ {
+				name := fmt.Sprintf("w%d", k)
+				store.Set(name, tensor.FromSlice([]float64{float64(k + 1)}))
+				grad := g.Add("Mul", nil, g.Variable(name).P(), x.P())
+				g.Updates = append(g.Updates, g.Add("AssignSub", map[string]graph.Val{"name": name, "lr": 0.5}, grad.P()))
+				sum = g.Add("Add", nil, sum, grad.P()).P()
+			}
+			g.Outputs = []graph.Port{sum}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			if preCanceled {
+				cancel()
+			}
+			var inSink atomic.Int32
+			got := map[string]float64{}
+			sink := func(name string, gr *tensor.Tensor) {
+				if inSink.Add(1) != 1 {
+					t.Errorf("workers=%d: concurrent sink calls", workers)
+				}
+				time.Sleep(time.Millisecond) // widen the window for a concurrent call
+				if _, dup := got[name]; dup {
+					t.Errorf("workers=%d: %s emitted twice", workers, name)
+				}
+				got[name] = gr.Item()
+				cancel()
+				inSink.Add(-1)
+			}
+			_, err := Run(g, map[string]graph.Val{"x": tensor.FromSlice([]float64{3})}, Options{
+				Workers: workers, Store: store, Pool: tensor.NewPool(), Ctx: ctx, GradSink: sink,
+			})
+			if preCanceled {
+				if !errors.Is(err, context.Canceled) || len(got) != 0 {
+					t.Fatalf("workers=%d pre-canceled: err %v, emitted %v", workers, err, got)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("workers=%d: run canceled after its commit point: %v", workers, err)
+			}
+			if len(got) != params {
+				t.Fatalf("workers=%d: emitted %v, want all %d parameters", workers, got, params)
+			}
+			for k := 0; k < params; k++ {
+				name := fmt.Sprintf("w%d", k)
+				if want := float64(3 * (k + 1)); got[name] != want {
+					t.Fatalf("workers=%d: %s gradient %v, want the raw %v", workers, name, got[name], want)
+				}
+				if v := store.MustGet(name).Item(); v != float64(k+1) {
+					t.Fatalf("workers=%d: %s updated locally despite the sink: %v", workers, name, v)
+				}
+			}
+		}
 	}
 }

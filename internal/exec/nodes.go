@@ -66,20 +66,31 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		return []graph.Val{t.Clone()}, nil
 
 	case "AssignSub":
-		// Deferred parameter update: var -= lr * input. Queued until every
-		// assertion in the run has passed (all-or-nothing, §3.2).
+		// Parameter update var -= lr * input. With a gradient sink the raw
+		// gradient leaves now (every Assert is a control dep, so the step is
+		// already validated); otherwise the update is queued until the run
+		// succeeds (all-or-nothing, §3.2).
 		name := nd.StrAttr("name")
+		gt, err := graph.AsTensor(unwrap(in[0]))
+		if err != nil {
+			return nil, fmt.Errorf("exec: AssignSub %q: %v", name, err)
+		}
+		if sink := c.opts.GradSink; sink != nil {
+			g := gt.Clone()
+			c.updMu.Lock()
+			defer c.updMu.Unlock()
+			if err := c.canceledLocked(); err != nil {
+				return nil, err
+			}
+			c.emitted = true
+			sink(name, g)
+			return []graph.Val{nil}, nil
+		}
 		lr := 1.0
 		if v, ok := nd.Attrs["lr"]; ok {
 			lr = v.(float64)
 		}
-		gvRaw := unwrap(in[0])
-		gt, err := graph.AsTensor(gvRaw)
-		if err != nil {
-			return nil, fmt.Errorf("exec: AssignSub %q: %v", name, err)
-		}
-		store := c.opts.Store
-		delta := tensor.MulScalar(gt, lr)
+		store, delta := c.opts.Store, tensor.MulScalar(gt, lr)
 		c.updMu.Lock()
 		c.updates = append(c.updates, func() { store.AssignSub(name, delta) })
 		c.updMu.Unlock()

@@ -295,20 +295,6 @@ func (s *Server) Config() Config { return s.cfg }
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.obs }
 
-// LatencyQuantile reports the estimated q-quantile (0..1) of server-side
-// handling latency in seconds, from the registry histograms; op is "push"
-// or "pull" (anything else yields 0). Bench harnesses use it to put
-// percentiles in their reports without scraping the text exposition.
-func (s *Server) LatencyQuantile(op string, q float64) float64 {
-	switch op {
-	case "push":
-		return s.metrics.pushLat.Quantile(q)
-	case "pull":
-		return s.metrics.pullLat.Quantile(q)
-	}
-	return 0
-}
-
 // NumShards implements Transport.
 func (s *Server) NumShards() (int, error) { return s.cfg.Shards, nil }
 

@@ -182,6 +182,44 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
+// TestClusterWorkersStayOnStaticGraph is the gate against a replica falling
+// back to tape mode: past warm-up every worker's training entry is the
+// static graph with baked gradient ops, replayed on the pooled memory plan,
+// while its gradients still go to the server.
+func TestClusterWorkersStayOnStaticGraph(t *testing.T) {
+	cfg := workerEngineConfig()
+	cluster, err := NewCluster(ClusterConfig{
+		Workers: 2, Shards: 2, LR: cfg.LR, Engine: cfg,
+		Build: mlpBuild(42, 8),
+	})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	if _, err := cluster.Run(6); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, w := range cluster.Workers() {
+		e := w.Engine()
+		train := 0
+		for _, en := range e.Cache().Inspect().EntryList {
+			if en.Infer {
+				continue
+			}
+			train++
+			if !en.Static {
+				t.Fatalf("worker %d: training entry %v is not static", w.ID, en.Signature)
+			}
+		}
+		st := e.Stats()
+		if train == 0 || st.GraphSteps == 0 || st.PoolHits == 0 {
+			t.Fatalf("worker %d: %d training entries, stats %+v: want graph steps on the pooled plan", w.ID, train, st)
+		}
+		if w.Stats().Pushes == 0 {
+			t.Fatalf("worker %d pushed nothing", w.ID)
+		}
+	}
+}
+
 // TestClusterOverHTTP runs a 2-worker cluster against the server through
 // the real HTTP transport.
 func TestClusterOverHTTP(t *testing.T) {
