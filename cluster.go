@@ -22,8 +22,7 @@ type TrainOptions struct {
 	// replaced with 1: replicas must agree on parameter initialization, and
 	// an unseeded RNG would give each replica different initial values. The
 	// replica count is named Replicas (not Workers) so it never shadows the
-	// embedded Options.Workers, the per-graph executor parallelism — the
-	// footgun ServerOptions.PoolSize exists to fix.
+	// embedded Options.Workers.
 	Options
 	// Replicas is the number of data-parallel worker replicas (default 1).
 	Replicas int

@@ -27,6 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/models"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -88,7 +89,6 @@ func engineConfigs() map[string]core.Config {
 	imp := core.Config{Mode: core.Imperative, LR: 0.05}
 	jan := core.DefaultJanusConfig()
 	jan.LR = 0.05
-	jan.Workers = runtime.NumCPU()
 	sym := jan
 	sym.DisableAsserts = true
 	sym.ProfileIters = 1
@@ -164,23 +164,26 @@ func fig6(_, steps int) {
 	fmt.Println("stale state/branches; compare its trajectory against imperative/janus.")
 }
 
+// fig7 climbs the paper's ablation ladder. Every rung but the last runs its
+// kernels on one goroutine; +PARL lets them split across every CPU — the
+// executor itself always runs a graph's nodes in one topological pass.
 func fig7(warmup, steps int) {
 	type stage struct {
-		name string
-		cfg  core.Config
+		name    string
+		cfg     core.Config
+		threads int // tensor kernel parallelism
 	}
-	mk := func(unroll, spcn bool, workers int) core.Config {
-		c := core.Config{Mode: core.Janus, LR: 0.05, ProfileIters: 3,
-			Unroll: unroll, Specialize: spcn, Workers: workers}
-		return c
+	mk := func(unroll, spcn bool) core.Config {
+		return core.Config{Mode: core.Janus, LR: 0.05, ProfileIters: 3, Unroll: unroll, Specialize: spcn}
 	}
 	stages := []stage{
-		{"IMP", core.Config{Mode: core.Imperative, LR: 0.05}},
-		{"BASE", mk(false, false, 1)},
-		{"+UNRL", mk(true, false, 1)},
-		{"+SPCN", mk(true, true, 1)},
-		{"+PARL", mk(true, true, runtime.NumCPU())},
+		{"IMP", core.Config{Mode: core.Imperative, LR: 0.05}, 1},
+		{"BASE", mk(false, false), 1},
+		{"+UNRL", mk(true, false), 1},
+		{"+SPCN", mk(true, true), 1},
+		{"+PARL", mk(true, true), runtime.NumCPU()},
 	}
+	defer tensor.SetKernelParallelism(tensor.SetKernelParallelism(1))
 	fmt.Printf("%-10s", "Model")
 	for _, s := range stages {
 		fmt.Printf(" %10s", s.name)
@@ -190,6 +193,7 @@ func fig7(warmup, steps int) {
 		fmt.Printf("%-10s", m.Name)
 		var imp, last float64
 		for _, s := range stages {
+			tensor.SetKernelParallelism(s.threads)
 			t, err := models.Throughput(m, s.cfg, 42, warmup, steps)
 			if err != nil {
 				t = 0

@@ -50,7 +50,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pool := flag.Int("pool", 0, "pool size: engine workers serving concurrent requests (default 4)")
-	engineWorkers := flag.Int("engine-workers", 0, "per-graph executor parallelism inside one request (default 4)")
 	maxBatch := flag.Int("max-batch", 8, "max queued same-signature requests a free worker runs as one batch")
 	maxQueue := flag.Int("max-queue", 0, "max requests waiting for a worker before 429 (0 = 16x workers)")
 	acquireTimeout := flag.Duration("acquire-timeout", 10*time.Second, "max wait for a worker before 503")
@@ -81,7 +80,6 @@ func main() {
 		BucketBatch:    *bucketBatch,
 		MaxBucket:      *maxBucket,
 	}
-	opts.Options.Workers = *engineWorkers
 	opts.LearningRate = *lr
 	opts.ProfileIterations = *profileIters
 	opts.Seed = *seed

@@ -11,7 +11,6 @@ package autodiff
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/tensor"
@@ -50,14 +49,10 @@ type op struct {
 }
 
 // Tape records operations during forward execution and replays them in
-// reverse to compute gradients.
-//
-// Recording is thread-safe: the speculative executor runs dynamic graphs
-// with parallel workers whose kernels record onto one shared trace tape.
-// Gradient/backward replay is single-threaded (it runs after the forward
-// pass completes).
+// reverse to compute gradients. A tape belongs to one goroutine: the
+// interpreter or the graph executor records onto it, then the same caller
+// replays it after the forward pass completes.
 type Tape struct {
-	mu  sync.Mutex
 	ops []op
 	// watched maps variable names to their tape nodes so Gradient can report
 	// per-variable gradients.
@@ -85,8 +80,6 @@ func (t *Tape) NewNode(v *tensor.Tensor) *Node {
 // returns its tracked node. Watching the same name twice returns the original
 // node.
 func (t *Tape) Watch(name string, v *tensor.Tensor) *Node {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if n, ok := t.watched[name]; ok {
 		return n
 	}
@@ -101,9 +94,7 @@ func (t *Tape) Record(out *Node, backward func(g *tensor.Tensor)) {
 	if out == nil || !out.Tracked() {
 		return
 	}
-	t.mu.Lock()
 	t.ops = append(t.ops, op{outID: out.id, backward: backward})
-	t.mu.Unlock()
 }
 
 // Accum adds g into the gradient accumulator for node n. It is exported for

@@ -42,7 +42,7 @@ import (
 )
 
 // Options selects the speculation level; the flags map 1:1 onto the paper's
-// Figure 7 ablation (+UNRL, +SPCN; +PARL is an executor option).
+// Figure 7 ablation (+UNRL, +SPCN; +PARL is tensor kernel parallelism).
 type Options struct {
 	// Unroll enables control-flow unrolling and branch pruning (+UNRL).
 	Unroll bool

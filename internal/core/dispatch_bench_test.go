@@ -75,11 +75,11 @@ func BenchmarkDispatchKernelOnly(b *testing.B) {
 }
 
 // BenchmarkGraphReplayPerOp is the symbolic-executor counterpart: steady-
-// state graph replay of the same chain via a Janus engine, per framework op.
+// state graph replay of the same chain via a default-config Janus engine,
+// per framework op.
 func BenchmarkGraphReplayPerOp(b *testing.B) {
 	cfg := DefaultJanusConfig()
 	cfg.ProfileIters = 1
-	cfg.Workers = 1
 	cfg.PyOverheadNs = -1
 	e := NewEngine(cfg)
 	if err := e.Run(dispatchSrc()); err != nil {
@@ -115,7 +115,6 @@ func BenchmarkGraphReplayPerOp(b *testing.B) {
 func TestPooledEnginesSharedCacheConcurrent(t *testing.T) {
 	cfg := DefaultJanusConfig()
 	cfg.ProfileIters = 1
-	cfg.Workers = 2
 	store := vars.NewStore()
 	cache := NewGraphCache()
 	const engines = 4

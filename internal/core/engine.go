@@ -73,7 +73,8 @@ type Config struct {
 	// Specialize enables shape/value specialization and the optimizer passes
 	// (+SPCN).
 	Specialize bool
-	// Workers is the graph executor's parallelism (+PARL). <1 means 1.
+	// Deprecated: ignored; graphs run serially in topological order and
+	// only kernels use more than one goroutine.
 	Workers int
 	// DisableAsserts skips runtime assumption validation (assertion-cost
 	// experiment only).
@@ -121,7 +122,7 @@ func (c Config) memoryPlanOn() bool { return !c.NoMemoryPlan }
 
 // DefaultJanusConfig returns the full-featured JANUS configuration.
 func DefaultJanusConfig() Config {
-	return Config{Mode: Janus, LR: 0.1, ProfileIters: 3, Unroll: true, Specialize: true, Workers: 4}
+	return Config{Mode: Janus, LR: 0.1, ProfileIters: 3, Unroll: true, Specialize: true}
 }
 
 // Stats is a point-in-time snapshot of engine activity; the evaluation
@@ -306,9 +307,6 @@ func NewEngine(cfg Config) *Engine {
 // every worker engine so parameters stay consistent and a graph converted
 // for one client is a cache hit for all others.
 func NewEngineShared(cfg Config, store *vars.Store, cache *GraphCache) *Engine {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
 	if cfg.ProfileIters < 1 {
 		cfg.ProfileIters = 3
 	}
@@ -842,7 +840,6 @@ func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value, train bool) (m
 		feeds[feedName(i)] = minipyToGraph(v)
 	}
 	opts := exec.Options{
-		Workers:        e.cfg.Workers,
 		Store:          e.Store,
 		Heap:           e.heap,
 		DisableAsserts: e.cfg.DisableAsserts,

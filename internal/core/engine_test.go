@@ -480,7 +480,7 @@ xs = [constant([[1.0, 0.0]]), constant([[0.0, 1.0]])]
 for i in range(10):
     optimize(lambda: step(xs))
 `
-	cfg := Config{Mode: Janus, LR: 0.1, ProfileIters: 3, Unroll: false, Specialize: false, Workers: 1, Seed: 31}
+	cfg := Config{Mode: Janus, LR: 0.1, ProfileIters: 3, Unroll: false, Specialize: false, Seed: 31}
 	base := NewEngine(cfg)
 	if err := base.Run(src); err != nil {
 		t.Fatalf("base: %v", err)
@@ -663,7 +663,6 @@ func TestGradSinkDivertsUpdatesAndStreamsPerTensor(t *testing.T) {
 		cfg.Mode = mode
 		cfg.ProfileIters = 2
 		cfg.Seed = 7
-		cfg.Workers = 1 // the serial scheduler's order is the one pinned below
 		e = NewEngine(cfg)
 		// Parse once so the step function keeps one AST identity across steps
 		// (as the model harnesses do); re-parsing would defeat the graph cache.
@@ -879,7 +878,7 @@ def predict(x):
 // is executing surfaces ErrCanceled promptly — inside the execution, not at
 // the next step boundary.
 func TestCancellationLandsInsideGraphExecution(t *testing.T) {
-	cfg := Config{Mode: Janus, LR: 0.1, ProfileIters: 1, Workers: 1,
+	cfg := Config{Mode: Janus, LR: 0.1, ProfileIters: 1,
 		Seed: 7, PyOverheadNs: -1, Unroll: false, Specialize: true}
 	e := NewEngine(cfg)
 	if err := e.Run(`

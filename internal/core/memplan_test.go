@@ -59,7 +59,6 @@ func TestMemoryPlanEngineEquivalence(t *testing.T) {
 	base := DefaultJanusConfig()
 	base.LR = 0.05
 	base.Seed = 7
-	base.Workers = 1
 
 	off := base
 	off.NoMemoryPlan = true
@@ -104,21 +103,6 @@ func sameParams(t *testing.T, what string, got, want map[string][]float64) {
 			}
 		}
 	}
-}
-
-// TestMemoryPlanParallelWorkersEquivalence: the +PARL scheduler with pooling
-// must produce the same parameters as serial pooled execution.
-func TestMemoryPlanParallelWorkersEquivalence(t *testing.T) {
-	base := DefaultJanusConfig()
-	base.LR = 0.05
-	base.Seed = 7
-	base.Workers = 1
-	_, serialParams, _ := trainedState(t, base, lenetProgram)
-
-	par := base
-	par.Workers = 4
-	_, parParams, _ := trainedState(t, par, lenetProgram)
-	sameParams(t, "parallel vs serial", parParams, serialParams)
 }
 
 // TestSigHashMemoizedLookups: repeated Calls with a repeated concrete

@@ -1,8 +1,8 @@
 // Package exec implements the speculative graph executor of the paper's
-// Figure 2: a dataflow scheduler that fires operations as their dependencies
-// resolve, with
+// Figure 2: a scheduler that runs every node of a graph in one cached
+// topological order on the calling goroutine (parallelism lives inside the
+// tensor kernels), with
 //
-//   - a configurable worker pool (+PARL in Figure 7; 1 worker = serial),
 //   - Switch/Merge conditional primitives via dead-token propagation (the
 //     classic dataflow-architecture treatment the paper cites),
 //   - structured While and Invoke operations whose bodies are subgraphs
@@ -60,7 +60,8 @@ func (e *AssertError) Error() string {
 
 // Options configures one execution.
 type Options struct {
-	// Workers is the scheduler's parallelism; values < 1 mean 1.
+	// Deprecated: ignored; graphs run serially in topological order and
+	// only kernels use more than one goroutine.
 	Workers int
 	// Store resolves Variable and AssignSub nodes.
 	Store *vars.Store
@@ -103,7 +104,7 @@ type Options struct {
 	// private copy, not scaled by lr) the moment the node fires, instead of
 	// a deferred local update. AssignSub waits on every Assert, so the first
 	// emission is the run's commit point: from then on cancellation no
-	// longer stops the run. Calls are serialized.
+	// longer stops the run. Calls come from the goroutine running Run.
 	GradSink func(name string, g *tensor.Tensor)
 }
 
@@ -112,8 +113,6 @@ type Stats struct {
 	OpsExecuted atomic.Int64
 	OpsSkipped  atomic.Int64 // dead-token skips
 	AssertsRun  atomic.Int64
-	MaxParallel atomic.Int64
-	curParallel atomic.Int64
 }
 
 // Result is the outcome of a successful execution.
@@ -134,7 +133,6 @@ func IsDead(v graph.Val) bool { _, ok := v.(deadToken); return ok }
 // overlay holds local copies of heap state (paper §4.2.3). Reads hit the
 // overlay first; writes never touch the heap until Commit.
 type overlay struct {
-	mu    sync.Mutex
 	attrs map[attrKey]any
 	subs  map[subKey]any
 	// order preserves write sequence for deterministic commit.
@@ -158,35 +156,25 @@ func newOverlay() *overlay {
 func subKeyOf(obj, key any) subKey { return subKey{obj: obj, key: fmt.Sprintf("%T:%v", key, key)} }
 
 func (o *overlay) getAttr(h Heap, obj any, name string) (any, error) {
-	o.mu.Lock()
-	v, ok := o.attrs[attrKey{obj, name}]
-	o.mu.Unlock()
-	if ok {
+	if v, ok := o.attrs[attrKey{obj, name}]; ok {
 		return v, nil
 	}
 	return h.GetAttr(obj, name)
 }
 
 func (o *overlay) setAttr(obj any, name string, v any) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.attrs[attrKey{obj, name}] = v
 	o.order = append(o.order, func(h Heap) error { return h.SetAttr(obj, name, v) })
 }
 
 func (o *overlay) getSubscr(h Heap, obj, key any) (any, error) {
-	o.mu.Lock()
-	v, ok := o.subs[subKeyOf(obj, key)]
-	o.mu.Unlock()
-	if ok {
+	if v, ok := o.subs[subKeyOf(obj, key)]; ok {
 		return v, nil
 	}
 	return h.GetSubscr(obj, key)
 }
 
 func (o *overlay) setSubscr(obj, key any, v any) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	o.subs[subKeyOf(obj, key)] = v
 	o.order = append(o.order, func(h Heap) error { return h.SetSubscr(obj, key, v) })
 }
@@ -208,21 +196,19 @@ type ctx struct {
 	opts Options
 	// overlay is created lazily on the first heap op — replayed compute
 	// graphs usually have none, and the hot path should not pay for maps.
-	ovOnce  sync.Once
 	overlay *overlay
-	printMu sync.Mutex
 	printed []string
 	// updates collects deferred variable updates (AssignSub); they are
 	// applied only after every assertion in the whole run has passed.
-	// updMu also serializes GradSink calls; emitted records that one has
-	// been made.
-	updMu   sync.Mutex
 	updates []func()
+	// emitted records that a gradient has left through GradSink.
 	emitted bool
 }
 
 func (c *ctx) ov() *overlay {
-	c.ovOnce.Do(func() { c.overlay = newOverlay() })
+	if c.overlay == nil {
+		c.overlay = newOverlay()
+	}
 	return c.overlay
 }
 
@@ -231,16 +217,6 @@ func (c *ctx) ov() *overlay {
 // already left through the sink, after which the run must finish so the
 // whole step reaches the sink.
 func (c *ctx) canceled() error {
-	if c.opts.Ctx == nil || c.opts.Ctx.Err() == nil {
-		return nil
-	}
-	c.updMu.Lock()
-	defer c.updMu.Unlock()
-	return c.canceledLocked()
-}
-
-// canceledLocked is canceled with updMu held.
-func (c *ctx) canceledLocked() error {
 	if c.emitted || c.opts.Ctx == nil || c.opts.Ctx.Err() == nil {
 		return nil
 	}
@@ -251,9 +227,6 @@ func (c *ctx) canceledLocked() error {
 // state updates (heap overlay and variable updates) are committed; on any
 // error — including assumption failures — no global state has been mutated.
 func Run(g *graph.Graph, feeds map[string]graph.Val, opts Options) (*Result, error) {
-	if opts.Workers < 1 {
-		opts.Workers = 1
-	}
 	c := &ctx{opts: opts}
 	outs, err := runGraph(g, feeds, c)
 	if err != nil {
@@ -265,15 +238,13 @@ func Run(g *graph.Graph, feeds map[string]graph.Val, opts Options) (*Result, err
 			return nil, err
 		}
 	}
-	c.updMu.Lock()
 	for _, f := range c.updates {
 		f()
 	}
-	c.updMu.Unlock()
 	return &Result{Outputs: outs, Printed: c.printed}, nil
 }
 
-// node fast-path kinds, precomputed per plan so the schedulers can bypass
+// node fast-path kinds, precomputed per plan so the scheduler can bypass
 // execNode (and its []Val returns) for the allocation-sensitive ops.
 const (
 	kindGeneric = iota
@@ -283,25 +254,23 @@ const (
 	kindInto
 )
 
-// plan is the cached per-graph schedule: per-node consumer lists, the
-// indegree template, resolved flat input port indices, a topological order
-// for the serial fast path, and the buffer-reuse memory plan. Building it
-// once per graph removes per-execution analysis cost — the scheduling
-// advantage symbolic execution has over the per-statement interpreter.
+// plan is the cached per-graph schedule: resolved flat input port indices,
+// the topological execution order, and the buffer-reuse memory plan.
+// Building it once per graph removes per-execution analysis cost — the
+// scheduling advantage symbolic execution has over the per-statement
+// interpreter.
 type plan struct {
-	consumers [][]int32
-	indeg     []int32
-	inPort    [][]int32 // flat port id per node input
-	topo      []int32
-	outPort   []int32 // flat port id per graph output
-	portBase  []int32 // flat port offset per node (len n+1)
-	kind      []int8  // fast-path kind per node
-	phName    []string
-	varName   []string
-	into      []graph.IntoKernel // destination-passing kernel of kindInto nodes
-	mem       *graph.MemoryPlan
+	inPort   [][]int32 // flat port id per node input
+	topo     []int32
+	outPort  []int32 // flat port id per graph output
+	portBase []int32 // flat port offset per node (len n+1)
+	kind     []int8  // fast-path kind per node
+	phName   []string
+	varName  []string
+	into     []graph.IntoKernel // destination-passing kernel of kindInto nodes
+	mem      *graph.MemoryPlan
 	// prof is the graph's always-on op profile; its flat arrays parallel
-	// the plan's, so the schedulers accumulate without map lookups.
+	// the plan's, so the scheduler accumulates without map lookups.
 	prof *GraphProfile
 }
 
@@ -314,15 +283,15 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 	}
 	counts := graph.PortCounts(g)
 	p := &plan{
-		consumers: make([][]int32, n),
-		indeg:     make([]int32, n),
-		inPort:    make([][]int32, n),
-		portBase:  make([]int32, n+1),
-		kind:      make([]int8, n),
-		phName:    make([]string, n),
-		varName:   make([]string, n),
-		into:      make([]graph.IntoKernel, n),
+		inPort:   make([][]int32, n),
+		portBase: make([]int32, n+1),
+		kind:     make([]int8, n),
+		phName:   make([]string, n),
+		varName:  make([]string, n),
+		into:     make([]graph.IntoKernel, n),
 	}
+	consumers := make([][]int32, n)
+	deg := make([]int32, n)
 	for i := 0; i < n; i++ {
 		p.portBase[i+1] = p.portBase[i] + counts[i]
 	}
@@ -334,8 +303,8 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 				return nil, fmt.Errorf("exec: node %d input refers outside graph (op %s)", nd.ID, nd.Op)
 			}
 			ports[k] = p.portBase[j] + int32(in.Out)
-			p.consumers[j] = append(p.consumers[j], int32(i))
-			p.indeg[i]++
+			consumers[j] = append(consumers[j], int32(i))
+			deg[i]++
 		}
 		p.inPort[i] = ports
 		for _, d := range nd.ControlDeps {
@@ -343,8 +312,8 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 			if !ok {
 				return nil, fmt.Errorf("exec: node %d control dep outside graph", nd.ID)
 			}
-			p.consumers[j] = append(p.consumers[j], int32(i))
-			p.indeg[i]++
+			consumers[j] = append(consumers[j], int32(i))
+			deg[i]++
 		}
 		switch nd.Op {
 		case "Const":
@@ -363,9 +332,7 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 		}
 	}
 	// Kahn's algorithm: the topological order doubles as the cycle check and
-	// the serial execution order.
-	deg := make([]int32, n)
-	copy(deg, p.indeg)
+	// the execution order.
 	queue := make([]int32, 0, n)
 	for i := range deg {
 		if deg[i] == 0 {
@@ -377,7 +344,7 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		topo = append(topo, i)
-		for _, ci := range p.consumers[i] {
+		for _, ci := range consumers[i] {
 			if deg[ci]--; deg[ci] == 0 {
 				queue = append(queue, ci)
 			}
@@ -633,21 +600,14 @@ func (ms *memState) adopt(i int32, out0 graph.Val) {
 }
 
 // releaseInputs counts down the classes consumed by node i, returning each
-// class's buffer to the pool at zero. atomicRefs selects the parallel
-// scheduler's atomic decrements.
-func (ms *memState) releaseInputs(i int32, atomicRefs bool) {
+// class's buffer to the pool at zero.
+func (ms *memState) releaseInputs(i int32) {
 	for _, cls := range ms.mem.InClass[i] {
 		if !ms.mem.Releasable[cls] {
 			continue
 		}
-		var left int32
-		if atomicRefs {
-			left = atomic.AddInt32(&ms.refs[cls], -1)
-		} else {
-			ms.refs[cls]--
-			left = ms.refs[cls]
-		}
-		if left == 0 && !ms.moved[cls] {
+		ms.refs[cls]--
+		if ms.refs[cls] == 0 && !ms.moved[cls] {
 			if b := ms.bufs[cls]; b != nil {
 				ms.pool.Put(b)
 			}
@@ -658,7 +618,7 @@ func (ms *memState) releaseInputs(i int32, atomicRefs bool) {
 // nodeAlloc is the tensor.Allocator handed to Into kernels: the first Get is
 // the kernel's output (pool-backed, in-place-rebound, or heap for pinned
 // outputs); subsequent Gets are scratch (always pooled). One nodeAlloc is
-// reused across a scheduler's nodes, so the hot path performs no per-node
+// reused across a run's nodes, so the hot path performs no per-node
 // allocator allocations.
 type nodeAlloc struct {
 	pool       *tensor.Pool
@@ -735,16 +695,12 @@ func runGraph(g *graph.Graph, feeds map[string]graph.Val, c *ctx) ([]graph.Val, 
 	}
 	ga := c.opts.Arena.acquire(g)
 	defer c.opts.Arena.release(ga)
-	if c.opts.Workers <= 1 {
-		return runSerial(g, p, feeds, c, ga)
-	}
-	return runParallel(g, p, feeds, c, ga)
+	return runNodes(g, p, feeds, c, ga)
 }
 
 // safeExecNode runs execNode, converting kernel panics (e.g. a shape
 // mismatch on malformed client feeds) into errors: a serving process must
-// survive a bad request, and panics in scheduler worker goroutines would
-// otherwise kill it.
+// survive a bad request.
 func safeExecNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]graph.Val, c *ctx) (out []graph.Val, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -798,9 +754,10 @@ func execFast(p *plan, g *graph.Graph, i int32, nd *graph.Node, in []graph.Val, 
 	panic("exec: execFast on generic node")
 }
 
-// runSerial executes nodes in topological order on the calling goroutine —
-// the 1-worker ablation mode without scheduling machinery.
-func runSerial(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, ga *graphArena) ([]graph.Val, error) {
+// runNodes executes the plan's nodes in topological order on the calling
+// goroutine: dead inputs propagate, fast-path kinds write their output port
+// directly, and pooled buffers return on their last consumer.
+func runNodes(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, ga *graphArena) ([]graph.Val, error) {
 	n := len(g.Nodes)
 	numPorts := int(p.portBase[n])
 	var vals []graph.Val
@@ -896,7 +853,7 @@ func runSerial(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, ga *
 			}
 		}
 		if ms != nil {
-			ms.releaseInputs(i, false)
+			ms.releaseInputs(i)
 		}
 	}
 	if ga != nil {
@@ -907,210 +864,4 @@ func runSerial(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, ga *
 		outs[i] = vals[p.outPort[i]]
 	}
 	return outs, nil
-}
-
-// runParallel runs the worker-pool dataflow scheduler (+PARL).
-func runParallel(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, ga *graphArena) ([]graph.Val, error) {
-	n := len(g.Nodes)
-	consumers := p.consumers
-	indeg := make([]int32, n)
-	copy(indeg, p.indeg)
-
-	numPorts := int(p.portBase[n])
-	var vals []graph.Val
-	if ga != nil {
-		if cap(ga.vals) < numPorts {
-			ga.vals = make([]graph.Val, numPorts)
-		}
-		vals = ga.vals[:numPorts]
-	} else {
-		vals = make([]graph.Val, numPorts)
-	}
-	ms := initMemState(p, c, ga)
-	prof := p.prof
-	tick := prof.beginRun()
-	var valsMu sync.Mutex
-
-	ready := make(chan int32, n)
-	var remaining atomic.Int32
-	remaining.Store(int32(n))
-	var firstErr atomic.Value
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	finish := func() { closeOnce.Do(func() { close(done) }) }
-
-	for i := range g.Nodes {
-		if indeg[i] == 0 {
-			ready <- int32(i)
-		}
-	}
-
-	workers := c.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var na nodeAlloc
-			var inScratch []graph.Val
-			for {
-				select {
-				case <-done:
-					return
-				case i := <-ready:
-					if err := c.canceled(); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						finish()
-						return
-					}
-					nd := g.Nodes[i]
-					inPorts := p.inPort[i]
-					if cap(inScratch) < len(inPorts) {
-						inScratch = make([]graph.Val, len(inPorts)+8)
-					}
-					in := inScratch[:len(inPorts)]
-					anyDead := false
-					valsMu.Lock()
-					for k, pt := range inPorts {
-						v := vals[pt]
-						in[k] = v
-						if IsDead(v) {
-							anyDead = true
-						}
-					}
-					valsMu.Unlock()
-
-					base := p.portBase[i]
-					ports := int(p.portBase[i+1] - base)
-					var out0 graph.Val
-					var out []graph.Val
-					var err error
-					single := false
-					switch {
-					case anyDead && nd.Op != "Merge":
-						// Dead-token propagation: skip execution entirely.
-						single = true
-						out0 = dead
-						prof.skip(i)
-						if c.opts.Stats != nil {
-							c.opts.Stats.OpsSkipped.Add(1)
-						}
-					case ms != nil && p.kind[i] != kindGeneric:
-						if c.opts.Stats != nil {
-							trackParallel(c.opts.Stats, 1)
-						}
-						timed := i&profileStrideMask == tick
-						var t0 time.Time
-						if timed {
-							t0 = time.Now()
-						}
-						out0, err = execFast(p, g, i, nd, in, feeds, c, ms, &na)
-						if timed {
-							prof.record(i, time.Since(t0), c.opts.Metrics, nd.Op)
-						}
-						single = true
-						if c.opts.Stats != nil {
-							trackParallel(c.opts.Stats, -1)
-							c.opts.Stats.OpsExecuted.Add(1)
-						}
-					default:
-						if c.opts.Stats != nil {
-							trackParallel(c.opts.Stats, 1)
-						}
-						timed := i&profileStrideMask == tick
-						var t0 time.Time
-						if timed {
-							t0 = time.Now()
-						}
-						out, err = safeExecNode(g, nd, in, feeds, c)
-						if timed {
-							prof.record(i, time.Since(t0), c.opts.Metrics, nd.Op)
-						}
-						if c.opts.Stats != nil {
-							trackParallel(c.opts.Stats, -1)
-							c.opts.Stats.OpsExecuted.Add(1)
-						}
-					}
-					if err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						finish()
-						return
-					}
-					valsMu.Lock()
-					if single {
-						vals[base] = out0
-						for o := 1; o < ports; o++ {
-							if IsDead(out0) {
-								vals[base+int32(o)] = dead
-							} else {
-								vals[base+int32(o)] = nil
-							}
-						}
-						if ms != nil && !IsDead(out0) {
-							ms.adopt(i, out0)
-						}
-					} else {
-						for o := 0; o < ports; o++ {
-							if o < len(out) {
-								vals[base+int32(o)] = out[o]
-							} else {
-								vals[base+int32(o)] = nil
-							}
-						}
-						if ms != nil && len(out) > 0 {
-							ms.adopt(i, out[0])
-						}
-					}
-					valsMu.Unlock()
-					if ms != nil {
-						ms.releaseInputs(i, true)
-					}
-					for _, ci := range consumers[i] {
-						if atomic.AddInt32(&indeg[ci], -1) == 0 {
-							select {
-							case ready <- ci:
-							case <-done:
-								return
-							}
-						}
-					}
-					if remaining.Add(-1) == 0 {
-						finish()
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if e := firstErr.Load(); e != nil {
-		return nil, e.(error)
-	}
-	if remaining.Load() != 0 {
-		return nil, fmt.Errorf("exec: deadlock — %d nodes never became ready (cycle or missing input)", remaining.Load())
-	}
-	outs := make([]graph.Val, len(g.Outputs))
-	valsMu.Lock()
-	for i := range g.Outputs {
-		outs[i] = vals[p.outPort[i]]
-	}
-	valsMu.Unlock()
-	return outs, nil
-}
-
-// trackParallel maintains the high-water parallelism mark.
-func trackParallel(s *Stats, delta int64) {
-	cur := s.curParallel.Add(delta)
-	if delta < 0 {
-		return
-	}
-	for {
-		max := s.MaxParallel.Load()
-		if cur <= max || s.MaxParallel.CompareAndSwap(max, cur) {
-			break
-		}
-	}
 }

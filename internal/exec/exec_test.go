@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,40 +29,12 @@ func TestRunLinearGraph(t *testing.T) {
 	c := g.Const(tensor.Scalar(3))
 	out := g.Add("Mul", nil, x.P(), c.P())
 	g.Outputs = []graph.Port{out.P()}
-	for _, workers := range []int{1, 4} {
-		res, err := Run(g, map[string]graph.Val{"x": tensor.Scalar(7)}, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := scalarOut(t, res, 0); got != 21 {
-			t.Fatalf("workers=%d got %v", workers, got)
-		}
-	}
-}
-
-func TestParallelExecutionOfIndependentOps(t *testing.T) {
-	// A wide graph of independent ops must show parallelism > 1 with 4 workers.
-	g := graph.New()
-	x := g.Placeholder("x")
-	var ports []graph.Port
-	for i := 0; i < 64; i++ {
-		n := g.Add("Tanh", nil, x.P())
-		m := g.Add("MatMul", nil, n.P(), n.P())
-		ports = append(ports, m.P())
-	}
-	sum := g.Add("Add", nil, ports[0], ports[1])
-	for _, p := range ports[2:] {
-		sum = g.Add("Add", nil, sum.P(), p)
-	}
-	g.Outputs = []graph.Port{sum.P()}
-	stats := &Stats{}
-	rng := tensor.NewRNG(1)
-	_, err := Run(g, map[string]graph.Val{"x": rng.Randn(150, 150)}, Options{Workers: 8, Stats: stats})
+	res, err := Run(g, map[string]graph.Val{"x": tensor.Scalar(7)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.MaxParallel.Load() < 2 {
-		t.Fatalf("no parallelism observed: max %d", stats.MaxParallel.Load())
+	if got := scalarOut(t, res, 0); got != 21 {
+		t.Fatalf("got %v", got)
 	}
 }
 
@@ -173,7 +144,7 @@ func TestSwitchMergeDeadTokens(t *testing.T) {
 	if got := scalarOut(t, res, 0); got != 10 {
 		t.Fatalf("true branch got %v", got)
 	}
-	res, err = Run(g, map[string]graph.Val{"x": tensor.Scalar(5), "p": false}, Options{Workers: 4})
+	res, err = Run(g, map[string]graph.Val{"x": tensor.Scalar(5), "p": false}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,14 +235,12 @@ func TestInvokeRecursionFibonacci(t *testing.T) {
 	call := g.Add("Invoke", map[string]graph.Val{"func": fg}, x.P())
 	g.Outputs = []graph.Port{call.P()}
 
-	for _, workers := range []int{1, 4} {
-		res, err := Run(g, map[string]graph.Val{"x": tensor.Scalar(10)}, Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := scalarOut(t, res, 0); got != 55 {
-			t.Fatalf("fib(10)=%v", got)
-		}
+	res, err := Run(g, map[string]graph.Val{"x": tensor.Scalar(10)}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scalarOut(t, res, 0); got != 55 {
+		t.Fatalf("fib(10)=%v", got)
 	}
 }
 
@@ -465,8 +434,7 @@ func TestStatsCounts(t *testing.T) {
 
 // TestKernelPanicRecovered covers the safeExecNode recovery path: malformed
 // feeds that panic a tensor kernel deep inside the scheduler must surface as
-// errors — on both the serial and the parallel scheduler — never kill the
-// process. This is the property the serving layer relies on to survive bad
+// errors, never kill the process. This is the property the serving layer relies on to survive bad
 // client requests routed through Engine.Call.
 func TestKernelPanicRecovered(t *testing.T) {
 	g := graph.New()
@@ -479,22 +447,20 @@ func TestKernelPanicRecovered(t *testing.T) {
 		"x": tensor.New([]int{1, 5}, []float64{1, 2, 3, 4, 5}),
 		"y": tensor.New([]int{2, 3}, []float64{1, 2, 3, 4, 5, 6}),
 	}
-	for _, workers := range []int{1, 4} {
-		res, err := Run(g, feeds, Options{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: malformed feed executed: %v", workers, res.Outputs)
-		}
-		var ae *AssertError
-		if errors.As(err, &ae) {
-			t.Fatalf("workers=%d: kernel panic misreported as assertion failure: %v", workers, err)
-		}
+	res, err := Run(g, feeds, Options{})
+	if err == nil {
+		t.Fatalf("malformed feed executed: %v", res.Outputs)
+	}
+	var ae *AssertError
+	if errors.As(err, &ae) {
+		t.Fatalf("kernel panic misreported as assertion failure: %v", err)
 	}
 	// The graph (and its cached plan) must still run good feeds afterwards.
 	good := map[string]graph.Val{
 		"x": tensor.New([]int{1, 2}, []float64{1, 2}),
 		"y": tensor.New([]int{2, 3}, []float64{1, 2, 3, 4, 5, 6}),
 	}
-	if _, err := Run(g, good, Options{Workers: 4}); err != nil {
+	if _, err := Run(g, good, Options{}); err != nil {
 		t.Fatalf("graph poisoned after recovered panic: %v", err)
 	}
 }
@@ -504,56 +470,54 @@ func TestKernelPanicRecovered(t *testing.T) {
 // graph, not at a step boundary — and that no deferred variable update was
 // committed (the all-or-nothing guarantee holds for canceled runs too).
 func TestCtxCancellationLandsInsideWhile(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		// while i < n: i += 1, with n far beyond what could run before the
-		// cancel fires; an AssignSub downstream must never commit.
-		cond := graph.New()
-		ci := cond.Placeholder("arg0")
-		cn := cond.Placeholder("arg1")
-		lt := cond.Add("Cmp", map[string]graph.Val{"op": "<"}, ci.P(), cn.P())
-		cond.Outputs = []graph.Port{lt.P()}
+	// while i < n: i += 1, with n far beyond what could run before the
+	// cancel fires; an AssignSub downstream must never commit.
+	cond := graph.New()
+	ci := cond.Placeholder("arg0")
+	cn := cond.Placeholder("arg1")
+	lt := cond.Add("Cmp", map[string]graph.Val{"op": "<"}, ci.P(), cn.P())
+	cond.Outputs = []graph.Port{lt.P()}
 
-		body := graph.New()
-		bi := body.Placeholder("arg0")
-		bn := body.Placeholder("arg1")
-		one := body.Const(tensor.Scalar(1))
-		ni := body.Add("Add", nil, bi.P(), one.P())
-		body.Outputs = []graph.Port{ni.P(), bn.P()}
+	body := graph.New()
+	bi := body.Placeholder("arg0")
+	bn := body.Placeholder("arg1")
+	one := body.Const(tensor.Scalar(1))
+	ni := body.Add("Add", nil, bi.P(), one.P())
+	body.Outputs = []graph.Port{ni.P(), bn.P()}
 
-		g := graph.New()
-		i0 := g.Const(tensor.Scalar(0))
-		n0 := g.Const(tensor.Scalar(1e18))
-		w := g.Add("While", map[string]graph.Val{
-			"cond": cond, "body": body, "maxIter": 1 << 40,
-		}, i0.P(), n0.P())
-		w.NumOutputs = 2
-		gradc := g.Const(tensor.FromSlice([]float64{2}))
-		upd := g.Add("AssignSub", map[string]graph.Val{"name": "w", "lr": 0.5}, gradc.P())
-		upd.ControlDeps = append(upd.ControlDeps, w)
-		g.Updates = []*graph.Node{upd}
-		g.Outputs = []graph.Port{w.Out(0)}
+	g := graph.New()
+	i0 := g.Const(tensor.Scalar(0))
+	n0 := g.Const(tensor.Scalar(1e18))
+	w := g.Add("While", map[string]graph.Val{
+		"cond": cond, "body": body, "maxIter": 1 << 40,
+	}, i0.P(), n0.P())
+	w.NumOutputs = 2
+	gradc := g.Const(tensor.FromSlice([]float64{2}))
+	upd := g.Add("AssignSub", map[string]graph.Val{"name": "w", "lr": 0.5}, gradc.P())
+	upd.ControlDeps = append(upd.ControlDeps, w)
+	g.Updates = []*graph.Node{upd}
+	g.Outputs = []graph.Port{w.Out(0)}
 
-		store := vars.NewStore()
-		store.Set("w", tensor.FromSlice([]float64{10}))
-		ctx, cancel := context.WithCancel(context.Background())
-		time.AfterFunc(20*time.Millisecond, cancel)
-		start := time.Now()
-		_, err := Run(g, nil, Options{Workers: workers, Store: store, Ctx: ctx})
-		elapsed := time.Since(start)
-		if err == nil {
-			t.Fatalf("workers=%d: canceled run succeeded", workers)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: got %v, want context.Canceled in the chain", workers, err)
-		}
-		// Far below the time the full loop would need: cancellation landed
-		// inside the execution.
-		if elapsed > 30*time.Second {
-			t.Fatalf("workers=%d: cancellation took %v", workers, elapsed)
-		}
-		if store.MustGet("w").At(0) != 10 {
-			t.Fatalf("workers=%d: canceled run committed an update: %v", workers, store.MustGet("w"))
-		}
+	store := vars.NewStore()
+	store.Set("w", tensor.FromSlice([]float64{10}))
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := Run(g, nil, Options{Store: store, Ctx: ctx})
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("canceled run succeeded")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled in the chain", err)
+	}
+	// Far below the time the full loop would need: cancellation landed
+	// inside the execution.
+	if elapsed > 30*time.Second {
+		t.Fatalf("cancellation took %v", elapsed)
+	}
+	if store.MustGet("w").At(0) != 10 {
+		t.Fatalf("canceled run committed an update: %v", store.MustGet("w"))
 	}
 }
 
@@ -581,66 +545,57 @@ func TestCtxPreCanceledRunsNothing(t *testing.T) {
 // hands its raw gradient to the sink instead of updating the store, and the
 // first emission is the run's commit point — a sink that cancels the context
 // on its first call still receives every parameter exactly once and Run
-// succeeds, while a run canceled before it starts emits nothing. The sink is
-// never called concurrently, under either scheduler.
+// succeeds, while a run canceled before it starts emits nothing.
 func TestGradSinkFirstEmissionCommitsTheRun(t *testing.T) {
 	const params = 4
-	for _, workers := range []int{1, 2} {
-		for _, preCanceled := range []bool{false, true} {
-			g := graph.New()
-			store := vars.NewStore()
-			x := g.Placeholder("x")
-			sum := x.P()
-			for k := 0; k < params; k++ {
-				name := fmt.Sprintf("w%d", k)
-				store.Set(name, tensor.FromSlice([]float64{float64(k + 1)}))
-				grad := g.Add("Mul", nil, g.Variable(name).P(), x.P())
-				g.Updates = append(g.Updates, g.Add("AssignSub", map[string]graph.Val{"name": name, "lr": 0.5}, grad.P()))
-				sum = g.Add("Add", nil, sum, grad.P()).P()
-			}
-			g.Outputs = []graph.Port{sum}
+	for _, preCanceled := range []bool{false, true} {
+		g := graph.New()
+		store := vars.NewStore()
+		x := g.Placeholder("x")
+		sum := x.P()
+		for k := 0; k < params; k++ {
+			name := fmt.Sprintf("w%d", k)
+			store.Set(name, tensor.FromSlice([]float64{float64(k + 1)}))
+			grad := g.Add("Mul", nil, g.Variable(name).P(), x.P())
+			g.Updates = append(g.Updates, g.Add("AssignSub", map[string]graph.Val{"name": name, "lr": 0.5}, grad.P()))
+			sum = g.Add("Add", nil, sum, grad.P()).P()
+		}
+		g.Outputs = []graph.Port{sum}
 
-			ctx, cancel := context.WithCancel(context.Background())
-			if preCanceled {
-				cancel()
+		ctx, cancel := context.WithCancel(context.Background())
+		if preCanceled {
+			cancel()
+		}
+		got := map[string]float64{}
+		sink := func(name string, gr *tensor.Tensor) {
+			if _, dup := got[name]; dup {
+				t.Errorf("%s emitted twice", name)
 			}
-			var inSink atomic.Int32
-			got := map[string]float64{}
-			sink := func(name string, gr *tensor.Tensor) {
-				if inSink.Add(1) != 1 {
-					t.Errorf("workers=%d: concurrent sink calls", workers)
-				}
-				time.Sleep(time.Millisecond) // widen the window for a concurrent call
-				if _, dup := got[name]; dup {
-					t.Errorf("workers=%d: %s emitted twice", workers, name)
-				}
-				got[name] = gr.Item()
-				cancel()
-				inSink.Add(-1)
+			got[name] = gr.Item()
+			cancel()
+		}
+		_, err := Run(g, map[string]graph.Val{"x": tensor.FromSlice([]float64{3})}, Options{
+			Store: store, Pool: tensor.NewPool(), Ctx: ctx, GradSink: sink,
+		})
+		if preCanceled {
+			if !errors.Is(err, context.Canceled) || len(got) != 0 {
+				t.Fatalf("pre-canceled: err %v, emitted %v", err, got)
 			}
-			_, err := Run(g, map[string]graph.Val{"x": tensor.FromSlice([]float64{3})}, Options{
-				Workers: workers, Store: store, Pool: tensor.NewPool(), Ctx: ctx, GradSink: sink,
-			})
-			if preCanceled {
-				if !errors.Is(err, context.Canceled) || len(got) != 0 {
-					t.Fatalf("workers=%d pre-canceled: err %v, emitted %v", workers, err, got)
-				}
-				continue
+			continue
+		}
+		if err != nil {
+			t.Fatalf("run canceled after its commit point: %v", err)
+		}
+		if len(got) != params {
+			t.Fatalf("emitted %v, want all %d parameters", got, params)
+		}
+		for k := 0; k < params; k++ {
+			name := fmt.Sprintf("w%d", k)
+			if want := float64(3 * (k + 1)); got[name] != want {
+				t.Fatalf("%s gradient %v, want the raw %v", name, got[name], want)
 			}
-			if err != nil {
-				t.Fatalf("workers=%d: run canceled after its commit point: %v", workers, err)
-			}
-			if len(got) != params {
-				t.Fatalf("workers=%d: emitted %v, want all %d parameters", workers, got, params)
-			}
-			for k := 0; k < params; k++ {
-				name := fmt.Sprintf("w%d", k)
-				if want := float64(3 * (k + 1)); got[name] != want {
-					t.Fatalf("workers=%d: %s gradient %v, want the raw %v", workers, name, got[name], want)
-				}
-				if v := store.MustGet(name).Item(); v != float64(k+1) {
-					t.Fatalf("workers=%d: %s updated locally despite the sink: %v", workers, name, v)
-				}
+			if v := store.MustGet(name).Item(); v != float64(k+1) {
+				t.Fatalf("%s updated locally despite the sink: %v", name, v)
 			}
 		}
 	}

@@ -77,9 +77,7 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		}
 		if sink := c.opts.GradSink; sink != nil {
 			g := gt.Clone()
-			c.updMu.Lock()
-			defer c.updMu.Unlock()
-			if err := c.canceledLocked(); err != nil {
+			if err := c.canceled(); err != nil {
 				return nil, err
 			}
 			c.emitted = true
@@ -91,9 +89,7 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 			lr = v.(float64)
 		}
 		store, delta := c.opts.Store, tensor.MulScalar(gt, lr)
-		c.updMu.Lock()
 		c.updates = append(c.updates, func() { store.AssignSub(name, delta) })
-		c.updMu.Unlock()
 		return []graph.Val{nil}, nil
 
 	case "Assert":
@@ -286,9 +282,7 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 			}
 			fmt.Fprintf(&b, "%v", unwrap(v))
 		}
-		c.printMu.Lock()
 		c.printed = append(c.printed, b.String())
-		c.printMu.Unlock()
 		return []graph.Val{nil}, nil
 
 	case "NoOp":
@@ -428,12 +422,10 @@ func execBatchNorm(nd *graph.Node, in []graph.Val, c *ctx) ([]graph.Val, error) 
 	rmCopy, rvCopy := rm.Clone(), rv.Clone()
 	out := tensor.BatchNorm(x, gamma, beta, rmCopy, rvCopy, training, 0.9, 1e-5)
 	if training {
-		c.updMu.Lock()
 		c.updates = append(c.updates, func() {
 			copy(rm.Data(), rmCopy.Data())
 			copy(rv.Data(), rvCopy.Data())
 		})
-		c.updMu.Unlock()
 	}
 	if c.opts.Tape != nil {
 		if xn, ok := in[0].(*autodiff.Node); ok && xn.Tracked() {

@@ -42,36 +42,34 @@ func feedsXY(shape ...int) (map[string]graph.Val, *tensor.Tensor, *tensor.Tensor
 
 // TestPooledChainBitIdentical replays an elementwise chain with and without
 // the memory plan and demands exactly equal results across repeated,
-// buffer-recycling executions — in serial and parallel scheduler modes.
+// buffer-recycling executions.
 func TestPooledChainBitIdentical(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		g := chainGraph(13)
-		feeds, x, y := feedsXY(4, 17)
-		xc, yc := x.Clone(), y.Clone()
-		base, err := Run(g, feeds, Options{Workers: workers})
+	g := chainGraph(13)
+	feeds, x, y := feedsXY(4, 17)
+	xc, yc := x.Clone(), y.Clone()
+	base, err := Run(g, feeds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := base.Outputs[0].(*tensor.Tensor)
+	pool := tensor.NewPool()
+	arena := NewArena()
+	for iter := 0; iter < 5; iter++ {
+		res, err := Run(g, feeds, Options{Pool: pool, Arena: arena})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := base.Outputs[0].(*tensor.Tensor)
-		pool := tensor.NewPool()
-		arena := NewArena()
-		for iter := 0; iter < 5; iter++ {
-			res, err := Run(g, feeds, Options{Workers: workers, Pool: pool, Arena: arena})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := res.Outputs[0].(*tensor.Tensor)
-			if !tensor.Equal(got, want) {
-				t.Fatalf("workers=%d iter %d: pooled result differs", workers, iter)
-			}
+		got := res.Outputs[0].(*tensor.Tensor)
+		if !tensor.Equal(got, want) {
+			t.Fatalf("iter %d: pooled result differs", iter)
 		}
-		if !tensor.Equal(x, xc) || !tensor.Equal(y, yc) {
-			t.Fatalf("workers=%d: pooled execution mutated caller-owned feeds", workers)
-		}
-		st := pool.Stats()
-		if st.Hits == 0 {
-			t.Fatalf("workers=%d: expected pool reuse across replays, stats %+v", workers, st)
-		}
+	}
+	if !tensor.Equal(x, xc) || !tensor.Equal(y, yc) {
+		t.Fatal("pooled execution mutated caller-owned feeds")
+	}
+	st := pool.Stats()
+	if st.Hits == 0 {
+		t.Fatalf("expected pool reuse across replays, stats %+v", st)
 	}
 }
 

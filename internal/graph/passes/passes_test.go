@@ -32,7 +32,7 @@ func full() *passes.Pipeline {
 // plan on (plan-driven buffer reuse), matching engine replay.
 func run(t *testing.T, g *graph.Graph, feeds map[string]graph.Val, pool *tensor.Pool) []graph.Val {
 	t.Helper()
-	res, err := exec.Run(g, feeds, exec.Options{Workers: 2, Pool: pool})
+	res, err := exec.Run(g, feeds, exec.Options{Pool: pool})
 	if err != nil {
 		t.Fatalf("exec: %v", err)
 	}

@@ -27,6 +27,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// maxPorts bounds a decoded node's output count and every port index: the
+// executor sizes per-port tables from them, so an unbounded value from a
+// corrupt artifact would be an allocation of any size. Compiled graphs stay
+// far below it (a Loop's outputs are named program variables).
+const maxPorts = 1 << 12
+
 // SerialVersion identifies the graph wire encoding. Bump on any change to
 // the graphPB/attrPB schema; artifacts carrying another version are rejected
 // at load (the replica falls back to a cold compile).
@@ -173,6 +179,9 @@ func decodeGraph(pb *graphPB) (*Graph, error) {
 	maxID := -1
 	for i, np := range pb.Nodes {
 		outs := np.Outs
+		if outs < 0 || outs > maxPorts {
+			return nil, fmt.Errorf("graph: node %d has %d outputs", np.ID, outs)
+		}
 		if outs == 0 {
 			outs = 1
 		}
@@ -184,6 +193,9 @@ func decodeGraph(pb *graphPB) (*Graph, error) {
 	ref := func(p portPB) (Port, error) {
 		if p.N < 0 || p.N >= len(nodes) {
 			return Port{}, fmt.Errorf("graph: port references node %d of %d", p.N, len(nodes))
+		}
+		if p.O < 0 || p.O >= maxPorts {
+			return Port{}, fmt.Errorf("graph: port references output %d", p.O)
 		}
 		return Port{Node: nodes[p.N], Out: p.O}, nil
 	}
@@ -342,12 +354,23 @@ func decodeTensor(pb *tensorPB) (*tensor.Tensor, error) {
 	if len(raw)%8 != 0 {
 		return nil, fmt.Errorf("tensor data length %d not a multiple of 8", len(raw))
 	}
-	n := 1
+	// The product of the nonzero dims must fit an int even when another dim
+	// is zero: kernels stride over prefix products of the shape.
+	n, empty := 1, false
 	for _, d := range pb.Shape {
-		if d < 0 {
+		switch {
+		case d < 0:
 			return nil, fmt.Errorf("tensor shape %v has negative dim", pb.Shape)
+		case d == 0:
+			empty = true
+		case n > math.MaxInt/d:
+			return nil, fmt.Errorf("tensor shape %v overflows int", pb.Shape)
+		default:
+			n *= d
 		}
-		n *= d
+	}
+	if empty {
+		n = 0
 	}
 	if len(raw)/8 != n {
 		return nil, fmt.Errorf("tensor shape %v wants %d elements, data holds %d", pb.Shape, n, len(raw)/8)

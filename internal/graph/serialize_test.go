@@ -130,10 +130,35 @@ func TestGraphSerializeRejectsGarbage(t *testing.T) {
 		[]byte(`{"v":999,"nodes":[]}`),
 		[]byte(`{"v":1,"nodes":[{"id":0,"op":"Identity","in":[{"n":5}]}]}`),
 		[]byte(`{"v":1,"nodes":[{"id":0,"op":"Const","attrs":{"value":{"t":"tensor","tensor":{"shape":[2],"data":"AAA="}}}}]}`),
+		// Output counts and port indices size executor tables: negative or
+		// huge ones are rejected before anything is allocated from them.
+		[]byte(`{"v":1,"nodes":[{"id":0,"op":"Identity","outs":1073741824}]}`),
+		[]byte(`{"v":1,"nodes":[{"id":0,"op":"Identity","outs":-2}]}`),
+		[]byte(`{"v":1,"nodes":[{"id":0,"op":"Placeholder"}],"outputs":[{"n":0,"o":-1}]}`),
+		[]byte(`{"v":1,"nodes":[{"id":0,"op":"Placeholder"},{"id":1,"op":"Neg","in":[{"n":0,"o":1073741824}]}]}`),
 	}
 	for i, c := range cases {
 		if _, err := UnmarshalGraph(c); err == nil {
 			t.Fatalf("case %d: expected decode error", i)
 		}
+	}
+}
+
+// TestUnmarshalTensorRejectsOverflowingShape: a shape whose element count
+// wraps int (2^32 × 2^32 wraps to 0) must not decode against empty data.
+func TestUnmarshalTensorRejectsOverflowingShape(t *testing.T) {
+	for _, c := range []string{
+		`{"shape":[4294967296,4294967296],"data":""}`,
+		`{"shape":[0,4294967296,4294967296],"data":""}`,
+		// (2^63-1)^2 wraps to 1, matching the one element of data.
+		`{"shape":[9223372036854775807,9223372036854775807],"data":"AAAAAAAAAAA="}`,
+	} {
+		if tt, err := UnmarshalTensor([]byte(c)); err == nil {
+			t.Fatalf("%s decoded to a tensor of shape %v", c, tt.Shape())
+		}
+	}
+	tt, err := UnmarshalTensor([]byte(`{"shape":[0,4294967296],"data":""}`))
+	if err != nil || tt.Size() != 0 {
+		t.Fatalf("empty tensor with a large dim: %v, %v", tt, err)
 	}
 }

@@ -68,45 +68,6 @@ func (h *Histogram) Count() int64 { return h.total.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// inside the bucket containing the rank. The estimate is within one bucket
-// bound of the exact sample quantile: both lie in the same bucket, whose
-// width bounds the error. Values beyond the last finite bound are clamped
-// to it. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) {
-				// +Inf bucket: clamp to the largest finite bound.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // snapshot reads the cumulative bucket counts, count and sum (for
 // exposition; not atomic across buckets, which Prometheus tolerates).
 func (h *Histogram) snapshot() (cum []int64, count int64, sum float64) {

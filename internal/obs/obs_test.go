@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -223,73 +221,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("labelled series not found in Series()")
-	}
-}
-
-// TestQuantileWithinBucket is the property test: for random samples under
-// several bucket schemas, the histogram's percentile estimate must land
-// within one bucket of the exact sample quantile — i.e. the two values
-// fall in the same bucket or adjacent ones, so the error is bounded by
-// the containing bucket's width.
-func TestQuantileWithinBucket(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	schemas := [][]float64{
-		ExpBuckets(1e-6, 2, 24),
-		ExpBuckets(1, 2, 13),
-		LinearBuckets(0, 0.5, 20),
-	}
-	bucketOf := func(bounds []float64, v float64) int {
-		for i, b := range bounds {
-			if v <= b {
-				return i
-			}
-		}
-		return len(bounds)
-	}
-	for si, bounds := range schemas {
-		for trial := 0; trial < 20; trial++ {
-			h := NewHistogram(bounds)
-			n := 100 + rng.Intn(2000)
-			samples := make([]float64, n)
-			for i := range samples {
-				// Log-uniform over the schema's span keeps every bucket in play.
-				lo, hi := bounds[0], bounds[len(bounds)-1]
-				if lo <= 0 {
-					lo = 1e-3
-				}
-				samples[i] = lo * math.Pow(hi/lo, rng.Float64())
-				h.Observe(samples[i])
-			}
-			sort.Float64s(samples)
-			for _, q := range []float64{0.5, 0.95, 0.99} {
-				rank := int(math.Ceil(q*float64(n))) - 1
-				if rank < 0 {
-					rank = 0
-				}
-				exact := samples[rank]
-				est := h.Quantile(q)
-				be, bx := bucketOf(bounds, est), bucketOf(bounds, exact)
-				if diff := be - bx; diff < -1 || diff > 1 {
-					t.Errorf("schema %d trial %d q=%v: estimate %v (bucket %d) vs exact %v (bucket %d): more than one bucket apart",
-						si, trial, q, est, be, exact, bx)
-				}
-			}
-		}
-	}
-}
-
-// TestQuantileEdgeCases covers empty histograms and overflow samples.
-func TestQuantileEdgeCases(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty Quantile = %v, want 0", got)
-	}
-	h.Observe(100) // +Inf bucket
-	if got := h.Quantile(0.99); got != 4 {
-		t.Fatalf("overflow Quantile = %v, want clamp to 4", got)
-	}
-	if h.Count() != 1 {
-		t.Fatalf("Count = %d", h.Count())
 	}
 }
 

@@ -80,7 +80,7 @@ const (
 
 // Options configures a Runtime. The zero value gives the full JANUS engine
 // with the paper's defaults (3 profiling iterations, unrolling,
-// specialization, parallel execution).
+// specialization).
 type Options struct {
 	Engine Engine
 	// LearningRate for optimize()'s SGD step (default 0.1).
@@ -93,7 +93,8 @@ type Options struct {
 	// DisableSpecialization turns off shape/value specialization and the
 	// graph optimizer passes (+SPCN ablation).
 	DisableSpecialization bool
-	// Workers bounds executor parallelism; 0 means 4 (+PARL ablation uses 1).
+	// Deprecated: ignored; graphs run serially in topological order and
+	// only kernels use more than one goroutine.
 	Workers int
 	// DisableAssertions skips runtime assumption validation (assertion-cost
 	// experiment only — never use for correctness-sensitive runs).
@@ -114,12 +115,8 @@ func (o Options) coreConfig() core.Config {
 		ProfileIters:   o.ProfileIterations,
 		Unroll:         !o.DisableUnrolling,
 		Specialize:     !o.DisableSpecialization,
-		Workers:        o.Workers,
 		DisableAsserts: o.DisableAssertions,
 		Seed:           o.Seed,
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
 	}
 	switch o.Engine {
 	case EngineImperative:

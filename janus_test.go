@@ -83,7 +83,7 @@ for i in range(6):
 	for _, o := range []Options{
 		{DisableUnrolling: true, Seed: 4},
 		{DisableSpecialization: true, Seed: 4},
-		{Workers: 1, Seed: 4},
+		{Seed: 4},
 		{DisableAssertions: true, Seed: 4},
 	} {
 		rt := New(o)

@@ -20,8 +20,7 @@ type ServerOptions struct {
 	// Options configures every worker engine.
 	Options
 	// PoolSize is the number of engine workers, i.e. concurrently served
-	// requests (default 4). Distinct from Options.Workers, which bounds
-	// per-graph executor parallelism inside one request.
+	// requests (default 4).
 	PoolSize int
 	// MaxBatch caps how many same-signature requests, pending when a pool
 	// worker is claimed, that worker runs as one batched execution
