@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -462,6 +463,33 @@ func TestKernelPanicRecovered(t *testing.T) {
 	}
 	if _, err := Run(g, good, Options{}); err != nil {
 		t.Fatalf("graph poisoned after recovered panic: %v", err)
+	}
+}
+
+// TestFromColShapeMismatchNamesOp: an im2col matrix that does not fit the
+// filter (as a corrupt artifact or a bad pass could wire it) fails the run
+// with an error naming the FromCol node, on the plain path and on the
+// pooled memory plan, instead of computing from the wrong elements.
+func TestFromColShapeMismatchNamesOp(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	feeds := map[string]graph.Val{
+		"col":  rng.Randn(16, 9), // the unroll of a 1-channel 4x4 image
+		"w":    rng.Randn(4, 2, 3, 3),
+		"x":    rng.Randn(1, 2, 4, 4),
+		"gout": rng.Randn(1, 4, 4, 4),
+	}
+	// Conv2DFromCol(col, w, x) and Conv2DGradFilterFromCol(col, gout, w).
+	for op, rest := range map[string][2]string{"Conv2DFromCol": {"w", "x"}, "Conv2DGradFilterFromCol": {"gout", "w"}} {
+		g := graph.New()
+		n := g.Add(op, map[string]graph.Val{"stride": 1, "pad": 1},
+			g.Placeholder("col").P(), g.Placeholder(rest[0]).P(), g.Placeholder(rest[1]).P())
+		g.Outputs = []graph.Port{n.P()}
+		for _, opts := range []Options{{}, {Pool: tensor.NewPool(), Arena: NewArena()}} {
+			_, err := Run(g, feeds, opts)
+			if err == nil || !strings.Contains(err.Error(), "("+op+")") || !strings.Contains(err.Error(), "im2col") {
+				t.Fatalf("%s with a 9-column col for an 18-column filter: err = %v", op, err)
+			}
+		}
 	}
 }
 

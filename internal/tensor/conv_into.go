@@ -188,132 +188,47 @@ func goutFlatInto(dst, gout *Tensor) *Tensor {
 	return dst
 }
 
-// convMatMulNT computes o[i,j] = sum_k a[i,k] * b[j,k] for a [rows,ckk] and
-// b [oc,ckk] — the col x filterᵀ product of im2col convolution, without
-// materializing the transpose. Output channels are register-blocked four at
-// a time so each col row streams once per block; per-cell accumulation stays
-// in ascending-k order (bit-stable). Parallel over rows for large problems.
-func convMatMulNT(o, a, b []float64, rows, ckk, oc int) {
-	parallelRanges(rows, 2*rows*ckk*oc, func(i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			arow := a[i*ckk : (i+1)*ckk]
-			orow := o[i*oc : (i+1)*oc]
-			j := 0
-			for ; j+4 <= oc; j += 4 {
-				b0 := b[j*ckk:][:len(arow)]
-				b1 := b[(j+1)*ckk:][:len(arow)]
-				b2 := b[(j+2)*ckk:][:len(arow)]
-				b3 := b[(j+3)*ckk:][:len(arow)]
-				var s0, s1, s2, s3 float64
-				for k2, av := range arow {
-					s0 += av * b0[k2]
-					s1 += av * b1[k2]
-					s2 += av * b2[k2]
-					s3 += av * b3[k2]
-				}
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < oc; j++ {
-				brow := b[j*ckk:][:len(arow)]
-				s := 0.0
-				for k2, av := range arow {
-					s += av * brow[k2]
-				}
-				orow[j] = s
-			}
-		}
-	})
-}
-
-// convMatMulTN computes o[j,k] = sum_i g[i,j] * c[i,k] for g [rows,oc] and
-// c [rows,ckk] — the gradᵀ x col product of the filter gradient. o is
-// zeroed here first. Two output channels per pass reuse each col row; the
-// per-cell i-ascending accumulation order is preserved.
-func convMatMulTN(o, g, c []float64, rows, oc, ckk int) {
-	clear(o)
-	for i := 0; i < rows; i++ {
-		grow := g[i*oc : (i+1)*oc]
-		crow := c[i*ckk : (i+1)*ckk]
-		j := 0
-		for ; j+2 <= oc; j += 2 {
-			g0, g1 := grow[j], grow[j+1]
-			o0 := o[j*ckk:][:len(crow)]
-			o1 := o[(j+1)*ckk:][:len(crow)]
-			for k2, cv := range crow {
-				o0[k2] += g0 * cv
-				o1[k2] += g1 * cv
-			}
-		}
-		for ; j < oc; j++ {
-			gv := grow[j]
-			orow := o[j*ckk:][:len(crow)]
-			for k2, cv := range crow {
-				orow[k2] += gv * cv
-			}
-		}
-	}
-}
-
-// Conv2DInto performs a 2-D convolution into dst [n,oc,oh,ow], renting all
-// scratch (padding, im2col, matmul result) from alloc.
-func Conv2DInto(dst, x, w *Tensor, stride, pad int, alloc Allocator) *Tensor {
-	alloc = orHeap(alloc)
-	n, oc, oh, ow := Conv2DShape(x.shape, w.shape, stride, pad)
-	checkDst(dst, []int{n, oc, oh, ow}, "Conv2DInto")
-	c := x.shape[1]
-	if w.shape[1] != c {
+// convGeom validates the input and filter of a convolution and returns its
+// output dims.
+func convGeom(x, w *Tensor, stride, pad int) (n, oc, oh, ow int) {
+	n, oc, oh, ow = Conv2DShape(x.shape, w.shape, stride, pad)
+	if c := x.shape[1]; w.shape[1] != c {
 		panic(fmt.Sprintf("tensor: Conv2D channel mismatch: input %d, filter %d", c, w.shape[1]))
 	}
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("tensor: Conv2D output would be empty: in %v filter %v", x.shape, w.shape))
 	}
-	kh, kw := w.shape[2], w.shape[3]
-	xp := x
-	if pad > 0 {
-		xp = alloc.Get(n, c, x.shape[2]+2*pad, x.shape[3]+2*pad)
-		Pad2DInto(xp, x, pad)
-	}
-	rows, ckk := n*oh*ow, c*kh*kw
-	col := alloc.Get(rows, ckk)
-	im2colInto(col, xp, kh, kw, stride, oh, ow)
-	mm := alloc.Get(rows, oc)
-	convMatMulNT(mm.data, col.data, w.data, rows, ckk, oc)
-	// Rearrange [n,oh,ow,oc] -> [n,oc,oh,ow].
-	for i := 0; i < n; i++ {
-		for y := 0; y < oh; y++ {
-			for xx := 0; xx < ow; xx++ {
-				row := ((i*oh+y)*ow + xx) * oc
-				for o := 0; o < oc; o++ {
-					dst.data[((i*oc+o)*oh+y)*ow+xx] = mm.data[row+o]
-				}
-			}
-		}
-	}
-	alloc.Put(mm)
+	return n, oc, oh, ow
+}
+
+// Conv2DInto performs a 2-D convolution into dst [n,oc,oh,ow]: the im2col
+// unroll, then Conv2DFromColInto. All scratch is rented from alloc.
+func Conv2DInto(dst, x, w *Tensor, stride, pad int, alloc Allocator) *Tensor {
+	alloc = orHeap(alloc)
+	n, oc, oh, ow := convGeom(x, w, stride, pad)
+	checkDst(dst, []int{n, oc, oh, ow}, "Conv2DInto")
+	rows, ckk := Im2ColShape(x.shape, w.shape, stride, pad)
+	col := Im2ColInto(alloc.Get(rows, ckk), x, w, stride, pad, alloc)
+	Conv2DFromColInto(dst, col, w, n, oh, ow, alloc)
 	alloc.Put(col)
-	if pad > 0 {
-		alloc.Put(xp)
-	}
 	return dst
 }
 
 // Conv2DGradInputInto computes the input gradient of Conv2D into dst (shaped
-// like x), renting scratch from alloc.
+// like x), renting scratch from alloc: gcol = gout (as [n*oh*ow, oc]) ×
+// filter (as [oc, c*kh*kw]) on the row kernel, each cell summed over
+// ascending output channel, then scattered back by col2im.
 func Conv2DGradInputInto(dst, x, w, gout *Tensor, stride, pad int, alloc Allocator) *Tensor {
 	alloc = orHeap(alloc)
 	checkDst(dst, x.shape, "Conv2DGradInputInto")
-	oc, c, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-	oh, ow := gout.shape[2], gout.shape[3]
-	n := x.shape[0]
+	n, oc, oh, ow := convGeom(x, w, stride, pad)
+	checkOperand(gout, []int{n, oc, oh, ow}, "Conv2DGradInputInto", "gradient")
+	c, kh, kw := w.shape[1], w.shape[2], w.shape[3]
 	rows, ckk := n*oh*ow, c*kh*kw
 	gflat := alloc.Get(rows, oc)
 	goutFlatInto(gflat, gout)
 	gcol := alloc.Get(rows, ckk)
-	// gcol = gflat x w (w viewed as [oc, ckk]).
-	clear(gcol.data)
-	parallelRanges(rows, 2*rows*oc*ckk, func(i0, i1 int) {
-		matmulRange(gcol.data, gflat.data, w.data, i0, i1, oc, ckk)
-	})
+	matmulRows(gcol.data, gflat.data, w.data, rows, oc, ckk)
 	if pad == 0 {
 		col2imInto(dst, gcol, kh, kw, stride, oh, ow)
 	} else {
@@ -328,29 +243,17 @@ func Conv2DGradInputInto(dst, x, w, gout *Tensor, stride, pad int, alloc Allocat
 }
 
 // Conv2DGradFilterInto computes the filter gradient of Conv2D into dst
-// (shaped like w), renting scratch from alloc.
+// (shaped like w): the im2col unroll, then Conv2DGradFilterFromColInto.
+// Scratch is rented from alloc.
 func Conv2DGradFilterInto(dst, x, w, gout *Tensor, stride, pad int, alloc Allocator) *Tensor {
 	alloc = orHeap(alloc)
 	checkDst(dst, w.shape, "Conv2DGradFilterInto")
-	oc, c, kh, kw := w.shape[0], w.shape[1], w.shape[2], w.shape[3]
-	oh, ow := gout.shape[2], gout.shape[3]
-	n := x.shape[0]
-	xp := x
-	if pad > 0 {
-		xp = alloc.Get(n, c, x.shape[2]+2*pad, x.shape[3]+2*pad)
-		Pad2DInto(xp, x, pad)
-	}
-	rows, ckk := n*oh*ow, c*kh*kw
-	gflat := alloc.Get(rows, oc)
-	goutFlatInto(gflat, gout)
-	col := alloc.Get(rows, ckk)
-	im2colInto(col, xp, kh, kw, stride, oh, ow)
-	convMatMulTN(dst.data, gflat.data, col.data, rows, oc, ckk)
+	n, oc, oh, ow := convGeom(x, w, stride, pad)
+	checkOperand(gout, []int{n, oc, oh, ow}, "Conv2DGradFilterInto", "gradient")
+	rows, ckk := Im2ColShape(x.shape, w.shape, stride, pad)
+	col := Im2ColInto(alloc.Get(rows, ckk), x, w, stride, pad, alloc)
+	Conv2DGradFilterFromColInto(dst, col, gout, alloc)
 	alloc.Put(col)
-	alloc.Put(gflat)
-	if pad > 0 {
-		alloc.Put(xp)
-	}
 	return dst
 }
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -204,49 +205,122 @@ func TestBatchNormTrainVsEvalDiffer(t *testing.T) {
 	}
 }
 
-// naiveConv2DGrad is the direct-loop oracle for both convolution gradients:
-// every output position scatters gout*w into gx and gout*x into gw.
-func naiveConv2DGrad(x, w, gout *Tensor, stride, pad int) (gx, gw *Tensor) {
-	gx, gw = Zeros(x.Shape()...), Zeros(w.Shape()...)
-	n, c, h, wd := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oc, kh, kw := w.Dim(0), w.Dim(2), w.Dim(3)
-	for i := 0; i < n; i++ {
-		for o := 0; o < oc; o++ {
-			for y := 0; y < gout.Dim(2); y++ {
-				for xx := 0; xx < gout.Dim(3); xx++ {
-					g := gout.At(i, o, y, xx)
-					for ch := 0; ch < c; ch++ {
-						for dy := 0; dy < kh; dy++ {
-							for dx := 0; dx < kw; dx++ {
-								sy, sx := y*stride+dy-pad, xx*stride+dx-pad
-								if sy < 0 || sy >= h || sx < 0 || sx >= wd {
-									continue
-								}
-								gx.Set(gx.At(i, ch, sy, sx)+g*w.At(o, ch, dy, dx), i, ch, sy, sx)
-								gw.Set(gw.At(o, ch, dy, dx)+g*x.At(i, ch, sy, sx), o, ch, dy, dx)
+// naiveConv2DGradFilter is the direct-loop oracle for the filter gradient:
+// each filter cell is one running sum of gout·x over ascending (n, oh, ow),
+// zero padding included, which is the order the kernel promises.
+func naiveConv2DGradFilter(x, w, gout *Tensor, stride, pad int) *Tensor {
+	xp := Pad2DInto(Zeros(x.Dim(0), x.Dim(1), x.Dim(2)+2*pad, x.Dim(3)+2*pad), x, pad)
+	gw := Zeros(w.Shape()...)
+	for o := 0; o < w.Dim(0); o++ {
+		for ch := 0; ch < w.Dim(1); ch++ {
+			for dy := 0; dy < w.Dim(2); dy++ {
+				for dx := 0; dx < w.Dim(3); dx++ {
+					s := 0.0
+					for i := 0; i < gout.Dim(0); i++ {
+						for y := 0; y < gout.Dim(2); y++ {
+							for xx := 0; xx < gout.Dim(3); xx++ {
+								s += gout.At(i, o, y, xx) * xp.At(i, ch, y*stride+dy, xx*stride+dx)
 							}
+						}
+					}
+					gw.Set(s, o, ch, dy, dx)
+				}
+			}
+		}
+	}
+	return gw
+}
+
+// naiveConv2DGradInput is the direct-loop oracle for the input gradient:
+// at each output position, every filter tap's share is one running sum of
+// gout·w over ascending output channel, added into the padded input in
+// (oh, ow) order, which is the order the kernel promises.
+func naiveConv2DGradInput(x, w, gout *Tensor, stride, pad int) *Tensor {
+	gxp := Zeros(x.Dim(0), x.Dim(1), x.Dim(2)+2*pad, x.Dim(3)+2*pad)
+	for i := 0; i < gout.Dim(0); i++ {
+		for y := 0; y < gout.Dim(2); y++ {
+			for xx := 0; xx < gout.Dim(3); xx++ {
+				for ch := 0; ch < w.Dim(1); ch++ {
+					for dy := 0; dy < w.Dim(2); dy++ {
+						for dx := 0; dx < w.Dim(3); dx++ {
+							s := 0.0
+							for o := 0; o < w.Dim(0); o++ {
+								s += gout.At(i, o, y, xx) * w.At(o, ch, dy, dx)
+							}
+							sy, sx := y*stride+dy, xx*stride+dx
+							gxp.Set(gxp.At(i, ch, sy, sx)+s, i, ch, sy, sx)
 						}
 					}
 				}
 			}
 		}
 	}
-	return gx, gw
+	return Unpad2DInto(Zeros(x.Shape()...), gxp, pad)
 }
 
 // Pins the split gradient kernels — the ones the static graph and the tape
-// both use — to the direct-loop oracle on a strided, padded case.
+// both use — to the direct-loop oracles bit for bit on a strided, padded
+// case.
 func TestConv2DGradSplitMatchesCombined(t *testing.T) {
 	rng := NewRNG(31)
 	x := rng.Randn(2, 3, 6, 6)
 	w := rng.Randn(4, 3, 3, 3)
 	out := Conv2D(x, w, 2, 1)
 	g := rng.Randn(out.Shape()...)
-	gx, gw := naiveConv2DGrad(x, w, g, 2, 1)
-	if !AllClose(Conv2DGradInput(x, w, g, 2, 1), gx, 1e-12) {
+	if !Equal(Conv2DGradInput(x, w, g, 2, 1), naiveConv2DGradInput(x, w, g, 2, 1)) {
 		t.Fatal("input gradient differs from the direct-loop oracle")
 	}
-	if !AllClose(Conv2DGradFilter(x, w, g, 2, 1), gw, 1e-12) {
+	if !Equal(Conv2DGradFilter(x, w, g, 2, 1), naiveConv2DGradFilter(x, w, g, 2, 1)) {
 		t.Fatal("filter gradient differs from the direct-loop oracle")
+	}
+}
+
+// TestFromColKernelsRejectMismatchedCol: the FromCol kernels receive col
+// from another graph node, so they must check it against the filter, the
+// gradient and the destination instead of reading or writing past the
+// shapes they were given.
+func TestFromColKernelsRejectMismatchedCol(t *testing.T) {
+	x := NewRNG(41).Randn(1, 1, 4, 4)
+	w1 := NewRNG(43).Randn(4, 1, 3, 3)
+	rows, cols := Im2ColShape(x.Shape(), w1.Shape(), 1, 1) // [16, 9]
+	col := Im2ColInto(Zeros(rows, cols), x, w1, 1, 1, nil)
+	gout := NewRNG(42).Randn(1, 4, 4, 4)
+	cases := []struct {
+		name, op string
+		run      func()
+	}{
+		{"forward, 2-channel filter", "Conv2DFromColInto", func() {
+			Conv2DFromColInto(Zeros(1, 4, 4, 4), col, Zeros(4, 2, 3, 3), 1, 4, 4, nil)
+		}},
+		{"forward, two images", "Conv2DFromColInto", func() {
+			Conv2DFromColInto(Zeros(2, 4, 4, 4), col, w1, 2, 4, 4, nil)
+		}},
+		{"filter gradient, 2-channel filter", "Conv2DGradFilterFromColInto", func() {
+			Conv2DGradFilterFromColInto(Zeros(4, 2, 3, 3), col, gout, nil)
+		}},
+		{"filter gradient, two images", "Conv2DGradFilterFromColInto", func() {
+			Conv2DGradFilterFromColInto(Zeros(4, 1, 3, 3), col, Zeros(2, 4, 4, 4), nil)
+		}},
+		{"filter gradient, channel count", "Conv2DGradFilterFromColInto", func() {
+			Conv2DGradFilterFromColInto(Zeros(4, 1, 3, 3), col, Zeros(1, 3, 4, 4), nil)
+		}},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.op) {
+					t.Fatalf("%s: got panic %q, want one naming %s", c.name, msg, c.op)
+				}
+			}()
+			c.run()
+		}()
+	}
+	// The well-formed calls still agree with the fused kernels.
+	if !Equal(Conv2DFromColInto(Zeros(1, 4, 4, 4), col, w1, 1, 4, 4, nil), Conv2D(x, w1, 1, 1)) {
+		t.Fatal("Conv2DFromColInto differs from Conv2D")
+	}
+	if !Equal(Conv2DGradFilterFromColInto(Full(9, 4, 1, 3, 3), col, gout, nil), Conv2DGradFilter(x, w1, gout, 1, 1)) {
+		t.Fatal("Conv2DGradFilterFromColInto differs from Conv2DGradFilter")
 	}
 }

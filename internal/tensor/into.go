@@ -20,14 +20,14 @@ import (
 // index i of a same-shape input before writing index i of dst, which makes
 // that aliasing safe. Broadcast operands are never aliased.
 
-// kernelParallelism is the worker count for parallel blocked kernels;
-// settable for the ablation benchmark (blocked / blocked+parallel).
+// kernelParallelism is the worker count for the parallel kernels; settable
+// for the ablation benchmark (serial / parallel kernels).
 var kernelParallelism atomic.Int32
 
 func init() { kernelParallelism.Store(int32(runtime.NumCPU())) }
 
-// SetKernelParallelism sets how many goroutines the blocked kernels may use
-// (values < 1 mean 1, i.e. serial blocked execution) and returns the previous
+// SetKernelParallelism sets how many goroutines the parallel kernels may use
+// (values < 1 mean 1, i.e. serial execution) and returns the previous
 // setting. The default is runtime.NumCPU().
 func SetKernelParallelism(n int) int {
 	if n < 1 {
@@ -36,18 +36,25 @@ func SetKernelParallelism(n int) int {
 	return int(kernelParallelism.Swap(int32(n)))
 }
 
+// kernelWorkers is how many goroutines parallelRanges uses to split n items
+// of flops total floating-point work: 1 unless the work justifies the
+// goroutine overhead.
+func kernelWorkers(n, flops int) int {
+	// Below ~256k flops the fork/join overhead (~µs per goroutine) eats the
+	// win; a 64x64x64 matmul is ~524k flops and already benefits.
+	if flops < 1<<18 {
+		return 1
+	}
+	return max(min(int(kernelParallelism.Load()), n), 1)
+}
+
 // parallelRanges splits [0, n) across the kernel worker pool and runs f on
 // each chunk, provided the per-element work justifies the goroutine overhead;
 // otherwise it runs f(0, n) on the calling goroutine. flops is the estimated
 // total floating-point work.
 func parallelRanges(n int, flops int, f func(lo, hi int)) {
-	workers := int(kernelParallelism.Load())
-	// Below ~256k flops the fork/join overhead (~µs per goroutine) eats the
-	// win; a 64x64x64 matmul is ~524k flops and already benefits.
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || flops < 1<<18 {
+	workers := kernelWorkers(n, flops)
+	if workers <= 1 {
 		f(0, n)
 		return
 	}
@@ -71,6 +78,14 @@ func parallelRanges(n int, flops int, f func(lo, hi int)) {
 func checkDst(dst *Tensor, shape []int, op string) {
 	if !ShapeEq(dst.shape, shape) {
 		panic(fmt.Sprintf("tensor: %s destination shape %v, want %v", op, dst.shape, shape))
+	}
+}
+
+// checkOperand validates the shape of an operand whose shape is implied by
+// the others.
+func checkOperand(t *Tensor, shape []int, op, name string) {
+	if !ShapeEq(t.shape, shape) {
+		panic(fmt.Sprintf("tensor: %s %s shape %v, want %v", op, name, t.shape, shape))
 	}
 }
 
@@ -225,17 +240,20 @@ func MulScalarInto(dst, a *Tensor, s float64) *Tensor {
 	return MapInto(dst, a, func(x float64) float64 { return x * s })
 }
 
-// ReLUGradInto computes the ReLU gradient mask of x applied to g into dst.
+// ReLUGradInto computes the ReLU gradient mask of x applied to g into dst:
+// g where x > 0, else +0 (NaN x included). The same-shape loop selects with
+// a bit mask instead of a branch, which real activations mispredict; the
+// result is bit-identical to the branch.
 func ReLUGradInto(dst, x, g *Tensor) *Tensor {
 	if SameShape(x, g) {
 		checkDst(dst, x.shape, "ReLUGradInto")
-		dd, xd, gd := dst.data, x.data, g.data
-		for i := range xd {
-			if xd[i] > 0 {
-				dd[i] = gd[i]
-			} else {
-				dd[i] = 0
+		dd, xd, gd := dst.data, x.data, g.data[:len(x.data)]
+		for i, xv := range xd {
+			var m uint64
+			if xv > 0 {
+				m = math.MaxUint64
 			}
+			dd[i] = math.Float64frombits(math.Float64bits(gd[i]) & m)
 		}
 		return dst
 	}
@@ -455,16 +473,8 @@ func UnbroadcastToInto(dst, t *Tensor) *Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked matmul
+// Matmul
 // ---------------------------------------------------------------------------
-
-// Matmul block sizes: mmKC rows of b (mmKC*mmNC*8 = 256 KiB) stay resident
-// in L2 while every output row streams over them; the 4-way unrolled inner
-// loop amortizes the pass over the output row.
-const (
-	mmKC = 128
-	mmNC = 256
-)
 
 func matmulDims(a, b *Tensor) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
@@ -477,64 +487,16 @@ func matmulDims(a, b *Tensor) (m, k, n int) {
 	return m, k, b.shape[1]
 }
 
-// MatMulInto computes a x b into dst using cache-blocked loops, parallelized
-// across the kernel worker pool for large problems. dst must not alias a or
-// b; its prior contents are discarded.
+// MatMulInto computes a x b into dst with the row kernel (rowkernel.go),
+// split across the kernel worker pool for large problems. Each cell sums in
+// ascending k, exactly like the naive triple loop (which, unlike this
+// kernel, skips zero operands and so departs from IEEE for Inf/NaN). dst
+// must not alias a or b; its prior contents are discarded.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := matmulDims(a, b)
 	checkDst(dst, []int{m, n}, "MatMulInto")
-	clear(dst.data)
-	parallelRanges(m, 2*m*k*n, func(i0, i1 int) {
-		matmulRange(dst.data, a.data, b.data, i0, i1, k, n)
-	})
+	matmulRows(dst.data, a.data, b.data, m, k, n)
 	return dst
-}
-
-// matmulRange accumulates rows [i0, i1) of the product into o.
-func matmulRange(o, a, b []float64, i0, i1, k, n int) {
-	for kk0 := 0; kk0 < k; kk0 += mmKC {
-		kk1 := kk0 + mmKC
-		if kk1 > k {
-			kk1 = k
-		}
-		for j0 := 0; j0 < n; j0 += mmNC {
-			j1 := j0 + mmNC
-			if j1 > n {
-				j1 = n
-			}
-			w := j1 - j0
-			for i := i0; i < i1; i++ {
-				arow := a[i*k : (i+1)*k]
-				orow := o[i*n+j0 : i*n+j1 : i*n+j1]
-				kk := kk0
-				for ; kk+4 <= kk1; kk += 4 {
-					a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-					b0 := b[kk*n+j0:][:w]
-					b1 := b[(kk+1)*n+j0:][:w]
-					b2 := b[(kk+2)*n+j0:][:w]
-					b3 := b[(kk+3)*n+j0:][:w]
-					for j := range orow {
-						// Sequential adds, not one grouped expression: this
-						// keeps the accumulation order identical to the naive
-						// kernel, so blocked results are bit-exact for finite
-						// data (with Inf/NaN operands the naive kernel's
-						// zero-skip deviates from IEEE; this kernel doesn't).
-						s := orow[j] + a0*b0[j]
-						s += a1 * b1[j]
-						s += a2 * b2[j]
-						orow[j] = s + a3*b3[j]
-					}
-				}
-				for ; kk < kk1; kk++ {
-					av := arow[kk]
-					brow := b[kk*n+j0:][:w]
-					for j := range orow {
-						orow[j] += av * brow[j]
-					}
-				}
-			}
-		}
-	}
 }
 
 // TransposeInto writes the transpose of rank-2 a into dst ([n,m] for a

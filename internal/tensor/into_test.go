@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -21,12 +22,11 @@ func randT(rng *rand.Rand, shape ...int) *Tensor {
 	return t
 }
 
-// MatMulNaive is the pre-blocking reference kernel ([m,k] x [k,n] -> [m,n],
-// ikj loop order), kept as the oracle that pins the blocked kernel
-// bit-for-bit on finite data. Note
-// its zero-skip makes it non-IEEE for non-finite operands: it yields a
-// finite result where 0*±Inf would correctly contribute NaN; the blocked
-// kernel follows IEEE.
+// MatMulNaive is the scalar reference kernel ([m,k] x [k,n] -> [m,n], ikj
+// loop order), kept as the oracle that pins MatMulInto bit-for-bit. Note its
+// zero-skip makes it non-IEEE for non-finite operands: it yields a finite
+// result where 0*±Inf would correctly contribute NaN; MatMulInto follows
+// IEEE.
 func MatMulNaive(a, b *Tensor) *Tensor {
 	m, k, n := matmulDims(a, b)
 	out := Zeros(m, n)
@@ -47,30 +47,78 @@ func MatMulNaive(a, b *Tensor) *Tensor {
 	return out
 }
 
-// TestMatMulBlockedMatchesNaive pins the blocked (and blocked+parallel)
-// kernel to the original scalar-loop kernel bit-for-bit across odd,
-// non-square shapes spanning the block boundaries.
+// TestMatMulBlockedMatchesNaive pins the row-kernel matmul (serial and
+// split across kernel threads) to the original scalar-loop kernel
+// bit-for-bit across odd, non-square shapes: every column-chunk remainder
+// of the row kernel (n = 1, 2, 3, 5, 9, 17, 33), an empty inner dimension,
+// and Inf/NaN operands. a never holds a zero there, so the naive kernel's
+// zero-skip never fires and it follows IEEE too.
 func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
 		{1, 1, 1}, {1, 7, 3}, {5, 1, 9}, {3, 129, 2}, {17, 31, 13},
 		{8, 4, 32}, {33, 130, 7}, {2, 300, 5}, {64, 64, 64}, {65, 257, 19},
+		{3, 0, 5}, {1, 0, 1},
 	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		a := randT(rng, m, k)
-		b := randT(rng, k, n)
-		want := MatMulNaive(a, b)
-		for _, workers := range []int{1, 4} {
-			prev := SetKernelParallelism(workers)
-			got := MatMulInto(Zeros(m, n), a, b)
-			SetKernelParallelism(prev)
-			if !Equal(got, want) {
-				t.Fatalf("MatMulInto(%dx%dx%d, workers=%d) differs from naive", m, k, n, workers)
+	for _, n := range []int{1, 2, 3, 5, 9, 17, 33} {
+		shapes = append(shapes, [3]int{4, 7, n}, [3]int{70, 130, n})
+	}
+	for _, nonFinite := range []bool{false, true} {
+		for _, s := range shapes {
+			m, k, n := s[0], s[1], s[2]
+			a := randT(rng, m, k)
+			b := randT(rng, k, n)
+			if nonFinite {
+				for i := range a.data {
+					if rng.Intn(11) == 0 {
+						a.data[i] = specials[rng.Intn(3)] // ±Inf or NaN, never zero
+					}
+				}
+				for i := range b.data {
+					if rng.Intn(11) == 0 {
+						b.data[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+			}
+			want := MatMulNaive(a, b)
+			for _, workers := range []int{1, 4} {
+				prev := SetKernelParallelism(workers)
+				got := MatMulInto(Full(7, m, n), a, b)
+				SetKernelParallelism(prev)
+				if i := mismatch(got.data, want.data); i >= 0 {
+					t.Fatalf("MatMulInto(%dx%dx%d, workers=%d, non-finite %v) differs from naive at %d: %v, want %v",
+						m, k, n, workers, nonFinite, i, got.data[i], want.data[i])
+				}
+			}
+			if i := mismatch(MatMul(a, b).data, want.data); i >= 0 {
+				t.Fatalf("MatMul wrapper (%dx%dx%d, non-finite %v) differs from naive at %d", m, k, n, nonFinite, i)
 			}
 		}
-		if !Equal(MatMul(a, b), want) {
-			t.Fatalf("MatMul wrapper (%dx%dx%d) differs from naive", m, k, n)
+	}
+}
+
+// TestReLUGradIntoMatchesBranch pins the mask-select ReLU gradient to the
+// branch it replaced, bit for bit: g where x > 0, else +0, for NaN and
+// signed-zero x and g too.
+func TestReLUGradIntoMatchesBranch(t *testing.T) {
+	vals := append([]float64{-2, -1e-300, 1e-300, 3}, specials...)
+	var xs, gs []float64
+	for _, x := range vals {
+		for _, g := range vals {
+			xs, gs = append(xs, x), append(gs, g)
+		}
+	}
+	want := make([]float64, len(xs))
+	for i, x := range xs {
+		if x > 0 {
+			want[i] = gs[i]
+		}
+	}
+	got := ReLUGradInto(Full(5, len(xs)), FromSlice(xs), FromSlice(gs))
+	for i := range want {
+		if math.Float64bits(got.data[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("x=%v g=%v: got %v (%#x), want %v (%#x)", xs[i], gs[i],
+				got.data[i], math.Float64bits(got.data[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }
@@ -107,10 +155,16 @@ func TestConv2DIntoMatchesNaive(t *testing.T) {
 		if !Equal(gin1, gin2) {
 			t.Fatalf("Conv2DGradInputInto %s: pooled differs from heap", name)
 		}
+		if !Equal(gin1, naiveConv2DGradInput(x, w, gout, cse.stride, cse.pad)) {
+			t.Fatalf("Conv2DGradInput %s differs from the direct-loop oracle", name)
+		}
 		gw1 := Conv2DGradFilter(x, w, gout, cse.stride, cse.pad)
 		gw2 := Conv2DGradFilterInto(pool.Get(w.Shape()...), x, w, gout, cse.stride, cse.pad, pool)
 		if !Equal(gw1, gw2) {
 			t.Fatalf("Conv2DGradFilterInto %s: pooled differs from heap", name)
+		}
+		if !Equal(gw1, naiveConv2DGradFilter(x, w, gout, cse.stride, cse.pad)) {
+			t.Fatalf("Conv2DGradFilter %s differs from the direct-loop oracle", name)
 		}
 	}
 }

@@ -313,7 +313,7 @@ func normAxis(axis, rank int) int {
 // ---------------------------------------------------------------------------
 
 // MatMul multiplies two rank-2 tensors: [m,k] x [k,n] -> [m,n]. It is a thin
-// wrapper over the cache-blocked, parallel MatMulInto (see into.go).
+// wrapper over the row-kernel, parallel MatMulInto (see into.go).
 func MatMul(a, b *Tensor) *Tensor {
 	m, _, n := matmulDims(a, b)
 	return MatMulInto(Zeros(m, n), a, b)
