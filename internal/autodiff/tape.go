@@ -1,11 +1,13 @@
 // Package autodiff implements define-by-run reverse-mode automatic
-// differentiation (a "gradient tape") over internal/tensor.
+// differentiation (a "gradient tape") over the op table of internal/graph.
 //
-// This is the autodiff engine of the imperative executor: every tensor
-// builtin invoked by the minipy interpreter records a backward closure on the
-// active tape, exactly like TensorFlow Eager's GradientTape. The symbolic
-// engines do NOT use this package — graph-mode gradients are generated
-// structurally in internal/graph.
+// The imperative interpreter (internal/minipy) and the executor's tape mode
+// for dynamic graphs (internal/exec) run every differentiable op through
+// Tape.Apply: the op's kernel computes the value at once and the tape records
+// the op. Backprop runs each recorded op's OpDef.Grad rule with the tape as
+// the Emitter, so every op the rule emits is evaluated eagerly through
+// OpDef.Eval. graph.Gradients runs the very same rules symbolically for
+// static graphs: each derivative is written once, for both engines.
 package autodiff
 
 import (
@@ -13,6 +15,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
@@ -40,12 +43,27 @@ func Const(t *tensor.Tensor) *Node { return &Node{Value: t, id: -1} }
 // Tracked reports whether the node participates in differentiation.
 func (n *Node) Tracked() bool { return n.id >= 0 }
 
-// op is one recorded operation: when backprop reaches it, backward receives
-// the output gradient and must accumulate into its input nodes via
-// Tape.accum.
-type op struct {
-	outID    int64
-	backward func(g *tensor.Tensor)
+// Tensor returns the node's value, making a node a graph.TensorHolder: the
+// kernels of ops over runtime lists (StackList) read nodes in place.
+func (n *Node) Tensor() *tensor.Tensor { return n.Value }
+
+// record is one recorded op: its definition, the node holding its attrs,
+// its output, and where the tape's args hold its inputs as they were passed
+// (tape nodes, plain values, lists of either).
+type record struct {
+	def    *graph.OpDef
+	n      *graph.Node
+	out    *Node
+	lo, hi int
+}
+
+// grad is a node's accumulated gradient. owned marks a sum the tape
+// allocated itself, which later contributions may be added into in place;
+// any other gradient may be shared with a rule's output (Add hands the same
+// gradient to both inputs, Identity passes it through) and is never written.
+type grad struct {
+	t     *tensor.Tensor
+	owned bool
 }
 
 // Tape records operations during forward execution and replays them in
@@ -53,64 +71,173 @@ type op struct {
 // interpreter or the graph executor records onto it, then the same caller
 // replays it after the forward pass completes.
 type Tape struct {
-	ops []op
+	ops []record
+	// args holds the inputs of every record, back to back.
+	args []graph.Val
 	// watched maps variable names to their tape nodes so Gradient can report
 	// per-variable gradients.
-	watched map[string]*Node
-	// bornAt records len(ops) at the moment a variable was watched. Ops
-	// recorded before that moment cannot reference the node, so during
-	// reverse replay a watched gradient is final as soon as the replay index
-	// drops to the node's birth index — the basis for GradientStream's
-	// per-tensor emission.
-	bornAt map[int64]int
-	grads  map[int64]*tensor.Tensor
+	watched map[string]watch
+	grads   map[int64]grad
+	// raw is scratch for the plain input values of one Apply or one rule.
+	raw []graph.Val
+}
+
+// watch is a watched variable's node and its birth index: len(ops) when it
+// was watched. Ops recorded before that moment cannot reference the node, so
+// during reverse replay its gradient is final as soon as the replay index
+// drops to the birth index — the basis for GradientStream's per-tensor
+// emission.
+type watch struct {
+	n    *Node
+	born int
 }
 
 // NewTape returns an empty tape.
-func NewTape() *Tape {
-	return &Tape{watched: make(map[string]*Node), bornAt: make(map[int64]int)}
-}
+func NewTape() *Tape { return &Tape{watched: make(map[string]watch)} }
 
-// NewNode allocates a tracked node holding v.
-func (t *Tape) NewNode(v *tensor.Tensor) *Node {
+// newNode allocates a tracked node holding v.
+func newNode(v *tensor.Tensor) *Node {
 	return &Node{Value: v, id: nodeIDs.Add(1)}
 }
 
 // Watch registers a named variable (model parameter) with the tape and
 // returns its tracked node. Watching the same name twice returns the original
-// node.
+// node. A nil tape tracks nothing: the variable comes back as a constant.
 func (t *Tape) Watch(name string, v *tensor.Tensor) *Node {
-	if n, ok := t.watched[name]; ok {
-		return n
+	if t == nil {
+		return Const(v)
 	}
-	n := t.NewNode(v)
-	t.watched[name] = n
-	t.bornAt[n.id] = len(t.ops)
+	if w, ok := t.watched[name]; ok {
+		return w.n
+	}
+	n := newNode(v)
+	t.watched[name] = watch{n: n, born: len(t.ops)}
 	return n
 }
 
-// Record registers a backward closure for a tracked output node.
-func (t *Tape) Record(out *Node, backward func(g *tensor.Tensor)) {
-	if out == nil || !out.Tracked() {
-		return
+// Apply evaluates the pure op def, with the attrs of n, on in: tape nodes,
+// plain values, or lists holding tape nodes. When def has a gradient rule and
+// an input is tracked, the op is recorded and the result is a tracked node;
+// otherwise the plain result comes back (a list element as it was, node or
+// not). A nil tape only evaluates, so callers need no tapeless path. n must
+// stay unmodified while the tape lives.
+func (t *Tape) Apply(def *graph.OpDef, n *graph.Node, in []graph.Val) (graph.Val, error) {
+	var raw []graph.Val
+	if t != nil {
+		raw = t.raw[:0]
 	}
-	t.ops = append(t.ops, op{outID: out.id, backward: backward})
+	for _, v := range in {
+		raw = append(raw, value(v))
+	}
+	out, err := def.Eval(n, raw)
+	if t != nil {
+		clear(raw)
+		t.raw = raw
+	}
+	if err != nil {
+		return nil, err
+	}
+	return t.Record(def, n, in, out), nil
 }
 
-// Accum adds g into the gradient accumulator for node n. It is exported for
-// custom backward rules written outside this package (e.g. minipy builtins
-// with approximate gradients).
-func (t *Tape) Accum(n *Node, g *tensor.Tensor) { t.accum(n, g) }
-
-// accum adds g into the gradient accumulator for node n.
-func (t *Tape) accum(n *Node, g *tensor.Tensor) {
-	if n == nil || !n.Tracked() {
-		return
+// Record wraps out, the value op def computed from in, the way Apply does:
+// as a tracked node, with the op recorded, when def has a gradient rule and
+// an input is tracked. An output that is an element of a list input was
+// forwarded, not computed (IndexAny on a list), and comes back as it is. Ops
+// implemented outside the op table's kernels (BatchNorm) record through
+// here.
+func (t *Tape) Record(def *graph.OpDef, n *graph.Node, in []graph.Val, out graph.Val) graph.Val {
+	v, ok := out.(*tensor.Tensor)
+	if t == nil || def.Grad == nil || !ok {
+		return out
 	}
-	if cur, ok := t.grads[n.id]; ok {
-		t.grads[n.id] = tensor.Add(cur, g)
-	} else {
-		t.grads[n.id] = g
+	tracked := false
+	for _, h := range in {
+		switch x := h.(type) {
+		case *Node:
+			tracked = tracked || x.Tracked()
+		case []graph.Val:
+			for _, e := range x {
+				if e == out {
+					return out
+				}
+				if en, ok := e.(*Node); ok && en.Tracked() {
+					tracked = true
+				}
+			}
+		}
+	}
+	if !tracked {
+		return out
+	}
+	node := newNode(v)
+	lo := len(t.args)
+	t.args = append(t.args, in...)
+	t.ops = append(t.ops, record{def: def, n: n, out: node, lo: lo, hi: len(t.args)})
+	return node
+}
+
+// value is the plain value behind an input handle: a node's tensor, or the
+// handle itself. Lists keep their nodes: kernels read them as
+// graph.TensorHolders, and a list op can hand a node back unchanged.
+func value(h graph.Val) graph.Val {
+	if n, ok := h.(*Node); ok {
+		return n.Value
+	}
+	return h
+}
+
+// eager is the tape's Emitter: every op a gradient rule emits is evaluated
+// at once on the heap. Its handles are plain values.
+type eager struct{ n graph.Node }
+
+func (e *eager) Emit(op string, attrs map[string]graph.Val, in ...graph.Val) graph.Val {
+	// An Unbroadcast to the shape the gradient already has is the identity.
+	// The graph copies (Into kernels never alias); the tape can share,
+	// because it never writes a gradient a rule produced.
+	if op == "Unbroadcast" && tensor.SameShape(in[0].(*tensor.Tensor), in[1].(*tensor.Tensor)) {
+		return in[0]
+	}
+	def := graph.Lookup(op)
+	if def == nil {
+		panic(fmt.Sprintf("autodiff: gradient rule emitted unknown op %s", op))
+	}
+	// Kernels read attrs during the call only, so one scratch node serves
+	// every emission.
+	e.n.Op, e.n.Attrs = op, attrs
+	out, err := def.Eval(&e.n, in)
+	if err != nil {
+		panic(fmt.Sprintf("autodiff: %v", err))
+	}
+	return out
+}
+
+// accum adds gradient g into input handle h: a node's accumulator, or, for a
+// list, each element's share of the list gradient g. The first contribution
+// is kept as given; the second is summed into a fresh tensor the tape owns,
+// which every later contribution is added into in place — the same order of
+// additions, so the same bits, as allocating a new sum each time.
+func (t *Tape) accum(h, g graph.Val) {
+	switch x := h.(type) {
+	case *Node:
+		if !x.Tracked() {
+			return
+		}
+		gt := g.(*tensor.Tensor)
+		cur, ok := t.grads[x.id]
+		switch {
+		case !ok:
+			t.grads[x.id] = grad{t: gt}
+		case cur.owned && tensor.SameShape(cur.t, gt):
+			tensor.AddInto(cur.t, cur.t, gt)
+		default:
+			t.grads[x.id] = grad{t: tensor.Add(cur.t, gt), owned: true}
+		}
+	case []graph.Val:
+		gs := g.([]graph.Val)
+		for i, e := range x {
+			t.accum(e, gs[i])
+		}
 	}
 }
 
@@ -137,12 +264,11 @@ func (t *Tape) GradientStream(loss *Node, emit func(name string, g *tensor.Tenso
 	// finalize is always at the front of the remainder.
 	type watchedVar struct {
 		name string
-		n    *Node
-		born int
+		watch
 	}
 	order := make([]watchedVar, 0, len(t.watched))
-	for name, n := range t.watched {
-		order = append(order, watchedVar{name: name, n: n, born: t.bornAt[n.id]})
+	for name, w := range t.watched {
+		order = append(order, watchedVar{name, w})
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].born > order[j].born })
 
@@ -154,8 +280,8 @@ func (t *Tape) GradientStream(loss *Node, emit func(name string, g *tensor.Tenso
 	finalize := func(remaining int) {
 		for next < len(order) && order[next].born >= remaining {
 			v := order[next]
-			g, ok := t.grads[v.n.id]
-			if !ok {
+			g := t.grads[v.n.id].t
+			if g == nil {
 				g = tensor.Zeros(v.n.Value.Shape()...)
 			}
 			out[v.name] = g
@@ -168,19 +294,23 @@ func (t *Tape) GradientStream(loss *Node, emit func(name string, g *tensor.Tenso
 
 	if !loss.Tracked() {
 		// Loss does not depend on any tracked value; all grads are zero.
-		t.grads = make(map[int64]*tensor.Tensor)
+		t.grads = make(map[int64]grad)
 		finalize(0)
 		return out
 	}
-	t.grads = make(map[int64]*tensor.Tensor)
-	t.grads[loss.id] = tensor.Full(1, loss.Value.Shape()...)
+	t.grads = make(map[int64]grad)
+	t.grads[loss.id] = grad{t: tensor.Full(1, loss.Value.Shape()...)}
 	// Replay in reverse recording order. Recording order is a valid
 	// topological order of the forward DAG because each op is recorded when
-	// its output is produced.
+	// its output is produced. add routes the contributions of the rule of
+	// record cur.
+	em := &eager{}
+	var cur *record
+	add := func(i int, g graph.Val) { t.accum(t.args[cur.lo+i], g) }
 	for i := len(t.ops) - 1; i >= 0; i-- {
-		o := t.ops[i]
-		if g, ok := t.grads[o.outID]; ok {
-			o.backward(g)
+		cur = &t.ops[i]
+		if g, ok := t.grads[cur.out.id]; ok {
+			t.backward(cur, g.t, em, add)
 		}
 		finalize(i)
 	}
@@ -188,320 +318,20 @@ func (t *Tape) GradientStream(loss *Node, emit func(name string, g *tensor.Tenso
 	return out
 }
 
-// --- differentiable operations ---------------------------------------------
-//
-// Each helper computes the forward value eagerly and records the backward
-// rule. Inputs may be constants (untracked); their gradients are skipped.
-
-// Add returns a + b (broadcasting).
-func (t *Tape) Add(a, b *Node) *Node {
-	out := t.NewNode(tensor.Add(a.Value, b.Value))
-	ash, bsh := a.Value.Shape(), b.Value.Shape()
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(a, tensor.UnbroadcastTo(g, ash))
-		t.accum(b, tensor.UnbroadcastTo(g, bsh))
-	})
-	return out
-}
-
-// Sub returns a - b.
-func (t *Tape) Sub(a, b *Node) *Node {
-	out := t.NewNode(tensor.Sub(a.Value, b.Value))
-	ash, bsh := a.Value.Shape(), b.Value.Shape()
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(a, tensor.UnbroadcastTo(g, ash))
-		t.accum(b, tensor.UnbroadcastTo(tensor.Neg(g), bsh))
-	})
-	return out
-}
-
-// Mul returns a * b element-wise.
-func (t *Tape) Mul(a, b *Node) *Node {
-	out := t.NewNode(tensor.Mul(a.Value, b.Value))
-	av, bv := a.Value, b.Value
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(a, tensor.UnbroadcastTo(tensor.Mul(g, bv), av.Shape()))
-		t.accum(b, tensor.UnbroadcastTo(tensor.Mul(g, av), bv.Shape()))
-	})
-	return out
-}
-
-// Div returns a / b element-wise.
-func (t *Tape) Div(a, b *Node) *Node {
-	out := t.NewNode(tensor.Div(a.Value, b.Value))
-	av, bv := a.Value, b.Value
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(a, tensor.UnbroadcastTo(tensor.Div(g, bv), av.Shape()))
-		gb := tensor.Neg(tensor.Div(tensor.Mul(g, av), tensor.Mul(bv, bv)))
-		t.accum(b, tensor.UnbroadcastTo(gb, bv.Shape()))
-	})
-	return out
-}
-
-// Pow returns a ** p for constant exponent p.
-func (t *Tape) Pow(a *Node, p float64) *Node {
-	out := t.NewNode(tensor.Pow(a.Value, tensor.Scalar(p)))
-	av := a.Value
-	t.Record(out, func(g *tensor.Tensor) {
-		d := tensor.MulScalar(tensor.Pow(av, tensor.Scalar(p-1)), p)
-		t.accum(a, tensor.Mul(g, d))
-	})
-	return out
-}
-
-// Neg returns -a.
-func (t *Tape) Neg(a *Node) *Node {
-	out := t.NewNode(tensor.Neg(a.Value))
-	t.Record(out, func(g *tensor.Tensor) { t.accum(a, tensor.Neg(g)) })
-	return out
-}
-
-// Maximum returns element-wise max(a, b); the subgradient routes to the
-// winning side (ties go to a).
-func (t *Tape) Maximum(a, b *Node) *Node { return t.extremum(a, b, true) }
-
-// Minimum returns element-wise min(a, b).
-func (t *Tape) Minimum(a, b *Node) *Node { return t.extremum(a, b, false) }
-
-func (t *Tape) extremum(a, b *Node, isMax bool) *Node {
-	var v *tensor.Tensor
-	if isMax {
-		v = tensor.Maximum(a.Value, b.Value)
-	} else {
-		v = tensor.Minimum(a.Value, b.Value)
+// backward runs r's gradient rule on the plain values of its inputs and
+// output, accumulating each input's contribution. A rule that cannot run
+// panics: the forward pass already ran the same op on the same values.
+func (t *Tape) backward(r *record, g *tensor.Tensor, em *eager, add func(int, graph.Val)) {
+	raw := t.raw[:0]
+	for _, v := range t.args[r.lo:r.hi] {
+		raw = append(raw, value(v))
 	}
-	out := t.NewNode(v)
-	av, bv := a.Value, b.Value
-	t.Record(out, func(g *tensor.Tensor) {
-		mask := tensor.Zip(av, bv, func(x, y float64) float64 {
-			if (isMax && x >= y) || (!isMax && x <= y) {
-				return 1
-			}
-			return 0
-		})
-		inv := tensor.Zip(mask, mask, func(m, _ float64) float64 { return 1 - m })
-		t.accum(a, tensor.UnbroadcastTo(tensor.Mul(g, mask), av.Shape()))
-		t.accum(b, tensor.UnbroadcastTo(tensor.Mul(g, inv), bv.Shape()))
-	})
-	return out
-}
-
-// MatMul returns a x b for rank-2 nodes.
-func (t *Tape) MatMul(a, b *Node) *Node {
-	out := t.NewNode(tensor.MatMul(a.Value, b.Value))
-	av, bv := a.Value, b.Value
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(a, tensor.MatMul(g, tensor.Transpose(bv)))
-		t.accum(b, tensor.MatMul(tensor.Transpose(av), g))
-	})
-	return out
-}
-
-// ReLU returns max(a, 0).
-func (t *Tape) ReLU(a *Node) *Node {
-	out := t.NewNode(tensor.ReLU(a.Value))
-	av := a.Value
-	t.Record(out, func(g *tensor.Tensor) { t.accum(a, tensor.ReLUGrad(av, g)) })
-	return out
-}
-
-// Sigmoid returns the logistic function of a.
-func (t *Tape) Sigmoid(a *Node) *Node {
-	s := tensor.Sigmoid(a.Value)
-	out := t.NewNode(s)
-	t.Record(out, func(g *tensor.Tensor) {
-		one := tensor.Full(1, s.Shape()...)
-		t.accum(a, tensor.Mul(g, tensor.Mul(s, tensor.Sub(one, s))))
-	})
-	return out
-}
-
-// Tanh returns tanh(a).
-func (t *Tape) Tanh(a *Node) *Node {
-	v := tensor.Tanh(a.Value)
-	out := t.NewNode(v)
-	t.Record(out, func(g *tensor.Tensor) {
-		one := tensor.Full(1, v.Shape()...)
-		t.accum(a, tensor.Mul(g, tensor.Sub(one, tensor.Mul(v, v))))
-	})
-	return out
-}
-
-// Exp returns e**a.
-func (t *Tape) Exp(a *Node) *Node {
-	v := tensor.Exp(a.Value)
-	out := t.NewNode(v)
-	t.Record(out, func(g *tensor.Tensor) { t.accum(a, tensor.Mul(g, v)) })
-	return out
-}
-
-// Log returns ln(a).
-func (t *Tape) Log(a *Node) *Node {
-	out := t.NewNode(tensor.Log(a.Value))
-	av := a.Value
-	t.Record(out, func(g *tensor.Tensor) { t.accum(a, tensor.Div(g, av)) })
-	return out
-}
-
-// Sum reduces to a scalar.
-func (t *Tape) Sum(a *Node) *Node {
-	out := t.NewNode(tensor.Sum(a.Value))
-	sh := a.Value.Shape()
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(a, tensor.MulScalar(tensor.Full(1, sh...), g.Item()))
-	})
-	return out
-}
-
-// Mean reduces to the scalar mean.
-func (t *Tape) Mean(a *Node) *Node {
-	out := t.NewNode(tensor.Mean(a.Value))
-	sh := a.Value.Shape()
-	n := float64(a.Value.Size())
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(a, tensor.MulScalar(tensor.Full(1, sh...), g.Item()/n))
-	})
-	return out
-}
-
-// Reshape changes the node's shape.
-func (t *Tape) Reshape(a *Node, shape ...int) *Node {
-	out := t.NewNode(a.Value.Reshape(shape...))
-	orig := a.Value.Shape()
-	t.Record(out, func(g *tensor.Tensor) { t.accum(a, g.Reshape(orig...)) })
-	return out
-}
-
-// Transpose swaps the axes of a rank-2 node.
-func (t *Tape) Transpose(a *Node) *Node {
-	out := t.NewNode(tensor.Transpose(a.Value))
-	t.Record(out, func(g *tensor.Tensor) { t.accum(a, tensor.Transpose(g)) })
-	return out
-}
-
-// Concat joins nodes along axis.
-func (t *Tape) Concat(axis int, ns ...*Node) *Node {
-	ts := make([]*tensor.Tensor, len(ns))
-	for i, n := range ns {
-		ts[i] = n.Value
+	err := r.def.Grad(em, r.n, raw, r.out.Value, g, add)
+	clear(raw)
+	t.raw = raw
+	if err != nil {
+		panic(fmt.Sprintf("autodiff: %s gradient: %v", r.def.Name, err))
 	}
-	out := t.NewNode(tensor.Concat(axis, ts...))
-	t.Record(out, func(g *tensor.Tensor) {
-		off := 0
-		ax := axis
-		if ax < 0 {
-			ax += g.Rank()
-		}
-		for _, n := range ns {
-			w := n.Value.Shape()[ax]
-			t.accum(n, tensor.SliceAxis(g, ax, off, off+w))
-			off += w
-		}
-	})
-	return out
-}
-
-// SliceAxis extracts [lo,hi) along axis.
-func (t *Tape) SliceAxis(a *Node, axis, lo, hi int) *Node {
-	out := t.NewNode(tensor.SliceAxis(a.Value, axis, lo, hi))
-	sh := a.Value.Shape()
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(a, tensor.PadSliceGrad(g, sh, axis, lo))
-	})
-	return out
-}
-
-// Softmax applies softmax along the last axis.
-func (t *Tape) Softmax(a *Node) *Node {
-	s := tensor.Softmax(a.Value)
-	out := t.NewNode(s)
-	t.Record(out, func(g *tensor.Tensor) {
-		// dL/dx = s * (g - sum(g*s, lastAxis, keepdims))
-		gs := tensor.Mul(g, s)
-		sum := tensor.SumAxis(gs, -1)
-		// Re-expand sum over the last axis.
-		expanded := tensor.Zip(gs, reexpand(sum, s.Shape()), func(_, y float64) float64 { return y })
-		t.accum(a, tensor.Mul(s, tensor.Sub(g, expanded)))
-	})
-	return out
-}
-
-// reexpand broadcasts a reduced-by-last-axis tensor back to shape.
-func reexpand(sum *tensor.Tensor, shape []int) *tensor.Tensor {
-	n := shape[len(shape)-1]
-	out := tensor.Zeros(shape...)
-	od, sd := out.Data(), sum.Data()
-	for i := range sd {
-		for j := 0; j < n; j++ {
-			od[i*n+j] = sd[i]
-		}
-	}
-	return out
-}
-
-// CrossEntropy computes mean softmax cross-entropy between logits and labels
-// (labels are constant).
-func (t *Tape) CrossEntropy(logits *Node, labels *tensor.Tensor) *Node {
-	out := t.NewNode(tensor.CrossEntropy(logits.Value, labels))
-	lv := logits.Value
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(logits, tensor.MulScalar(tensor.CrossEntropyGrad(lv, labels), g.Item()))
-	})
-	return out
-}
-
-// MSE computes mean squared error against a constant target.
-func (t *Tape) MSE(pred *Node, target *tensor.Tensor) *Node {
-	out := t.NewNode(tensor.MSE(pred.Value, target))
-	pv := pred.Value
-	n := float64(pv.Size())
-	t.Record(out, func(g *tensor.Tensor) {
-		d := tensor.MulScalar(tensor.Sub(pv, target), 2/n*g.Item())
-		t.accum(pred, d)
-	})
-	return out
-}
-
-// Conv2D performs a 2-D convolution with stride and padding.
-func (t *Tape) Conv2D(x, w *Node, stride, pad int) *Node {
-	out := t.NewNode(tensor.Conv2D(x.Value, w.Value, stride, pad))
-	xv, wv := x.Value, w.Value
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(x, tensor.Conv2DGradInput(xv, wv, g, stride, pad))
-		t.accum(w, tensor.Conv2DGradFilter(xv, wv, g, stride, pad))
-	})
-	return out
-}
-
-// MaxPool2D applies max pooling.
-func (t *Tape) MaxPool2D(x *Node, k, stride int) *Node {
-	v, arg := tensor.MaxPool2D(x.Value, k, stride)
-	out := t.NewNode(v)
-	sh := x.Value.Shape()
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(x, tensor.MaxPool2DGrad(sh, arg, g))
-	})
-	return out
-}
-
-// AvgPool2D applies average pooling.
-func (t *Tape) AvgPool2D(x *Node, k, stride int) *Node {
-	out := t.NewNode(tensor.AvgPool2D(x.Value, k, stride))
-	sh := x.Value.Shape()
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(x, tensor.AvgPool2DGrad(sh, k, stride, g))
-	})
-	return out
-}
-
-// Gather selects rows from an embedding table node.
-func (t *Tape) Gather(table *Node, idx []int) *Node {
-	out := t.NewNode(tensor.Gather(table.Value, idx))
-	sh := table.Value.Shape()
-	t.Record(out, func(g *tensor.Tensor) {
-		t.accum(table, tensor.ScatterAddRows(sh, idx, g))
-	})
-	return out
 }
 
 // CheckGrad verifies dLoss/dParam numerically for a single parameter entry.

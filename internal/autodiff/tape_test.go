@@ -4,9 +4,22 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/tensor"
 	"repro/internal/vars"
 )
+
+// op runs a graph op on the tape and returns its result as a node.
+func op(tp *Tape, name string, attrs map[string]graph.Val, in ...graph.Val) *Node {
+	v, err := tp.Apply(graph.Lookup(name), &graph.Node{Op: name, Attrs: attrs}, in)
+	if err != nil {
+		panic(err)
+	}
+	if n, ok := v.(*Node); ok {
+		return n
+	}
+	return Const(v.(*tensor.Tensor))
+}
 
 // numGrad computes dLoss/dParam[i] by central differences, rebuilding the
 // whole forward pass each evaluation.
@@ -37,12 +50,12 @@ func TestTapeAddMulChain(t *testing.T) {
 	loss := func() float64 {
 		tp := NewTape()
 		wn := tp.Watch("w", w)
-		y := tp.Mul(tp.Add(wn, Const(tensor.Full(2, 3))), wn) // (w+2)*w
-		return tp.Sum(y).Value.Item()
+		y := op(tp, "Mul", nil, op(tp, "Add", nil, wn, Const(tensor.Full(2, 3))), wn) // (w+2)*w
+		return op(tp, "Sum", nil, y).Value.Item()
 	}
 	tp := NewTape()
 	wn := tp.Watch("w", w)
-	l := tp.Sum(tp.Mul(tp.Add(wn, Const(tensor.Full(2, 3))), wn))
+	l := op(tp, "Sum", nil, op(tp, "Mul", nil, op(tp, "Add", nil, wn, Const(tensor.Full(2, 3))), wn))
 	g := tp.Gradient(l)["w"]
 	// d/dw [(w+2)w] = 2w + 2
 	want := tensor.AddScalar(tensor.MulScalar(w, 2), 2)
@@ -59,7 +72,7 @@ func TestTapeMatMulGrad(t *testing.T) {
 	build := func(tp *Tape) *Node {
 		an := tp.Watch("a", a)
 		bn := tp.Watch("b", b)
-		return tp.Sum(tp.MatMul(an, bn))
+		return op(tp, "Sum", nil, op(tp, "MatMul", nil, an, bn))
 	}
 	tp := NewTape()
 	grads := tp.Gradient(build(tp))
@@ -74,7 +87,7 @@ func TestTapeBroadcastGrad(t *testing.T) {
 	bias := rng.Randn(3)
 	build := func(tp *Tape) *Node {
 		bn := tp.Watch("b", bias)
-		return tp.Sum(tp.Mul(tp.Add(Const(x), bn), tp.Add(Const(x), bn)))
+		return op(tp, "Sum", nil, op(tp, "Mul", nil, op(tp, "Add", nil, Const(x), bn), op(tp, "Add", nil, Const(x), bn)))
 	}
 	tp := NewTape()
 	g := tp.Gradient(build(tp))["b"]
@@ -92,14 +105,14 @@ func TestTapeActivationsGrad(t *testing.T) {
 		name string
 		f    func(tp *Tape, n *Node) *Node
 	}{
-		{"relu", func(tp *Tape, n *Node) *Node { return tp.ReLU(n) }},
-		{"sigmoid", func(tp *Tape, n *Node) *Node { return tp.Sigmoid(n) }},
-		{"tanh", func(tp *Tape, n *Node) *Node { return tp.Tanh(n) }},
-		{"exp", func(tp *Tape, n *Node) *Node { return tp.Exp(n) }},
-		{"neg", func(tp *Tape, n *Node) *Node { return tp.Neg(n) }},
-		{"pow2", func(tp *Tape, n *Node) *Node { return tp.Pow(n, 2) }},
+		{"relu", func(tp *Tape, n *Node) *Node { return op(tp, "ReLU", nil, n) }},
+		{"sigmoid", func(tp *Tape, n *Node) *Node { return op(tp, "Sigmoid", nil, n) }},
+		{"tanh", func(tp *Tape, n *Node) *Node { return op(tp, "Tanh", nil, n) }},
+		{"exp", func(tp *Tape, n *Node) *Node { return op(tp, "Exp", nil, n) }},
+		{"neg", func(tp *Tape, n *Node) *Node { return op(tp, "Neg", nil, n) }},
+		{"pow2", func(tp *Tape, n *Node) *Node { return op(tp, "Pow", nil, n, tensor.Scalar(2)) }},
 	} {
-		build := func(tp *Tape) *Node { return tp.Sum(tc.f(tp, tp.Watch("x", x))) }
+		build := func(tp *Tape) *Node { return op(tp, "Sum", nil, tc.f(tp, tp.Watch("x", x))) }
 		tp := NewTape()
 		g := tp.Gradient(build(tp))["x"]
 		loss := func() float64 { tp := NewTape(); return build(tp).Value.Item() }
@@ -109,7 +122,7 @@ func TestTapeActivationsGrad(t *testing.T) {
 
 func TestTapeLogGrad(t *testing.T) {
 	x := tensor.FromSlice([]float64{0.5, 1.5, 3})
-	build := func(tp *Tape) *Node { return tp.Sum(tp.Log(tp.Watch("x", x))) }
+	build := func(tp *Tape) *Node { return op(tp, "Sum", nil, op(tp, "Log", nil, tp.Watch("x", x))) }
 	tp := NewTape()
 	g := tp.Gradient(build(tp))["x"]
 	loss := func() float64 { tp := NewTape(); return build(tp).Value.Item() }
@@ -120,7 +133,7 @@ func TestTapeDivGrad(t *testing.T) {
 	a := tensor.FromSlice([]float64{1, 2, 3})
 	b := tensor.FromSlice([]float64{2, 4, 5})
 	build := func(tp *Tape) *Node {
-		return tp.Sum(tp.Div(tp.Watch("a", a), tp.Watch("b", b)))
+		return op(tp, "Sum", nil, op(tp, "Div", nil, tp.Watch("a", a), tp.Watch("b", b)))
 	}
 	tp := NewTape()
 	gs := tp.Gradient(build(tp))
@@ -134,7 +147,7 @@ func TestTapeSoftmaxCrossEntropyGrad(t *testing.T) {
 	logits := rng.Randn(3, 4)
 	labels := tensor.OneHot([]int{0, 2, 3}, 4)
 	build := func(tp *Tape) *Node {
-		return tp.CrossEntropy(tp.Watch("l", logits), labels)
+		return op(tp, "CrossEntropy", nil, tp.Watch("l", logits), labels)
 	}
 	tp := NewTape()
 	g := tp.Gradient(build(tp))["l"]
@@ -147,7 +160,7 @@ func TestTapeSoftmaxGrad(t *testing.T) {
 	x := rng.Randn(2, 3)
 	w := rng.Randn(2, 3)
 	build := func(tp *Tape) *Node {
-		return tp.Sum(tp.Mul(tp.Softmax(tp.Watch("x", x)), Const(w)))
+		return op(tp, "Sum", nil, op(tp, "Mul", nil, op(tp, "Softmax", nil, tp.Watch("x", x)), Const(w)))
 	}
 	tp := NewTape()
 	g := tp.Gradient(build(tp))["x"]
@@ -159,7 +172,7 @@ func TestTapeMSEGrad(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	p := rng.Randn(4)
 	target := rng.Randn(4)
-	build := func(tp *Tape) *Node { return tp.MSE(tp.Watch("p", p), target) }
+	build := func(tp *Tape) *Node { return op(tp, "MSE", nil, tp.Watch("p", p), target) }
 	tp := NewTape()
 	g := tp.Gradient(build(tp))["p"]
 	loss := func() float64 { tp := NewTape(); return build(tp).Value.Item() }
@@ -173,9 +186,9 @@ func TestTapeConvPoolGrad(t *testing.T) {
 	build := func(tp *Tape) *Node {
 		xn := tp.Watch("x", x)
 		wn := tp.Watch("w", w)
-		c := tp.Conv2D(xn, wn, 1, 1)
-		p := tp.MaxPool2D(c, 2, 2)
-		return tp.Sum(p)
+		c := op(tp, "Conv2D", map[string]graph.Val{"stride": 1, "pad": 1}, xn, wn)
+		p := op(tp, "MaxPool", map[string]graph.Val{"k": 2, "stride": 2}, c)
+		return op(tp, "Sum", nil, p)
 	}
 	tp := NewTape()
 	gs := tp.Gradient(build(tp))
@@ -192,9 +205,9 @@ func TestTapeConcatSliceGrad(t *testing.T) {
 	build := func(tp *Tape) *Node {
 		an := tp.Watch("a", a)
 		bn := tp.Watch("b", b)
-		c := tp.Concat(1, an, bn)     // [2,5]
-		s := tp.SliceAxis(c, 1, 1, 4) // depends on parts of both
-		return tp.Sum(tp.Mul(s, s))
+		c := op(tp, "Concat", map[string]graph.Val{"axis": 1}, an, bn)             // [2,5]
+		s := op(tp, "Slice", map[string]graph.Val{"axis": 1, "lo": 1, "hi": 4}, c) // depends on parts of both
+		return op(tp, "Sum", nil, op(tp, "Mul", nil, s, s))
 	}
 	tp := NewTape()
 	gs := tp.Gradient(build(tp))
@@ -209,8 +222,8 @@ func TestTapeGatherGrad(t *testing.T) {
 	idx := []int{4, 0, 4}
 	build := func(tp *Tape) *Node {
 		tn := tp.Watch("t", table)
-		g := tp.Gather(tn, idx)
-		return tp.Sum(tp.Mul(g, g))
+		g := op(tp, "Gather", nil, tn, idx)
+		return op(tp, "Sum", nil, op(tp, "Mul", nil, g, g))
 	}
 	tp := NewTape()
 	g := tp.Gradient(build(tp))["t"]
@@ -230,10 +243,31 @@ func TestTapeReuseAccumulatesFanOut(t *testing.T) {
 	x := tensor.FromSlice([]float64{3})
 	tp := NewTape()
 	xn := tp.Watch("x", x)
-	y := tp.Add(tp.Mul(xn, xn), xn) // x^2 + x -> grad 2x+1 = 7
-	g := tp.Gradient(tp.Sum(y))["x"]
+	y := op(tp, "Add", nil, op(tp, "Mul", nil, xn, xn), xn) // x^2 + x -> grad 2x+1 = 7
+	g := tp.Gradient(op(tp, "Sum", nil, y))["x"]
 	if math.Abs(g.At(0)-7) > 1e-9 {
 		t.Fatalf("fan-out grad %v want 7", g.At(0))
+	}
+}
+
+// TestTapeForwardsListElements: indexing a runtime list hands back the
+// element itself, so a tracked node keeps its identity and its gradient,
+// and a stacked list of nodes sends each element its share.
+func TestTapeForwardsListElements(t *testing.T) {
+	tp := NewTape()
+	a := tp.Watch("a", tensor.FromSlice([]float64{1, 2}))
+	b := tensor.FromSlice([]float64{3, 4})
+	list := []graph.Val{a, b}
+	for i, want := range []graph.Val{a, b} {
+		got, err := tp.Apply(graph.Lookup("IndexAny"), &graph.Node{Op: "IndexAny"}, []graph.Val{list, i})
+		if err != nil || got != want {
+			t.Fatalf("element %d: got %v (%v), want the element itself", i, got, err)
+		}
+	}
+	stacked := op(tp, "StackList", nil, []graph.Val{a, b, a})
+	g := tp.Gradient(op(tp, "Sum", nil, stacked))["a"]
+	if !tensor.Equal(g, tensor.FromSlice([]float64{2, 2})) {
+		t.Fatalf("gradient of a stacked twice: %v, want [2 2]", g)
 	}
 }
 
@@ -251,9 +285,9 @@ func TestTapeTransposeReshapeGrad(t *testing.T) {
 	a := rng.Randn(2, 3)
 	build := func(tp *Tape) *Node {
 		an := tp.Watch("a", a)
-		tr := tp.Transpose(an)
-		r := tp.Reshape(tr, 6)
-		return tp.Sum(tp.Mul(r, r))
+		tr := op(tp, "Transpose", nil, an)
+		r := op(tp, "Reshape", map[string]graph.Val{"shape": []int{6}}, tr)
+		return op(tp, "Sum", nil, op(tp, "Mul", nil, r, r))
 	}
 	tp := NewTape()
 	g := tp.Gradient(build(tp))["a"]
@@ -333,8 +367,8 @@ func TestTapeLinearRegressionLearns(t *testing.T) {
 		y := tensor.MatMul(x, trueW)
 		tp := NewTape()
 		wn := tp.Watch("w", store.MustGet("w"))
-		pred := tp.MatMul(Const(x), wn)
-		loss := tp.MSE(pred, y)
+		pred := op(tp, "MatMul", nil, Const(x), wn)
+		loss := op(tp, "MSE", nil, pred, y)
 		opt.Apply(store, tp.Gradient(loss))
 		last = loss.Value.Item()
 	}
@@ -355,9 +389,9 @@ func TestGradientStreamEmitsPerTensorInBackpropOrder(t *testing.T) {
 	build := func(tape *Tape) *Node {
 		w1 := tape.Watch("w1", tensor.New([]int{2, 2}, []float64{1, 2, 3, 4}))
 		x := Const(tensor.New([]int{1, 2}, []float64{1, -1}))
-		h := tape.ReLU(tape.MatMul(x, w1))
+		h := op(tape, "ReLU", nil, op(tape, "MatMul", nil, x, w1))
 		w2 := tape.Watch("w2", tensor.New([]int{2, 1}, []float64{0.5, -0.5}))
-		return tape.Sum(tape.MatMul(h, w2))
+		return op(tape, "Sum", nil, op(tape, "MatMul", nil, h, w2))
 	}
 
 	ref := NewTape()

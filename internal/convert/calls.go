@@ -485,13 +485,7 @@ func (c *Converter) builtinCall(ex *minipy.CallExpr, name string, args []*sym, k
 			}
 			return &sym{kind: kDyn, port: n.P()}, nil
 		}
-		attrs := map[string]graph.Val{"axis": axis}
-		if widthsKnown {
-			attrs["widths"] = widths
-		} else {
-			c.dynamic = true // static gradient needs widths
-		}
-		n := c.g.Add("Concat", attrs, ports...)
+		n := c.g.Add("Concat", map[string]graph.Val{"axis": axis}, ports...)
 		if sh, ok := c.shapes[ports[0]]; ok && widthsKnown {
 			out := append([]int(nil), sh...)
 			ax := axis
@@ -727,17 +721,12 @@ func (c *Converter) builtinCall(ex *minipy.CallExpr, name string, args []*sym, k
 		if err != nil {
 			return nil, err
 		}
-		attrs := map[string]graph.Val{"axis": axis, "lo": lo, "hi": hi}
+		nn := c.g.Add("Slice", map[string]graph.Val{"axis": axis, "lo": lo, "hi": hi}, x)
 		if sh, ok := c.shapes[x]; ok && axis < len(sh) {
-			attrs["inShape"] = append([]int(nil), sh...)
 			out := append([]int(nil), sh...)
 			out[axis] = hi - lo
-			nn := c.g.Add("Slice", attrs, x)
 			c.shapes[nn.P()] = out
-			return &sym{kind: kDyn, port: nn.P()}, nil
 		}
-		c.dynamic = true
-		nn := c.g.Add("Slice", attrs, x)
 		return &sym{kind: kDyn, port: nn.P()}, nil
 
 	case "argmax":

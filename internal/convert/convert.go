@@ -102,8 +102,8 @@ type Converter struct {
 	varNames map[string]bool
 	feeds    int
 
-	// shapes tracks statically-known tensor shapes per port for gradient
-	// attrs (Concat widths, Slice inShape) and shape assertions.
+	// shapes tracks statically-known tensor shapes per port for shape
+	// assertions, reshape resolution and row indexing.
 	shapes map[graph.Port][]int
 
 	// funcGraphs maps function definition nodes to their (possibly still

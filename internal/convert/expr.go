@@ -411,7 +411,7 @@ func (c *Converter) index(ex *minipy.IndexExpr, e *env) (*sym, error) {
 		if i < 0 {
 			i += sh[0]
 		}
-		sl := c.g.Add("Slice", map[string]graph.Val{"axis": 0, "lo": i, "hi": i + 1, "inShape": append([]int(nil), sh...)}, obj.port)
+		sl := c.g.Add("Slice", map[string]graph.Val{"axis": 0, "lo": i, "hi": i + 1}, obj.port)
 		rest := append([]int(nil), sh[1:]...)
 		rs := c.g.Add("ReshapeLike", nil, sl.P(), c.g.Const(tensor.Zeros(rest...)).P())
 		c.shapes[rs.P()] = rest

@@ -81,7 +81,7 @@ func (c *Converter) enumerate(iter *sym, at minipy.Node) ([]*sym, error) {
 		if sh, ok := c.shapes[iter.port]; ok && len(sh) > 0 && sh[0] >= 0 {
 			out := make([]*sym, sh[0])
 			for i := 0; i < sh[0]; i++ {
-				sl := c.g.Add("Slice", map[string]graph.Val{"axis": 0, "lo": i, "hi": i + 1, "inShape": sh}, iter.port)
+				sl := c.g.Add("Slice", map[string]graph.Val{"axis": 0, "lo": i, "hi": i + 1}, iter.port)
 				c.shapes[sl.P()] = append([]int{1}, sh[1:]...)
 				rs := c.g.Add("ReshapeLike", nil, sl.P(), c.g.Const(tensor.Zeros(sh[1:]...)).P())
 				c.shapes[rs.P()] = append([]int(nil), sh[1:]...)

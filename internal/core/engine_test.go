@@ -151,6 +151,59 @@ for step in range(20):
 	}
 }
 
+// TestMSEGradientUnderEnlargingBroadcast: mse(p[4,1], t[4]) averages over
+// the 16 elements of the broadcast difference, so dL/dp_i = 2/16 sum_j
+// (p_i - t_j) and dL/dt_j = -2/16 sum_i (p_i - t_j): pred and target both
+// train, imperatively and under JANUS alike.
+func TestMSEGradientUnderEnlargingBroadcast(t *testing.T) {
+	const program = `
+def loss_fn():
+    return mse(variable("p", [4, 1]), variable("t", [4]))
+
+for step in range(4):
+    optimize(lambda: loss_fn())
+`
+	p0 := tensor.New([]int{4, 1}, []float64{0.5, -1, 2, 0.25})
+	t0 := tensor.FromSlice([]float64{1, 0, -0.5, 3})
+	// One SGD step from (p0, t0), by hand.
+	const lr = 0.05
+	wantP, wantT := p0.Clone(), t0.Clone()
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			d := 2.0 / 16 * (p0.Data()[i] - t0.Data()[j])
+			wantP.Data()[i] -= lr * d
+			wantT.Data()[j] += lr * d
+		}
+	}
+	run := func(cfg Config, steps int) *Engine {
+		cfg.LR, cfg.Seed = lr, 7
+		e := NewEngine(cfg)
+		e.Store.Set("p", p0.Clone())
+		e.Store.Set("t", t0.Clone())
+		src := strings.Replace(program, "range(4)", "range("+strconv.Itoa(steps)+")", 1)
+		if err := e.Run(src); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	one := run(Config{Mode: Imperative}, 1)
+	if got := one.Store.MustGet("p"); !tensor.AllClose(got, wantP, 1e-12) {
+		t.Fatalf("p after one step: %v, want %v", got, wantP)
+	}
+	if got := one.Store.MustGet("t"); !tensor.AllClose(got, wantT, 1e-12) {
+		t.Fatalf("t after one step: %v, want %v", got, wantT)
+	}
+	imp, jan := run(Config{Mode: Imperative}, 4), run(DefaultJanusConfig(), 4)
+	if st := jan.Stats(); st.GraphSteps == 0 {
+		t.Fatalf("janus never ran a graph step: %+v", st)
+	}
+	for _, name := range []string{"p", "t"} {
+		if vI, vJ := imp.Store.MustGet(name), jan.Store.MustGet(name); !tensor.AllClose(vI, vJ, 1e-12) {
+			t.Fatalf("%s diverged: imperative %v janus %v", name, vI, vJ)
+		}
+	}
+}
+
 func TestJanusHandlesLoopsAndLists(t *testing.T) {
 	// RNN-style accumulation loop over a captured list (Figure 1 shape,
 	// without object state).

@@ -30,9 +30,10 @@ func unwrapAll(in []graph.Val) []graph.Val {
 	return out
 }
 
-// execNode dispatches one node. It handles the impure, control-flow and
-// tape-aware operations directly; pure ops fall through to their op-table
-// kernel, evaluated on the heap.
+// execNode dispatches one node. It handles the impure and control-flow
+// operations directly; pure ops fall through to their op-table kernel,
+// evaluated on the heap — under a tape, differentiable ones through
+// Tape.Apply, which records them for backprop.
 func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]graph.Val, c *ctx) ([]graph.Val, error) {
 	switch nd.Op {
 	case "Placeholder":
@@ -290,19 +291,29 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 
 	case "BatchNorm":
 		return execBatchNorm(nd, in, c)
+
 	}
 
-	// Tape-aware differentiable kernels.
-	if c.opts.Tape != nil {
-		if tk, ok := tapeKernels[nd.Op]; ok {
-			return tk(c.opts.Tape, nd, in)
-		}
-	}
 	def := graph.Lookup(nd.Op)
 	if !def.Foldable() {
 		return nil, fmt.Errorf("exec: no kernel for op %s", nd.Op)
 	}
-	return def.Eval(nd, unwrapAll(in))
+	var v graph.Val
+	var err error
+	switch {
+	case nd.Op == "Identity" || nd.Op == "Pack":
+		// These ops only move values, so tape nodes pass through them as
+		// they are.
+		v, err = def.Kernel(nd, in)
+	case c.opts.Tape != nil && def.Grad != nil:
+		v, err = c.opts.Tape.Apply(def, nd, in)
+	default:
+		v, err = def.Eval(nd, unwrapAll(in))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return []graph.Val{v}, nil
 }
 
 func loopFeeds(state []graph.Val) map[string]graph.Val {
@@ -427,13 +438,5 @@ func execBatchNorm(nd *graph.Node, in []graph.Val, c *ctx) ([]graph.Val, error) 
 			copy(rv.Data(), rvCopy.Data())
 		})
 	}
-	if c.opts.Tape != nil {
-		if xn, ok := in[0].(*autodiff.Node); ok && xn.Tracked() {
-			node := c.opts.Tape.NewNode(out)
-			tape := c.opts.Tape
-			tape.Record(node, func(g *tensor.Tensor) { tape.Accum(xn, g) })
-			return []graph.Val{node}, nil
-		}
-	}
-	return []graph.Val{out}, nil
+	return []graph.Val{c.opts.Tape.Record(graph.Lookup(nd.Op), nd, in[:1], out)}, nil
 }

@@ -10,16 +10,28 @@ import (
 // with respect to the named Variable nodes, returning one gradient port per
 // requested variable name. This is the symbolic-graph autodiff the paper
 // relies on ("operations for automatic differentiation ... are also
-// automatically inserted", §3.1); it only handles static graphs — graphs
-// containing dynamic control-flow ops are differentiated at run time by the
-// executor's trace tape instead (see DESIGN.md §5).
+// automatically inserted", §3.1): it runs each op's OpDef.Grad rule with the
+// graph as the Emitter — the same rules the eager tape runs. It only handles
+// static graphs; graphs containing dynamic control-flow ops are
+// differentiated at run time by the executor's trace tape instead (see
+// DESIGN.md §3.1).
+//
+// The converter emits one Variable node per read, so a variable's gradient
+// is the sum over every node of that name, taken in the order the rules
+// reported the contributions: the order in which the tape, which watches one
+// node per name, accumulates them.
 func Gradients(g *Graph, loss Port, varNames []string) (map[string]Port, error) {
 	// Reverse topological walk: nodes were appended in construction order,
 	// which is a valid topological order for our builders.
 	grads := make(map[Port][]Port) // accumulated gradient contributions
-	key := func(p Port) Port { return p }
+	byVar := make(map[string][]Port)
 	addGrad := func(p Port, gp Port) {
-		grads[key(p)] = append(grads[key(p)], gp)
+		if p.Node.Op == "Variable" {
+			name := p.Node.StrAttr("name")
+			byVar[name] = append(byVar[name], gp)
+			return
+		}
+		grads[p] = append(grads[p], gp)
 	}
 	addGrad(loss, g.Const(tensor.Scalar(1)).P())
 
@@ -44,7 +56,12 @@ func Gradients(g *Graph, loss Port, varNames []string) (map[string]Port, error) 
 		grads[n.P()] = []Port{gout}
 		switch def := Lookup(n.Op); {
 		case def != nil && def.Grad != nil:
-			if err := def.Grad(g, n, gout, addGrad); err != nil {
+			in := make([]Val, len(n.Inputs))
+			for k, p := range n.Inputs {
+				in[k] = p
+			}
+			add := func(k int, gp Val) { addGrad(n.Inputs[k], gp.(Port)) }
+			if err := def.Grad(g, n, in, n.P(), gout, add); err != nil {
 				return nil, err
 			}
 		case def != nil && def.StopGrad:
@@ -55,6 +72,10 @@ func Gradients(g *Graph, loss Port, varNames []string) (map[string]Port, error) 
 
 	out := make(map[string]Port, len(varNames))
 	for _, name := range varNames {
+		if ps := byVar[name]; len(ps) > 0 {
+			out[name] = sum(ps)
+			continue
+		}
 		var vn *Node
 		for _, n := range g.Nodes {
 			if n.Op == "Variable" && n.StrAttr("name") == name {
@@ -65,14 +86,10 @@ func Gradients(g *Graph, loss Port, varNames []string) (map[string]Port, error) 
 		if vn == nil {
 			return nil, fmt.Errorf("graph: no Variable node named %q", name)
 		}
-		if ps, ok := grads[vn.P()]; ok && len(ps) > 0 {
-			out[name] = sum(ps)
-		} else {
-			// Variable does not influence the loss: zero gradient of the
-			// variable's shape, computed at run time via FillLike with scale 0.
-			z := g.Add("FillLike", map[string]Val{"scale": 0.0}, vn.P(), g.Const(tensor.Scalar(0)).P())
-			out[name] = z.P()
-		}
+		// Variable does not influence the loss: zero gradient of the
+		// variable's shape, computed at run time via FillLike with scale 0.
+		z := g.Add("FillLike", map[string]Val{"scale": 0.0}, vn.P(), g.Const(tensor.Scalar(0)).P())
+		out[name] = z.P()
 	}
 	return out, nil
 }

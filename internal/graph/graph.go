@@ -114,6 +114,16 @@ func (g *Graph) Add(op string, attrs map[string]Val, inputs ...Port) *Node {
 	return n
 }
 
+// Emit adds op as a node over the input ports in, making a graph the
+// Emitter that Gradients runs the rules against.
+func (g *Graph) Emit(op string, attrs map[string]Val, in ...Val) Val {
+	ports := make([]Port, len(in))
+	for i, v := range in {
+		ports[i] = v.(Port)
+	}
+	return g.Add(op, attrs, ports...).P()
+}
+
 // Const adds a constant-tensor node.
 func (g *Graph) Const(t *tensor.Tensor) *Node {
 	return g.Add("Const", map[string]Val{"value": t})
@@ -181,12 +191,19 @@ func (g *Graph) CountOps() map[string]int {
 
 // --- value helpers -----------------------------------------------------------
 
-// AsTensor coerces a Val to a tensor: tensors pass through, numeric scalars
-// are wrapped.
+// TensorHolder is a value that carries a tensor without being one: a
+// tracked node of the eager gradient tape, which kernels meet inside runtime
+// lists.
+type TensorHolder interface{ Tensor() *tensor.Tensor }
+
+// AsTensor coerces a Val to a tensor: tensors pass through, tensor holders
+// give theirs, numeric scalars are wrapped.
 func AsTensor(v Val) (*tensor.Tensor, error) {
 	switch x := v.(type) {
 	case *tensor.Tensor:
 		return x, nil
+	case TensorHolder:
+		return x.Tensor(), nil
 	case float64:
 		return tensor.Scalar(x), nil
 	case int:

@@ -23,7 +23,6 @@ func evalStatic(t *testing.T, g *Graph, feeds map[string]Val) []Val {
 			in[i] = v
 		}
 		var out []Val
-		var err error
 		switch n.Op {
 		case "Placeholder":
 			v, ok := feeds[n.StrAttr("name")]
@@ -36,10 +35,11 @@ func evalStatic(t *testing.T, g *Graph, feeds map[string]Val) []Val {
 			if !def.Foldable() {
 				t.Fatalf("no kernel for %s", n.Op)
 			}
-			out, err = def.Eval(n, in)
+			v, err := def.Eval(n, in)
 			if err != nil {
 				t.Fatalf("kernel %s: %v", n.Op, err)
 			}
+			out = []Val{v}
 		}
 		for i, v := range out {
 			vals[Port{Node: n, Out: i}] = v
@@ -92,7 +92,7 @@ func TestKernelsMatchTensorOps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.op, err)
 		}
-		if !tensor.Equal(out[0].(*tensor.Tensor), c.want) {
+		if !tensor.Equal(out.(*tensor.Tensor), c.want) {
 			t.Fatalf("%s mismatch", c.op)
 		}
 	}
@@ -224,6 +224,30 @@ func TestGradientZeroForUnusedVariable(t *testing.T) {
 	}
 	if grads["unused"].Node.Op != "FillLike" {
 		t.Fatalf("unused grad should be FillLike, got %s", grads["unused"].Node.Op)
+	}
+}
+
+// TestGradientsSumEveryReadOfAVariable: the converter emits one Variable node
+// per read, so the gradient of sum(w) + sum(w) must count both reads.
+func TestGradientsSumEveryReadOfAVariable(t *testing.T) {
+	g := New()
+	a := g.Add("Sum", nil, g.Variable("w").P())
+	b := g.Add("Sum", nil, g.Variable("w").P())
+	loss := g.Add("Add", nil, a.P(), b.P())
+	grads, err := Gradients(g, loss.P(), []string{"w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Outputs = []Port{grads["w"]}
+	for _, n := range g.Nodes {
+		if n.Op == "Variable" {
+			n.Op = "Const"
+			n.Attrs = map[string]Val{"value": tensor.FromSlice([]float64{3, 4})}
+		}
+	}
+	got := evalStatic(t, g, nil)[0].(*tensor.Tensor)
+	if !tensor.Equal(got, tensor.FromSlice([]float64{2, 2})) {
+		t.Fatalf("gradient of sum(w)+sum(w) over two reads of w: %v, want [2 2]", got)
 	}
 }
 

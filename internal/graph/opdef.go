@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/tensor"
 )
@@ -19,19 +20,30 @@ import (
 // code path.
 type IntoKernel func(n *Node, in []Val, alloc tensor.Allocator) (Val, error)
 
-// Kernel computes a pure op's outputs from its inputs on the Go heap.
-type Kernel func(n *Node, in []Val) ([]Val, error)
+// Kernel computes a pure op's one output from its inputs on the Go heap.
+type Kernel func(n *Node, in []Val) (Val, error)
 
-// GradFunc emits the gradient nodes of forward node n into g. gout is the
-// gradient flowing into n's output; each input's contribution is reported
-// through addGrad.
-type GradFunc func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error
+// Emitter receives the ops a gradient rule emits and hands back a handle to
+// each result. A *Graph adds them as nodes (Gradients); the eager tape in
+// internal/autodiff evaluates each at once through OpDef.Eval. Handles belong
+// to the emitter — Ports for a graph, values for the tape — and rules only
+// pass them on.
+type Emitter interface {
+	Emit(op string, attrs map[string]Val, in ...Val) Val
+}
 
-// OpDef is the single definition of an op: its kernel, its symbolic
-// gradient, and the facts the memory planner and the optimizer passes need.
-// Every consumer — the executor's fast and generic paths, constant folding,
-// CSE, DCE, fusion, BuildMemoryPlan, Gradients — reads this table, so an op
-// is added by registering one OpDef (DESIGN.md "Adding an op").
+// GradFunc is an op's gradient rule, written once for both engines. It reads
+// only n.Op and n.Attrs of the forward op; in, out and gout are the emitter's
+// handles for the forward inputs, the forward output and the gradient
+// reaching that output. Input i's contribution is reported as add(i, g).
+type GradFunc func(e Emitter, n *Node, in []Val, out, gout Val, add func(i int, g Val)) error
+
+// OpDef is the single definition of an op: its kernel, its gradient rule,
+// and the facts the memory planner and the optimizer passes need. Every
+// consumer — the executor's fast and generic paths, constant folding, CSE,
+// DCE, fusion, BuildMemoryPlan, Gradients, the eager tape — reads this
+// table, so an op is added by registering one OpDef (DESIGN.md "Adding an
+// op").
 type OpDef struct {
 	Name string
 	// Into is the op's destination-passing kernel.
@@ -40,8 +52,9 @@ type OpDef struct {
 	// (non-tensor results, variadic inputs, value forwarding). An op with
 	// neither kernel is implemented by the executor (internal/exec/nodes.go).
 	Kernel Kernel
-	// Grad is the op's symbolic gradient. An op with neither Grad nor
-	// StopGrad makes Gradients fail with "no gradient registered".
+	// Grad is the op's gradient rule, run by Gradients and by the tape. An
+	// op with neither Grad nor StopGrad makes Gradients fail with "no
+	// gradient registered", and the tape does not record it.
 	Grad GradFunc
 	// StopGrad marks leaves and non-differentiable ops: a gradient reaching
 	// the op is dropped silently.
@@ -90,6 +103,16 @@ func register(defs ...OpDef) {
 // Lookup returns op's definition, or nil for an unregistered op.
 func Lookup(op string) *OpDef { return ops[op] }
 
+// OpNames returns every registered op name, sorted.
+func OpNames() []string {
+	names := make([]string, 0, len(ops))
+	for name := range ops {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Foldable reports whether the op is pure — it has a kernel here rather
 // than an implementation in the executor — and may therefore be evaluated at
 // graph-optimization time and merged by CSE. An unregistered op (nil) is
@@ -109,15 +132,11 @@ func (d *OpDef) FusedCode(arity, pos int) (code tensor.FusedOpCode, ok bool) {
 	return tensor.FusedOpCode(d.Fuse[pos] - 1), true
 }
 
-// Eval runs a pure op on the Go heap: the executor's generic path (no pool,
-// or tape mode) and the constant folder both come through here.
-func (d *OpDef) Eval(n *Node, in []Val) ([]Val, error) {
+// Eval runs a pure op on the Go heap: the executor's generic path (no pool),
+// the tape and the constant folder all come through here.
+func (d *OpDef) Eval(n *Node, in []Val) (Val, error) {
 	if d.Into != nil {
-		v, err := d.Into(n, in, tensor.HeapAlloc)
-		if err != nil {
-			return nil, err
-		}
-		return []Val{v}, nil
+		return d.Into(n, in, tensor.HeapAlloc)
 	}
 	if d.Kernel == nil {
 		return nil, fmt.Errorf("%s: op has no kernel", d.Name)
@@ -126,8 +145,6 @@ func (d *OpDef) Eval(n *Node, in []Val) ([]Val, error) {
 }
 
 // --- kernel adapters and input coercion --------------------------------------
-
-func one(v Val) []Val { return []Val{v} }
 
 // t1, t2 and t3 coerce exactly one, two or three tensor inputs, naming the
 // op in the error.

@@ -33,7 +33,7 @@ func namesOp(e ast.Expr) bool {
 // opNameLiterals returns the string literals of f that sit where an op is
 // named: an argument bound to an op parameter (g.Add("X", ...)), a value
 // assigned to, compared with or switched against an op (n.Op == "X", case
-// "X"), an OpDef's Name, a tapeKernels key, and the values of a string table
+// "X"), an OpDef's Name, and the values of a string table
 // (the converter's builtin-to-op maps). opParams maps a function name to the
 // index of its op parameter.
 func opNameLiterals(f *ast.File, opParams map[string]int) []*ast.BasicLit {
@@ -79,10 +79,6 @@ func opNameLiterals(f *ast.File, opParams map[string]int) []*ast.BasicLit {
 					}
 				}
 			}
-		case *ast.IndexExpr:
-			if id, ok := x.X.(*ast.Ident); ok && id.Name == "tapeKernels" {
-				add(x.Index)
-			}
 		case *ast.CompositeLit:
 			mt, isMap := x.Type.(*ast.MapType)
 			id, _ := x.Type.(*ast.Ident)
@@ -113,7 +109,7 @@ func TestEveryNamedOpIsRegistered(t *testing.T) {
 	var paths []string
 	for _, pat := range []string{
 		"../convert/*.go", "passes/*.go", "graph.go", "grad.go", "memplan.go", "ops_*.go",
-		"../exec/exec.go", "../exec/nodes.go", "../exec/tapekernels.go",
+		"../exec/exec.go", "../exec/nodes.go",
 	} {
 		m, err := filepath.Glob(pat)
 		if err != nil || len(m) == 0 {
@@ -231,8 +227,8 @@ func TestFuseCodesMatchKernels(t *testing.T) {
 			prog := []tensor.FusedStep{{Code: code, Scalar: 0.5}}
 			got := tensor.FusedElementwise(v, extras, prog)
 			// Tolerance 0 and not Equal: Log of a negative is NaN on both sides.
-			if !tensor.AllClose(got, want[0].(*tensor.Tensor), 0) {
-				t.Errorf("%s with the chain at input %d: step code %d gives %v, the kernel %v", name, pos, code, got, want[0])
+			if !tensor.AllClose(got, want.(*tensor.Tensor), 0) {
+				t.Errorf("%s with the chain at input %d: step code %d gives %v, the kernel %v", name, pos, code, got, want)
 			}
 		}
 	}
@@ -330,7 +326,7 @@ func TestLossKernelsBroadcast(t *testing.T) {
 		d := tensor.Sub(pred, target)
 		cases = append(cases,
 			lossCase{"MSE", []Val{pred, target}, tensor.Mean(tensor.Mul(d, d))},
-			lossCase{"MSEGrad", []Val{pred, target, gout}, tensor.MulScalar(d, 2/float64(pred.Size())*gout.Item())})
+			lossCase{"MSEGrad", []Val{pred, target, gout}, tensor.MulScalar(d, 2/float64(d.Size())*gout.Item())})
 	}
 	for _, shape := range [][]int{{3}, {4, 3}, {1, 3}, {2, 4, 3}} {
 		labels := rng.Randn(shape...)
@@ -352,7 +348,7 @@ func TestLossKernelsBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %v (heap): %v", c.op, shape, err)
 		}
-		for path, got := range map[string]Val{"pooled": pooled, "heap": heap[0]} {
+		for path, got := range map[string]Val{"pooled": pooled, "heap": heap} {
 			if !tensor.AllClose(got.(*tensor.Tensor), c.want, 1e-12) {
 				t.Errorf("%s %v (%s path): got %v, want %v", c.op, shape, path, got, c.want)
 			}

@@ -17,9 +17,9 @@ func poolOut(x *tensor.Tensor, k, stride int) (n, c, oh, ow int) {
 
 // gradPool routes a pooling op's gradient through gradOp(x, gout).
 func gradPool(gradOp string) GradFunc {
-	return func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
+	return func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 		attrs := map[string]Val{"k": n.IntAttr("k", 2), "stride": n.IntAttr("stride", 2)}
-		addGrad(n.Inputs[0], g.Add(gradOp, attrs, n.Inputs[0], gout).P())
+		add(0, e.Emit(gradOp, attrs, in[0], gout))
 		return nil
 	}
 }
@@ -39,13 +39,10 @@ func init() {
 				nb, oc, oh, ow := tensor.Conv2DShape(x.Shape(), w.Shape(), stride, pad)
 				return tensor.Conv2DInto(alloc.Get(nb, oc, oh, ow), x, w, stride, pad, alloc), nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				in := n.Inputs
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				attrs := map[string]Val{"stride": n.IntAttr("stride", 1), "pad": n.IntAttr("pad", 0)}
-				gx := g.Add("Conv2DGradInput", attrs, in[0], in[1], gout)
-				gw := g.Add("Conv2DGradFilter", attrs, in[0], in[1], gout)
-				addGrad(in[0], gx.P())
-				addGrad(in[1], gw.P())
+				add(0, e.Emit("Conv2DGradInput", attrs, in[0], in[1], gout))
+				add(1, e.Emit("Conv2DGradFilter", attrs, in[0], in[1], gout))
 				return nil
 			}},
 		// Conv2DGradInput / Conv2DGradFilter take (x, w, gout).

@@ -10,19 +10,31 @@ import (
 // Arithmetic, activations, reductions, linear algebra and losses, each with
 // the gradient ops its Grad emits.
 
-// unbroadcastTo sends gp to input p of a broadcasting op, summed back to p's
-// shape.
-func unbroadcastTo(g *Graph, addGrad func(p, gp Port), p, gp Port) {
-	addGrad(p, g.Add("Unbroadcast", nil, gp, p).P())
+// unbroadcast sends gradient gp to input i of a broadcasting op, summed back
+// to that input's shape.
+func unbroadcast(e Emitter, add func(int, Val), in []Val, i int, gp Val) {
+	add(i, e.Emit("Unbroadcast", nil, gp, in[i]))
 }
 
-func gradExtremum(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-	in := n.Inputs
+// gradUnary routes a one-input op's gradient through gradOp(x, gout), where x
+// is the op's input, or its output when fromOut is set.
+func gradUnary(gradOp string, fromOut bool) GradFunc {
+	return func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+		x := in[0]
+		if fromOut {
+			x = out
+		}
+		add(0, e.Emit(gradOp, nil, x, gout))
+		return nil
+	}
+}
+
+func gradExtremum(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 	isMax := n.Op == "Maximum"
-	ga := g.Add("ExtremumGrad", map[string]Val{"max": isMax, "side": 0}, in[0], in[1], gout)
-	gb := g.Add("ExtremumGrad", map[string]Val{"max": isMax, "side": 1}, in[0], in[1], gout)
-	unbroadcastTo(g, addGrad, in[0], ga.P())
-	unbroadcastTo(g, addGrad, in[1], gb.P())
+	ga := e.Emit("ExtremumGrad", map[string]Val{"max": isMax, "side": 0}, in[0], in[1], gout)
+	gb := e.Emit("ExtremumGrad", map[string]Val{"max": isMax, "side": 1}, in[0], in[1], gout)
+	unbroadcast(e, add, in, 0, ga)
+	unbroadcast(e, add, in, 1, gb)
 	return nil
 }
 
@@ -64,56 +76,39 @@ func init() {
 	register(
 		OpDef{Name: "Add", Into: zipInto(tensor.AddInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedAdd), fuseAs(tensor.FusedAdd)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				unbroadcastTo(g, addGrad, n.Inputs[0], gout)
-				unbroadcastTo(g, addGrad, n.Inputs[1], gout)
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				unbroadcast(e, add, in, 0, gout)
+				unbroadcast(e, add, in, 1, gout)
 				return nil
 			}},
 		OpDef{Name: "Sub", Into: zipInto(tensor.SubInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedSub), fuseAs(tensor.FusedRSub)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				unbroadcastTo(g, addGrad, n.Inputs[0], gout)
-				neg := g.Add("Neg", nil, gout)
-				unbroadcastTo(g, addGrad, n.Inputs[1], neg.P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				unbroadcast(e, add, in, 0, gout)
+				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, gout))
 				return nil
 			}},
 		OpDef{Name: "Mul", Into: zipInto(tensor.MulInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedMul), fuseAs(tensor.FusedMul)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				in := n.Inputs
-				ga := g.Add("Mul", nil, gout, in[1])
-				gb := g.Add("Mul", nil, gout, in[0])
-				unbroadcastTo(g, addGrad, in[0], ga.P())
-				unbroadcastTo(g, addGrad, in[1], gb.P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				unbroadcast(e, add, in, 0, e.Emit("Mul", nil, gout, in[1]))
+				unbroadcast(e, add, in, 1, e.Emit("Mul", nil, gout, in[0]))
 				return nil
 			}},
 		OpDef{Name: "Div", Into: zipInto(tensor.DivInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedDiv), fuseAs(tensor.FusedRDiv)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				in := n.Inputs
-				ga := g.Add("Div", nil, gout, in[1])
-				unbroadcastTo(g, addGrad, in[0], ga.P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				unbroadcast(e, add, in, 0, e.Emit("Div", nil, gout, in[1]))
 				// gb = -g*a/b^2
-				num := g.Add("Mul", nil, gout, in[0])
-				den := g.Add("Mul", nil, in[1], in[1])
-				gb := g.Add("Neg", nil, g.Add("Div", nil, num.P(), den.P()).P())
-				unbroadcastTo(g, addGrad, in[1], gb.P())
+				num := e.Emit("Mul", nil, gout, in[0])
+				den := e.Emit("Mul", nil, in[1], in[1])
+				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, e.Emit("Div", nil, num, den)))
 				return nil
 			}},
 		OpDef{Name: "Pow", Into: zipInto(tensor.PowInto), ReadsOnly: true, InPlace: true,
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				// Only constant exponents are differentiable here; the
-				// converter guarantees this by specializing the exponent.
-				expNode := n.Inputs[1].Node
-				if expNode.Op != "Const" {
-					return fmt.Errorf("graph: Pow gradient needs constant exponent")
-				}
-				ev, err := AsTensor(expNode.Attr("value"))
-				if err != nil || ev.Size() != 1 {
-					return fmt.Errorf("graph: Pow exponent must be scalar")
-				}
-				pg := g.Add("PowGrad", map[string]Val{"p": ev.Item()}, n.Inputs[0], gout)
-				addGrad(n.Inputs[0], pg.P())
+			// The exponent is treated as a constant: it gets no gradient.
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("PowGrad", nil, in[0], in[1], gout))
 				return nil
 			}},
 		OpDef{Name: "Maximum", Into: zipInto(tensor.MaximumInto), ReadsOnly: true, InPlace: true, Grad: gradExtremum,
@@ -123,64 +118,45 @@ func init() {
 
 		OpDef{Name: "Neg", Into: mapInto(tensor.NegInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedNeg)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("Neg", nil, gout).P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("Neg", nil, gout))
 				return nil
 			}},
 		OpDef{Name: "ReLU", Into: mapInto(tensor.ReLUInto), ReadsOnly: true, InPlace: true,
-			Fuse: []uint8{fuseAs(tensor.FusedReLU)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("ReLUGrad", nil, n.Inputs[0], gout).P())
-				return nil
-			}},
+			Fuse: []uint8{fuseAs(tensor.FusedReLU)}, Grad: gradUnary("ReLUGrad", false)},
 		OpDef{Name: "Sigmoid", Into: mapInto(tensor.SigmoidInto), ReadsOnly: true, InPlace: true,
-			Fuse: []uint8{fuseAs(tensor.FusedSigmoid)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("SigmoidGradFromOut", nil, n.P(), gout).P())
-				return nil
-			}},
+			Fuse: []uint8{fuseAs(tensor.FusedSigmoid)}, Grad: gradUnary("SigmoidGradFromOut", true)},
 		OpDef{Name: "Tanh", Into: mapInto(tensor.TanhInto), ReadsOnly: true, InPlace: true,
-			Fuse: []uint8{fuseAs(tensor.FusedTanh)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("TanhGradFromOut", nil, n.P(), gout).P())
-				return nil
-			}},
+			Fuse: []uint8{fuseAs(tensor.FusedTanh)}, Grad: gradUnary("TanhGradFromOut", true)},
 		OpDef{Name: "Exp", Into: mapInto(tensor.ExpInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedExp)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("Mul", nil, gout, n.P()).P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("Mul", nil, gout, out))
 				return nil
 			}},
 		OpDef{Name: "Log", Into: mapInto(tensor.LogInto), ReadsOnly: true, InPlace: true,
-			Fuse: []uint8{fuseAs(tensor.FusedLog)},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("LogGrad", nil, n.Inputs[0], gout).P())
-				return nil
-			}},
+			Fuse: []uint8{fuseAs(tensor.FusedLog)}, Grad: gradUnary("LogGrad", false)},
 		OpDef{Name: "Abs", Into: mapInto(tensor.AbsInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedAbs)}},
 		OpDef{Name: "Floor", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				x, err := t1(n, in)
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.Map(x, math.Floor)), nil
+				return tensor.Map(x, math.Floor), nil
 			}},
 		OpDef{Name: "Softmax", Into: mapInto(tensor.SoftmaxInto), ReadsOnly: true, InPlace: true,
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("SoftmaxGrad", nil, n.P(), gout).P())
-				return nil
-			}},
+			Grad: gradUnary("SoftmaxGrad", true)},
 		OpDef{Name: "LogSoftmax", Into: mapInto(tensor.LogSoftmaxInto), ReadsOnly: true, InPlace: true},
 		OpDef{Name: "Sum", Into: reduceInto(tensor.SumInto), ReadsOnly: true,
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("FillLike", map[string]Val{"scale": 1.0}, n.Inputs[0], gout).P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("FillLike", map[string]Val{"scale": 1.0}, in[0], gout))
 				return nil
 			}},
 		OpDef{Name: "Mean", Into: reduceInto(tensor.MeanInto), ReadsOnly: true,
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("FillLike", map[string]Val{"scale": 1.0, "divByCount": true}, n.Inputs[0], gout).P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("FillLike", map[string]Val{"scale": 1.0, "divByCount": true}, in[0], gout))
 				return nil
 			}},
 
@@ -218,12 +194,9 @@ func init() {
 				}
 				return tensor.MatMulInto(alloc.Get(a.Shape()[0], b.Shape()[1]), a, b), nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				in := n.Inputs
-				ga := g.Add("MatMul", nil, gout, g.Add("Transpose", nil, in[1]).P())
-				gb := g.Add("MatMul", nil, g.Add("Transpose", nil, in[0]).P(), gout)
-				addGrad(in[0], ga.P())
-				addGrad(in[1], gb.P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("MatMul", nil, gout, e.Emit("Transpose", nil, in[1])))
+				add(1, e.Emit("MatMul", nil, e.Emit("Transpose", nil, in[0]), gout))
 				return nil
 			}},
 		OpDef{Name: "Transpose", ReadsOnly: true,
@@ -237,8 +210,8 @@ func init() {
 				}
 				return tensor.TransposeInto(alloc.Get(a.Shape()[1], a.Shape()[0]), a), nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("Transpose", nil, gout).P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("Transpose", nil, gout))
 				return nil
 			}},
 
@@ -252,10 +225,10 @@ func init() {
 				}
 				return tensor.CrossEntropyInto(alloc.Get(), logits, labels, alloc), nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				ce := g.Add("CrossEntropyGrad", nil, n.Inputs[0], n.Inputs[1])
-				scaled := g.Add("ScaleByScalar", nil, ce.P(), gout)
-				addGrad(n.Inputs[0], scaled.P())
+			// The labels are data: they get no gradient.
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				ce := e.Emit("CrossEntropyGrad", nil, in[0], in[1])
+				add(0, e.Emit("ScaleByScalar", nil, ce, gout))
 				return nil
 			}},
 		OpDef{Name: "CrossEntropyGrad", ReadsOnly: true, InPlace: true, StopGrad: true,
@@ -277,11 +250,17 @@ func init() {
 				}
 				return tensor.MSEInto(alloc.Get(), pred, target, alloc), nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("MSEGrad", nil, n.Inputs[0], n.Inputs[1], gout).P())
+			// MSEGrad is the gradient of the broadcast difference; each side
+			// sums it back to its own shape, the target's negated.
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				d := e.Emit("MSEGrad", nil, in[0], in[1], gout)
+				unbroadcast(e, add, in, 0, d)
+				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, d))
 				return nil
 			}},
-		// MSEGrad(pred, target, gout): gout is the scalar upstream gradient.
+		// MSEGrad(pred, target, gout) = 2*gout*(pred-target)/size over the
+		// broadcast shape, the shape the forward mean ran over; gout is the
+		// scalar upstream gradient.
 		OpDef{Name: "MSEGrad", ReadsOnly: true, StopGrad: true,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				p, tg, g, err := t3(n, in)
@@ -318,10 +297,14 @@ func init() {
 			})},
 		// SoftmaxGrad(s, g): s is the softmax output.
 		OpDef{Name: "SoftmaxGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				s, g, err := t2(n, in)
 				if err != nil {
 					return nil, err
+				}
+				if s.Rank() == 0 {
+					// The softmax of a scalar is the constant 1.
+					return tensor.Zeros(), nil
 				}
 				gs := tensor.Mul(g, s)
 				sum := tensor.SumAxis(gs, -1)
@@ -333,31 +316,34 @@ func init() {
 						ed[i*nLast+j] = sd[i]
 					}
 				}
-				return one(tensor.Mul(s, tensor.Sub(g, exp))), nil
+				return tensor.Mul(s, tensor.Sub(g, exp)), nil
 			}},
-		// PowGrad(x, g) is d/dx x**p for the constant attr "p".
+		// PowGrad(x, p, g) is g * d/dx x**p = g * p * x**(p-1), summed back
+		// to x's shape when the exponent broadcast x.
 		OpDef{Name: "PowGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
-				x, g, err := t2(n, in)
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				x, p, g, err := t3(n, in)
 				if err != nil {
 					return nil, err
 				}
-				p := n.Attr("p").(float64)
-				d := tensor.MulScalar(tensor.Pow(x, tensor.Scalar(p-1)), p)
-				return one(tensor.Mul(g, d)), nil
+				if _, err := broadcastShape(n, x, p); err != nil {
+					return nil, err
+				}
+				d := tensor.Mul(tensor.Pow(x, tensor.AddScalar(p, -1)), p)
+				return tensor.UnbroadcastTo(tensor.Mul(g, d), x.Shape()), nil
 			}},
 		OpDef{Name: "LogGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				x, g, err := t2(n, in)
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.Div(g, x)), nil
+				return tensor.Div(g, x), nil
 			}},
 		// ExtremumGrad(a, b, g) routes the upstream gradient to the winning
 		// side of a Maximum/Minimum op (side 0 = first input, ties included).
 		OpDef{Name: "ExtremumGrad", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				a, b, g, err := t3(n, in)
 				if err != nil {
 					return nil, err
@@ -371,7 +357,7 @@ func init() {
 					}
 					return 0
 				})
-				return one(tensor.Mul(g, mask)), nil
+				return tensor.Mul(g, mask), nil
 			}},
 		// FillLike(x, g) broadcasts the scalar gradient g to x's shape,
 		// scaled by the attrs "scale" and (for Mean) 1/size.

@@ -22,10 +22,7 @@ func init() {
 		// BatchNorm updates its running statistics; its gradient is a
 		// pass-through, matching the eager engine's approximation.
 		OpDef{Name: "BatchNorm", ReadsOnly: true, Fresh: true, SideEffect: true,
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], gout)
-				return nil
-			}},
+			Grad: gradIdentity},
 		OpDef{Name: "Switch", ReadsOnly: true},
 		OpDef{Name: "Merge", ReadsOnly: true},
 		OpDef{Name: "Invoke"},

@@ -39,19 +39,16 @@ func resolveReshape(size int, shape []int) ([]int, error) {
 
 // gradReshapeLike restores the input's shape on the way back (Reshape,
 // ExpandDims).
-func gradReshapeLike(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-	addGrad(n.Inputs[0], g.Add("ReshapeLike", nil, gout, n.Inputs[0]).P())
+func gradReshapeLike(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+	add(0, e.Emit("ReshapeLike", nil, gout, in[0]))
 	return nil
 }
 
-// sliceKernel cuts [lo, hi) along axis out of input 0 (Slice, and
-// ConcatGradSlice on the upstream gradient of one concat input).
-func sliceKernel(n *Node, in []Val) ([]Val, error) {
-	a, err := t1(n, in)
-	if err != nil {
-		return nil, err
-	}
-	return one(tensor.SliceAxis(a, n.IntAttr("axis", 0), n.IntAttr("lo", 0), n.IntAttr("hi", 0))), nil
+// gradIdentity passes the gradient through unchanged (Identity, and
+// BatchNorm's approximation).
+func gradIdentity(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+	add(0, gout)
+	return nil
 }
 
 // listIndex resolves a possibly negative index into a list of length size.
@@ -68,20 +65,17 @@ func listIndex(n *Node, i, size int) (int, error) {
 func init() {
 	register(
 		OpDef{Name: "Const", StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
-				return one(n.Attr("value")), nil
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				return n.Attr("value"), nil
 			}},
 		OpDef{Name: "Identity", ReadsOnly: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				if len(in) != 1 {
 					return nil, fmt.Errorf("Identity: want 1 input")
 				}
-				return one(in[0]), nil
+				return in[0], nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], gout)
-				return nil
-			}},
+			Grad: gradIdentity},
 
 		OpDef{Name: "Reshape", ReadsOnly: true, Grad: gradReshapeLike,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
@@ -122,71 +116,91 @@ func init() {
 			}},
 
 		OpDef{Name: "Concat", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				ts, err := allTensors(n, in)
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.Concat(n.IntAttr("axis", 0), ts...)), nil
+				return tensor.Concat(n.IntAttr("axis", 0), ts...), nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				axis := n.IntAttr("axis", 0)
-				// Each input gets the matching slice of gout; the converter
-				// always knows the static widths.
-				widths, ok := n.Attr("widths").([]int)
-				if !ok {
-					return fmt.Errorf("graph: Concat gradient needs widths attr")
-				}
-				off := 0
-				for i, p := range n.Inputs {
-					sl := g.Add("ConcatGradSlice", map[string]Val{"axis": axis, "lo": off, "hi": off + widths[i]}, gout)
-					addGrad(p, sl.P())
-					off += widths[i]
+			// Each input gets its own slice of gout, located from the
+			// inputs' widths at run time.
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				args := append([]Val{gout}, in...)
+				for i := range in {
+					add(i, e.Emit("ConcatGradSlice", map[string]Val{"axis": n.IntAttr("axis", 0), "index": i}, args...))
 				}
 				return nil
 			}},
-		OpDef{Name: "ConcatGradSlice", Kernel: sliceKernel, ReadsOnly: true, Fresh: true, StopGrad: true},
-		OpDef{Name: "Slice", Kernel: sliceKernel, ReadsOnly: true, Fresh: true,
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				shape, ok := n.Attr("inShape").([]int)
-				if !ok {
-					return fmt.Errorf("graph: Slice gradient needs inShape attr")
-				}
-				sg := g.Add("SliceGrad", map[string]Val{
-					"axis": n.IntAttr("axis", 0), "lo": n.IntAttr("lo", 0), "shape": shape,
-				}, gout)
-				addGrad(n.Inputs[0], sg.P())
-				return nil
-			}},
-		OpDef{Name: "SliceGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
-				g, err := t1(n, in)
+		// ConcatGradSlice(g, x0, ..., xk) cuts input "index"'s share out of
+		// the gradient g of Concat(x0, ..., xk) along "axis".
+		OpDef{Name: "ConcatGradSlice", ReadsOnly: true, Fresh: true, StopGrad: true,
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				ts, err := allTensors(n, in)
 				if err != nil {
 					return nil, err
 				}
-				shape := n.Attr("shape").([]int)
-				return one(tensor.PadSliceGrad(g, shape, n.IntAttr("axis", 0), n.IntAttr("lo", 0))), nil
+				i := n.IntAttr("index", 0)
+				if len(ts) < 2 || i < 0 || i >= len(ts)-1 {
+					return nil, fmt.Errorf("%s: input %d of %d", n.Op, i, len(ts)-1)
+				}
+				g, xs := ts[0], ts[1:]
+				axis := n.IntAttr("axis", 0)
+				if axis < 0 {
+					axis += g.Rank()
+				}
+				if axis < 0 || axis >= g.Rank() {
+					return nil, fmt.Errorf("%s: axis %d out of range for %v", n.Op, n.IntAttr("axis", 0), g.Shape())
+				}
+				lo := 0
+				for _, x := range xs[:i] {
+					lo += x.Dim(axis)
+				}
+				return tensor.SliceAxis(g, axis, lo, lo+xs[i].Dim(axis)), nil
+			}},
+		OpDef{Name: "Slice", ReadsOnly: true, Fresh: true,
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				a, err := t1(n, in)
+				if err != nil {
+					return nil, err
+				}
+				return tensor.SliceAxis(a, n.IntAttr("axis", 0), n.IntAttr("lo", 0), n.IntAttr("hi", 0)), nil
+			},
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				attrs := map[string]Val{"axis": n.IntAttr("axis", 0), "lo": n.IntAttr("lo", 0)}
+				add(0, e.Emit("SliceGrad", attrs, gout, in[0]))
+				return nil
+			}},
+		// SliceGrad(g, x) places g at [lo, lo+len) along axis of a zero
+		// tensor shaped like x.
+		OpDef{Name: "SliceGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				g, x, err := t2(n, in)
+				if err != nil {
+					return nil, err
+				}
+				return tensor.PadSliceGrad(g, x.Shape(), n.IntAttr("axis", 0), n.IntAttr("lo", 0)), nil
 			}},
 		OpDef{Name: "Stack", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				ts, err := allTensors(n, in)
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.Stack(ts...)), nil
+				return tensor.Stack(ts...), nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				for i, p := range n.Inputs {
-					sl := g.Add("Slice", map[string]Val{"axis": 0, "lo": i, "hi": i + 1}, gout)
-					rs := g.Add("ReshapeLike", nil, sl.P(), p)
-					addGrad(p, rs.P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				for i := range in {
+					sl := e.Emit("Slice", map[string]Val{"axis": 0, "lo": i, "hi": i + 1}, gout)
+					add(i, e.Emit("ReshapeLike", nil, sl, in[i]))
 				}
 				return nil
 			}},
 		// StackList stacks a runtime []Val of tensors (produced by a Loop
-		// accumulator) into one tensor along a new leading axis.
+		// accumulator) into one tensor along a new leading axis. Its list
+		// input gets a list gradient.
 		OpDef{Name: "StackList", ReadsOnly: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				xs, ok := in[0].([]Val)
 				if !ok {
 					return nil, fmt.Errorf("StackList: input is %T, want []Val", in[0])
@@ -195,11 +209,31 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.Stack(ts...)), nil
+				return tensor.Stack(ts...), nil
+			},
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("Unstack", nil, gout))
+				return nil
+			}},
+		// Unstack splits a tensor along its leading axis into a []Val list.
+		OpDef{Name: "Unstack", ReadsOnly: true, StopGrad: true,
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				x, err := t1(n, in)
+				if err != nil {
+					return nil, err
+				}
+				if x.Rank() == 0 {
+					return nil, fmt.Errorf("%s: rank-0 tensor", n.Op)
+				}
+				rows := make([]Val, x.Dim(0))
+				for i := range rows {
+					rows[i] = tensor.SliceAxis(x, 0, i, i+1).Reshape(x.Shape()[1:]...)
+				}
+				return rows, nil
 			}},
 
 		OpDef{Name: "Gather", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				table, err := AsTensor(in[0])
 				if err != nil {
 					return nil, err
@@ -208,16 +242,16 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.Gather(table, idx)), nil
+				return tensor.Gather(table, idx), nil
 			},
-			Grad: func(g *Graph, n *Node, gout Port, addGrad func(p, gp Port)) error {
-				addGrad(n.Inputs[0], g.Add("GatherGrad", nil, n.Inputs[0], n.Inputs[1], gout).P())
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("GatherGrad", nil, in[0], in[1], gout))
 				return nil
 			}},
 		// GatherGrad(table, ids, gout) scatters gout's rows back into a
 		// table-shaped gradient.
 		OpDef{Name: "GatherGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				table, err := AsTensor(in[0])
 				if err != nil {
 					return nil, err
@@ -230,42 +264,42 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.ScatterAddRows(table.Shape(), idx, g)), nil
+				return tensor.ScatterAddRows(table.Shape(), idx, g), nil
 			}},
 		OpDef{Name: "OneHot", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				idx, err := asIntSlice(in[0], n)
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.OneHot(idx, n.IntAttr("depth", 0))), nil
+				return tensor.OneHot(idx, n.IntAttr("depth", 0)), nil
 			}},
 		OpDef{Name: "Argmax", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				x, err := t1(n, in)
 				if err != nil {
 					return nil, err
 				}
-				return one(tensor.ArgmaxAxis(x, n.IntAttr("axis", -1))), nil
+				return tensor.ArgmaxAxis(x, n.IntAttr("axis", -1)), nil
 			}},
 
 		OpDef{Name: "Len", ReadsOnly: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				switch x := in[0].(type) {
 				case *tensor.Tensor:
 					if x.Rank() == 0 {
 						return nil, fmt.Errorf("Len of rank-0 tensor")
 					}
-					return one(x.Dim(0)), nil
+					return x.Dim(0), nil
 				case []Val:
-					return one(len(x)), nil
+					return len(x), nil
 				}
 				return nil, fmt.Errorf("Len: unsupported %T", in[0])
 			}},
 		// Cmp compares two scalars into a bool; used for specialized branch
 		// predicates and loop conditions.
 		OpDef{Name: "Cmp", ReadsOnly: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				a, b, err := t2(n, in)
 				if err != nil {
 					return nil, err
@@ -291,25 +325,25 @@ func init() {
 				default:
 					return nil, fmt.Errorf("Cmp: bad op %q", n.StrAttr("op"))
 				}
-				return one(r), nil
+				return r, nil
 			}},
 		OpDef{Name: "Not", ReadsOnly: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				b, err := AsBool(in[0])
 				if err != nil {
 					return nil, err
 				}
-				return one(!b), nil
+				return !b, nil
 			}},
 
 		// Pack boxes its inputs into a []Val tuple (multi-value results). The
 		// tuple retains them, so Pack is not ReadsOnly.
 		OpDef{Name: "Pack",
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
-				return one(append([]Val(nil), in...)), nil
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				return append([]Val(nil), in...), nil
 			}},
 		OpDef{Name: "Unpack", ReadsOnly: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				xs, ok := in[0].([]Val)
 				if !ok {
 					return nil, fmt.Errorf("Unpack: input is %T", in[0])
@@ -318,12 +352,18 @@ func init() {
 				if i < 0 || i >= len(xs) {
 					return nil, fmt.Errorf("Unpack: index %d out of range (%d elems)", i, len(xs))
 				}
-				return one(xs[i]), nil
+				return xs[i], nil
 			}},
 		// IndexAny is the generic subscript: runtime []Val lists index by
-		// element; tensors slice their leading axis.
+		// element; tensors slice their leading axis. Only the tensor case
+		// computes a value, so only it is differentiated: a list element is
+		// forwarded as it is.
 		OpDef{Name: "IndexAny", ReadsOnly: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				add(0, e.Emit("IndexAnyGrad", nil, gout, in[0], in[1]))
+				return nil
+			},
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				i, err := AsInt(in[1])
 				if err != nil {
 					return nil, err
@@ -333,7 +373,7 @@ func init() {
 					if i, err = listIndex(n, i, len(x)); err != nil {
 						return nil, err
 					}
-					return one(x[i]), nil
+					return x[i], nil
 				case *tensor.Tensor:
 					if x.Rank() == 0 {
 						return nil, fmt.Errorf("IndexAny: rank-0 tensor")
@@ -342,12 +382,37 @@ func init() {
 						i += x.Dim(0)
 					}
 					sl := tensor.SliceAxis(x, 0, i, i+1)
-					return one(sl.Reshape(x.Shape()[1:]...)), nil
+					return sl.Reshape(x.Shape()[1:]...), nil
 				}
 				return nil, fmt.Errorf("IndexAny: unsupported %T", in[0])
 			}},
+		// IndexAnyGrad(g, x, i) places g at row i of a zero tensor shaped
+		// like x.
+		OpDef{Name: "IndexAnyGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				if len(in) != 3 {
+					return nil, fmt.Errorf("%s: want 3 inputs, got %d", n.Op, len(in))
+				}
+				g, x, err := t2(n, in[:2])
+				if err != nil {
+					return nil, err
+				}
+				i, err := AsInt(in[2])
+				if err != nil {
+					return nil, err
+				}
+				if x.Rank() == 0 || g.Size()*x.Dim(0) != x.Size() {
+					return nil, fmt.Errorf("%s: gradient %v is not a row of %v", n.Op, g.Shape(), x.Shape())
+				}
+				if i, err = listIndex(n, i, x.Dim(0)); err != nil {
+					return nil, err
+				}
+				out := tensor.Zeros(x.Shape()...)
+				copy(out.Data()[i*g.Size():], g.Data())
+				return out, nil
+			}},
 		OpDef{Name: "IndexList", ReadsOnly: true,
-			Kernel: func(n *Node, in []Val) ([]Val, error) {
+			Kernel: func(n *Node, in []Val) (Val, error) {
 				xs, ok := in[0].([]Val)
 				if !ok {
 					return nil, fmt.Errorf("IndexList: input is %T", in[0])
@@ -359,7 +424,7 @@ func init() {
 				if i, err = listIndex(n, i, len(xs)); err != nil {
 					return nil, err
 				}
-				return one(xs[i]), nil
+				return xs[i], nil
 			}},
 	)
 }

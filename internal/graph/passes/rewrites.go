@@ -39,13 +39,13 @@ func constantFold(g *graph.Graph) int {
 			continue
 		}
 		out, err := def.Eval(n, in)
-		if err != nil || len(out) != 1 {
+		if err != nil {
 			continue
 		}
 		// Rewrite the node in place into a Const (keeps IDs stable).
 		n.Op = "Const"
 		n.Inputs = nil
-		n.Attrs = map[string]graph.Val{"value": out[0]}
+		n.Attrs = map[string]graph.Val{"value": out}
 		changed++
 	}
 	return changed

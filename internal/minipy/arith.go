@@ -90,11 +90,7 @@ func (it *Interp) binop(n Node, op string, l, r Value) (Value, error) {
 		} else {
 			return nil, it.rte(n, "unsupported operand %s for tensor %s", r.TypeName(), op)
 		}
-		out, err := it.tensorBinop(n, op, ln, rn)
-		if err != nil {
-			return nil, err
-		}
-		return &TensorVal{Node: out}, nil
+		return it.tensorBinop(n, op, ln, rn)
 	}
 
 	// Pure scalar arithmetic.
@@ -286,39 +282,20 @@ func (it *Interp) compare(n Node, op string, l, r Value) (Value, error) {
 	return BoolVal(res), nil
 }
 
-func (it *Interp) tensorBinop(n Node, op string, l, r *autodiff.Node) (*autodiff.Node, error) {
+// binopOps names the graph op of each tensor arithmetic operator.
+var binopOps = map[string]string{"+": "Add", "-": "Sub", "*": "Mul", "/": "Div", "**": "Pow"}
+
+func (it *Interp) tensorBinop(n Node, op string, l, r *autodiff.Node) (Value, error) {
 	it.dispatchDelay()
-	if it.Tape != nil {
-		switch op {
-		case "+":
-			return it.Tape.Add(l, r), nil
-		case "-":
-			return it.Tape.Sub(l, r), nil
-		case "*":
-			return it.Tape.Mul(l, r), nil
-		case "/":
-			return it.Tape.Div(l, r), nil
-		case "**":
-			if r.Value.Size() == 1 && !r.Tracked() {
-				return it.Tape.Pow(l, r.Value.Item()), nil
-			}
-			return nil, it.rte(n, "tensor ** tensor with tracked exponent is unsupported")
-		}
+	gop, ok := binopOps[op]
+	if !ok {
 		return nil, it.rte(n, "unsupported tensor operator %s", op)
 	}
-	switch op {
-	case "+":
-		return autodiff.Const(tensor.Add(l.Value, r.Value)), nil
-	case "-":
-		return autodiff.Const(tensor.Sub(l.Value, r.Value)), nil
-	case "*":
-		return autodiff.Const(tensor.Mul(l.Value, r.Value)), nil
-	case "/":
-		return autodiff.Const(tensor.Div(l.Value, r.Value)), nil
-	case "**":
-		return autodiff.Const(tensor.Pow(l.Value, r.Value)), nil
+	v, err := it.applyOp(gop, nil, l, r)
+	if err != nil {
+		return nil, it.rte(n, "%v", err)
 	}
-	return nil, it.rte(n, "unsupported tensor operator %s", op)
+	return v, nil
 }
 
 func (it *Interp) unary(n Node, op string, x Value) (Value, error) {
@@ -343,10 +320,7 @@ func (it *Interp) unary(n Node, op string, x Value) (Value, error) {
 			}
 			return IntVal(0), nil
 		case *TensorVal:
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.Neg(v.Node)}, nil
-			}
-			return NewTensor(tensor.Neg(v.T())), nil
+			return it.applyOp("Neg", nil, v.Node)
 		}
 	}
 	return nil, it.rte(n, "bad operand type for unary %s: %s", op, x.TypeName())

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/autodiff"
+	"repro/internal/graph"
 	"repro/internal/tensor"
 	"repro/internal/vars"
 )
@@ -129,9 +130,31 @@ func kwInt(kwargs map[string]Value, name string, def int) (int, error) {
 	return int(n), nil
 }
 
-// unary registers a one-tensor-in, one-tensor-out math builtin with both
-// tape and tapeless paths.
-func unaryBuiltin(name, graphOp string, taped func(*autodiff.Tape, *autodiff.Node) *autodiff.Node, plain func(*tensor.Tensor) *tensor.Tensor) *Builtin {
+// applyOp runs graph op on the interpreter's tape — recorded for backprop
+// when a tape is active and an input is tracked, only evaluated otherwise —
+// with the executor's kernel, and wraps the tensor result.
+func (it *Interp) applyOp(op string, attrs map[string]graph.Val, in ...graph.Val) (Value, error) {
+	v, err := it.Tape.Apply(graph.Lookup(op), &graph.Node{Op: op, Attrs: attrs}, in)
+	if err != nil {
+		return nil, err
+	}
+	return tensorResult(v)
+}
+
+// tensorResult wraps a tape result (a node, or a plain tensor) as a value.
+func tensorResult(v graph.Val) (Value, error) {
+	switch x := v.(type) {
+	case *autodiff.Node:
+		return &TensorVal{Node: x}, nil
+	case *tensor.Tensor:
+		return NewTensor(x), nil
+	}
+	return nil, fmt.Errorf("tensor op returned %T", v)
+}
+
+// unaryBuiltin registers a one-tensor-in, one-tensor-out builtin that runs
+// its graph op.
+func unaryBuiltin(name, graphOp string) *Builtin {
 	return &Builtin{
 		Name:    name,
 		GraphOp: graphOp,
@@ -143,12 +166,22 @@ func unaryBuiltin(name, graphOp string, taped func(*autodiff.Tape, *autodiff.Nod
 			if err != nil {
 				return nil, err
 			}
-			if it.Tape != nil {
-				return &TensorVal{Node: taped(it.Tape, x)}, nil
-			}
-			return NewTensor(plain(x.Value)), nil
+			return it.applyOp(graphOp, nil, x)
 		},
 	}
+}
+
+// tensorArgs returns the tape nodes of the tensor elements of a list.
+func tensorArgs(name string, items []Value) ([]graph.Val, error) {
+	in := make([]graph.Val, len(items))
+	for i := range items {
+		tv, ok := items[i].(*TensorVal)
+		if !ok {
+			return nil, fmt.Errorf("%s element %d is %s, not tensor", name, i, items[i].TypeName())
+		}
+		in[i] = tv.Node
+	}
+	return in, nil
 }
 
 // DefaultRegistry builds the standard builtin set shared by all engines:
@@ -262,7 +295,7 @@ func DefaultRegistry() *Registry {
 				}
 				return v, nil
 			case *TensorVal:
-				return NewTensor(tensor.Abs(v.T())), nil
+				return it.applyOp("Abs", nil, v.Node)
 			}
 			return nil, fmt.Errorf("abs() cannot handle %s", args[0].TypeName())
 		}})
@@ -443,13 +476,12 @@ func DefaultRegistry() *Registry {
 			if !tensor.ShapeEq(t.Shape(), sh) {
 				return nil, fmt.Errorf("variable %q exists with shape %v, requested %v", name, t.Shape(), sh)
 			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.Watch(string(name), t)}, nil
-			}
-			return NewTensor(t), nil
+			return &TensorVal{Node: it.Tape.Watch(string(name), t)}, nil
 		}})
 
 	// ---- tensor math (whitelisted framework functions) ---------------------
+	// Each runs its GraphOp through applyOp: the executor's kernel forward,
+	// the op's OpDef.Grad rule backward.
 	r.Register(&Builtin{Name: "matmul", GraphOp: "MatMul",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 2); err != nil {
@@ -463,19 +495,14 @@ func DefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.MatMul(a, b)}, nil
-			}
-			return NewTensor(tensor.MatMul(a.Value, b.Value)), nil
+			return it.applyOp("MatMul", nil, a, b)
 		}})
-	r.Register(unaryBuiltin("relu", "ReLU", (*autodiff.Tape).ReLU, tensor.ReLU))
-	r.Register(unaryBuiltin("sigmoid", "Sigmoid", (*autodiff.Tape).Sigmoid, tensor.Sigmoid))
-	r.Register(unaryBuiltin("tanh", "Tanh", (*autodiff.Tape).Tanh, tensor.Tanh))
-	r.Register(unaryBuiltin("exp", "Exp", (*autodiff.Tape).Exp, tensor.Exp))
-	r.Register(unaryBuiltin("log", "Log", (*autodiff.Tape).Log, tensor.Log))
-	r.Register(unaryBuiltin("softmax", "Softmax", (*autodiff.Tape).Softmax, tensor.Softmax))
-	r.Register(unaryBuiltin("reduce_sum", "Sum", (*autodiff.Tape).Sum, tensor.Sum))
-	r.Register(unaryBuiltin("reduce_mean", "Mean", (*autodiff.Tape).Mean, tensor.Mean))
+	for _, u := range [][2]string{
+		{"relu", "ReLU"}, {"sigmoid", "Sigmoid"}, {"tanh", "Tanh"}, {"exp", "Exp"}, {"log", "Log"},
+		{"softmax", "Softmax"}, {"reduce_sum", "Sum"}, {"reduce_mean", "Mean"}, {"transpose", "Transpose"},
+	} {
+		r.Register(unaryBuiltin(u[0], u[1]))
+	}
 	r.Register(&Builtin{Name: "reshape", GraphOp: "Reshape",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 2); err != nil {
@@ -489,24 +516,7 @@ func DefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.Reshape(x, sh...)}, nil
-			}
-			return NewTensor(x.Value.Reshape(sh...)), nil
-		}})
-	r.Register(&Builtin{Name: "transpose", GraphOp: "Transpose",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 1); err != nil {
-				return nil, err
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.Transpose(x)}, nil
-			}
-			return NewTensor(tensor.Transpose(x.Value)), nil
+			return it.applyOp("Reshape", map[string]graph.Val{"shape": sh}, x)
 		}})
 	r.Register(&Builtin{Name: "concat", GraphOp: "Concat",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
@@ -522,22 +532,11 @@ func DefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			nodes := make([]*autodiff.Node, len(items))
-			for i := range items {
-				tv, ok := items[i].(*TensorVal)
-				if !ok {
-					return nil, fmt.Errorf("concat element %d is %s, not tensor", i, items[i].TypeName())
-				}
-				nodes[i] = tv.Node
+			in, err := tensorArgs("concat", items)
+			if err != nil {
+				return nil, err
 			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.Concat(axis, nodes...)}, nil
-			}
-			ts := make([]*tensor.Tensor, len(nodes))
-			for i, nd := range nodes {
-				ts[i] = nd.Value
-			}
-			return NewTensor(tensor.Concat(axis, ts...)), nil
+			return it.applyOp("Concat", map[string]graph.Val{"axis": axis}, in...)
 		}})
 	r.Register(&Builtin{Name: "stack", GraphOp: "Stack",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
@@ -551,28 +550,11 @@ func DefaultRegistry() *Registry {
 			if len(items) == 0 {
 				return nil, errors.New("stack of empty list")
 			}
-			if it.Tape != nil {
-				// stack == concat of reshaped elements with new leading axis.
-				nodes := make([]*autodiff.Node, len(items))
-				for i := range items {
-					tv, ok := items[i].(*TensorVal)
-					if !ok {
-						return nil, fmt.Errorf("stack element %d is not tensor", i)
-					}
-					sh := append([]int{1}, tv.T().Shape()...)
-					nodes[i] = it.Tape.Reshape(tv.Node, sh...)
-				}
-				return &TensorVal{Node: it.Tape.Concat(0, nodes...)}, nil
+			in, err := tensorArgs("stack", items)
+			if err != nil {
+				return nil, err
 			}
-			ts := make([]*tensor.Tensor, len(items))
-			for i := range items {
-				tv, ok := items[i].(*TensorVal)
-				if !ok {
-					return nil, fmt.Errorf("stack element %d is not tensor", i)
-				}
-				ts[i] = tv.T()
-			}
-			return NewTensor(tensor.Stack(ts...)), nil
+			return it.applyOp("Stack", nil, in...)
 		}})
 	r.Register(&Builtin{Name: "conv2d", GraphOp: "Conv2D",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
@@ -595,56 +577,10 @@ func DefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.Conv2D(x, w, stride, pad)}, nil
-			}
-			return NewTensor(tensor.Conv2D(x.Value, w.Value, stride, pad)), nil
+			return it.applyOp("Conv2D", map[string]graph.Val{"stride": stride, "pad": pad}, x, w)
 		}})
-	r.Register(&Builtin{Name: "max_pool", GraphOp: "MaxPool",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if len(args) != 3 {
-				return nil, errors.New("max_pool(x, k, stride)")
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			k, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			stride, err := argInt(args, 2)
-			if err != nil {
-				return nil, err
-			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.MaxPool2D(x, k, stride)}, nil
-			}
-			out, _ := tensor.MaxPool2D(x.Value, k, stride)
-			return NewTensor(out), nil
-		}})
-	r.Register(&Builtin{Name: "avg_pool", GraphOp: "AvgPool",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if len(args) != 3 {
-				return nil, errors.New("avg_pool(x, k, stride)")
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			k, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			stride, err := argInt(args, 2)
-			if err != nil {
-				return nil, err
-			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.AvgPool2D(x, k, stride)}, nil
-			}
-			return NewTensor(tensor.AvgPool2D(x.Value, k, stride)), nil
-		}})
+	r.Register(poolBuiltin("max_pool", "MaxPool"))
+	r.Register(poolBuiltin("avg_pool", "AvgPool"))
 	r.Register(&Builtin{Name: "embedding", GraphOp: "Gather",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			// embedding(table, ids): ids is a list of ints or an int tensor.
@@ -659,47 +595,10 @@ func DefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.Gather(table, ids)}, nil
-			}
-			return NewTensor(tensor.Gather(table.Value, ids)), nil
+			return it.applyOp("Gather", nil, table, ids)
 		}})
-	r.Register(&Builtin{Name: "cross_entropy", GraphOp: "CrossEntropy",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 2); err != nil {
-				return nil, err
-			}
-			logits, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			labels, err := argTensor(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.CrossEntropy(logits, labels.Value)}, nil
-			}
-			return NewTensor(tensor.CrossEntropy(logits.Value, labels.Value)), nil
-		}})
-	r.Register(&Builtin{Name: "mse", GraphOp: "MSE",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 2); err != nil {
-				return nil, err
-			}
-			pred, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			target, err := argTensor(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.MSE(pred, target.Value)}, nil
-			}
-			return NewTensor(tensor.MSE(pred.Value, target.Value)), nil
-		}})
+	r.Register(lossBuiltin("cross_entropy", "CrossEntropy"))
+	r.Register(lossBuiltin("mse", "MSE"))
 	r.Register(&Builtin{Name: "batch_norm", GraphOp: "BatchNorm", Stateful: true,
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			// batch_norm(x, name, training): gamma/beta/running stats are
@@ -731,19 +630,10 @@ func DefaultRegistry() *Registry {
 			rm := it.store.GetOrCreate(string(name)+"/mean", func() *tensor.Tensor { return tensor.Zeros(ch) })
 			rv := it.store.GetOrCreate(string(name)+"/var", func() *tensor.Tensor { return tensor.Full(1, ch) })
 			out := tensor.BatchNorm(x.Value, gamma, beta, rm, rv, training, 0.9, 1e-5)
-			// Gradient flow through gamma/beta is omitted for simplicity;
-			// normalization statistics dominate the train/eval divergence
-			// that the experiments exercise.
-			if it.Tape != nil && x.Tracked() {
-				// Approximate gradient: pass-through scaled by gamma/sqrt(var).
-				node := it.Tape.NewNode(out)
-				xin := x
-				it.Tape.Record(node, func(g *tensor.Tensor) {
-					it.Tape.Accum(xin, g)
-				})
-				return &TensorVal{Node: node}, nil
-			}
-			return NewTensor(out), nil
+			// The op's gradient rule passes the gradient straight through
+			// (no flow into gamma/beta): normalization statistics dominate
+			// the train/eval divergence the experiments exercise.
+			return tensorResult(it.Tape.Record(graph.Lookup("BatchNorm"), batchNormNode, []graph.Val{x}, out))
 		}})
 	r.Register(&Builtin{Name: "argmax", GraphOp: "Argmax",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
@@ -758,52 +648,10 @@ func DefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			return NewTensor(tensor.ArgmaxAxis(x.Value, axis)), nil
+			return it.applyOp("Argmax", map[string]graph.Val{"axis": axis}, x)
 		}})
-	r.Register(&Builtin{Name: "slice_rows", GraphOp: "Slice",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if len(args) != 3 {
-				return nil, errors.New("slice_rows(x, lo, hi)")
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := argInt(args, 2)
-			if err != nil {
-				return nil, err
-			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.SliceAxis(x, 0, lo, hi)}, nil
-			}
-			return NewTensor(tensor.SliceAxis(x.Value, 0, lo, hi)), nil
-		}})
-	r.Register(&Builtin{Name: "slice_cols", GraphOp: "Slice",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if len(args) != 3 {
-				return nil, errors.New("slice_cols(x, lo, hi)")
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := argInt(args, 2)
-			if err != nil {
-				return nil, err
-			}
-			if it.Tape != nil {
-				return &TensorVal{Node: it.Tape.SliceAxis(x, 1, lo, hi)}, nil
-			}
-			return NewTensor(tensor.SliceAxis(x.Value, 1, lo, hi)), nil
-		}})
+	r.Register(sliceBuiltin("slice_rows", 0))
+	r.Register(sliceBuiltin("slice_cols", 1))
 	r.Register(&Builtin{Name: "one_hot", GraphOp: "OneHot",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 2); err != nil {
@@ -817,9 +665,77 @@ func DefaultRegistry() *Registry {
 			if err != nil {
 				return nil, err
 			}
-			return NewTensor(tensor.OneHot(ids, depth)), nil
+			return it.applyOp("OneHot", map[string]graph.Val{"depth": depth}, ids)
 		}})
 	return r
+}
+
+// batchNormNode carries BatchNorm's (empty) attrs for the tape.
+var batchNormNode = &graph.Node{Op: "BatchNorm"}
+
+// poolBuiltin registers name(x, k, stride) running pooling op graphOp.
+func poolBuiltin(name, graphOp string) *Builtin {
+	return &Builtin{Name: name, GraphOp: graphOp,
+		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
+			if len(args) != 3 {
+				return nil, fmt.Errorf("%s(x, k, stride)", name)
+			}
+			x, err := argTensor(args, 0)
+			if err != nil {
+				return nil, err
+			}
+			k, err := argInt(args, 1)
+			if err != nil {
+				return nil, err
+			}
+			stride, err := argInt(args, 2)
+			if err != nil {
+				return nil, err
+			}
+			return it.applyOp(graphOp, map[string]graph.Val{"k": k, "stride": stride}, x)
+		}}
+}
+
+// lossBuiltin registers name(pred, target) running loss op graphOp.
+func lossBuiltin(name, graphOp string) *Builtin {
+	return &Builtin{Name: name, GraphOp: graphOp,
+		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
+			if err := wantArgs(args, 2); err != nil {
+				return nil, err
+			}
+			pred, err := argTensor(args, 0)
+			if err != nil {
+				return nil, err
+			}
+			target, err := argTensor(args, 1)
+			if err != nil {
+				return nil, err
+			}
+			return it.applyOp(graphOp, nil, pred, target)
+		}}
+}
+
+// sliceBuiltin registers name(x, lo, hi), a Slice of [lo, hi) along axis.
+func sliceBuiltin(name string, axis int) *Builtin {
+	return &Builtin{Name: name, GraphOp: "Slice",
+		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
+			if len(args) != 3 {
+				return nil, fmt.Errorf("%s(x, lo, hi)", name)
+			}
+			x, err := argTensor(args, 0)
+			if err != nil {
+				return nil, err
+			}
+			lo, err := argInt(args, 1)
+			if err != nil {
+				return nil, err
+			}
+			hi, err := argInt(args, 2)
+			if err != nil {
+				return nil, err
+			}
+			return it.applyOp("Slice", map[string]graph.Val{"axis": axis, "lo": lo, "hi": hi}, x)
+		}}
 }
 
 // tensorExtremum handles two-argument element-wise min/max when either
@@ -841,16 +757,12 @@ func tensorExtremum(it *Interp, args []Value, isMax bool) (Value, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	if it.Tape != nil {
-		if isMax {
-			return &TensorVal{Node: it.Tape.Maximum(a, b)}, true, nil
-		}
-		return &TensorVal{Node: it.Tape.Minimum(a, b)}, true, nil
-	}
+	op := "Minimum"
 	if isMax {
-		return NewTensor(tensor.Maximum(a.Value, b.Value)), true, nil
+		op = "Maximum"
 	}
-	return NewTensor(tensor.Minimum(a.Value, b.Value)), true, nil
+	v, err := it.applyOp(op, nil, a, b)
+	return v, true, err
 }
 
 func minMax(args []Value, isMin bool) (Value, error) {

@@ -832,15 +832,7 @@ func (it *Interp) getIndex(n Node, obj, key Value) (Value, error) {
 		if i < 0 || i >= int64(t.Dim(0)) {
 			return nil, it.rte(n, "tensor index %d out of range", i)
 		}
-		var node *autodiff.Node
-		if it.Tape != nil && c.Node.Tracked() {
-			sl := it.Tape.SliceAxis(c.Node, 0, int(i), int(i)+1)
-			node = it.Tape.Reshape(sl, t.Shape()[1:]...)
-		} else {
-			sl := tensor.SliceAxis(t, 0, int(i), int(i)+1)
-			node = autodiff.Const(sl.Reshape(t.Shape()[1:]...))
-		}
-		return &TensorVal{Node: node}, nil
+		return it.applyOp("IndexAny", nil, c.Node, int(i))
 	}
 	return nil, it.rte(n, "%s is not subscriptable", obj.TypeName())
 }

@@ -132,17 +132,45 @@ func avg(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-func TestJanusMatchesImperativeOnLeNet(t *testing.T) {
-	impLosses, _ := trainSteps(t, "LeNet", core.Config{Mode: core.Imperative, LR: 0.05, Seed: 9}, 8)
-	cfg := core.DefaultJanusConfig()
-	cfg.LR = 0.05
-	cfg.Seed = 9
-	janLosses, _ := trainSteps(t, "LeNet", cfg, 8)
-	for i := range impLosses {
-		if math.Abs(impLosses[i]-janLosses[i]) > 1e-6 {
-			t.Fatalf("step %d: imperative %.9f janus %.9f", i, impLosses[i], janLosses[i])
-		}
+// TestJanusMatchesImperativeOnAllModels: every model trains the same under
+// JANUS as imperatively — per-step losses and final parameters within 1e-9
+// relative — since both engines run the same gradient rules and kernels.
+func TestJanusMatchesImperativeOnAllModels(t *testing.T) {
+	const steps = 8
+	for _, m := range All() {
+		t.Run(m.Name, func(t *testing.T) {
+			impLosses, imp := trainSteps(t, m.Name, core.Config{Mode: core.Imperative, LR: 0.05, Seed: 9}, steps)
+			cfg := core.DefaultJanusConfig()
+			cfg.LR = 0.05
+			cfg.Seed = 9
+			janLosses, jan := trainSteps(t, m.Name, cfg, steps)
+			if jan.Stats().GraphSteps == 0 {
+				t.Fatalf("never ran on the graph executor: %+v", jan.Stats())
+			}
+			for i := range impLosses {
+				if !closeRel(impLosses[i], janLosses[i]) {
+					t.Fatalf("step %d loss: imperative %.17g janus %.17g", i, impLosses[i], janLosses[i])
+				}
+			}
+			names := imp.Store.Names()
+			if got := jan.Store.Names(); len(got) != len(names) {
+				t.Fatalf("parameters: imperative %v janus %v", names, got)
+			}
+			for _, name := range names {
+				vi, vj := imp.Store.MustGet(name), jan.Store.MustGet(name)
+				for k, x := range vi.Data() {
+					if !closeRel(x, vj.Data()[k]) {
+						t.Fatalf("%s[%d] after %d steps: imperative %.17g janus %.17g", name, k, steps, x, vj.Data()[k])
+					}
+				}
+			}
+		})
 	}
+}
+
+// closeRel reports |a-b| <= 1e-9 * max(1, |a|, |b|).
+func closeRel(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
 func TestTraceFailsOnTreeLSTMRecursion(t *testing.T) {

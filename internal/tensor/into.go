@@ -431,11 +431,12 @@ func MSEInto(dst, pred, target *Tensor, alloc Allocator) *Tensor {
 	return dst
 }
 
-// MSEGradInto computes d(mean squared error)/d(pred) * g into dst, shaped
-// like the broadcast of pred and target (may alias pred when it has that
-// shape).
+// MSEGradInto computes the gradient of the mean squared error with respect to
+// the broadcast difference pred - target, times g, into dst: shaped like that
+// broadcast, which is what the mean runs over (may alias pred when it has
+// that shape).
 func MSEGradInto(dst, pred, target *Tensor, g float64) *Tensor {
-	scale := 2 / float64(pred.Size()) * g
+	scale := 2 / float64(dst.Size()) * g
 	if !SameShape(pred, target) {
 		return MulScalarInto(dst, SubInto(dst, pred, target), scale)
 	}

@@ -278,7 +278,7 @@ func TestSoftmaxLossInto(t *testing.T) {
 	if got := MSEInto(Scalar(0), col, row, pool); !AllClose(got, Mean(Mul(d, d)), 1e-12) {
 		t.Fatalf("MSEInto broadcast: %v, want %v", got, Mean(Mul(d, d)))
 	}
-	if got := MSEGradInto(Zeros(4, 5), col, row, 0.5); !Equal(got, MulScalar(d, 2.0/4*0.5)) {
+	if got := MSEGradInto(Zeros(4, 5), col, row, 0.5); !Equal(got, MulScalar(d, 2.0/20*0.5)) {
 		t.Fatal("MSEGradInto broadcast differs")
 	}
 	if st := pool.Stats(); st.InUseElems != 0 {
