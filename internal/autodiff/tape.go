@@ -195,8 +195,12 @@ func (e *eager) Emit(op string, attrs map[string]graph.Val, in ...graph.Val) gra
 	// An Unbroadcast to the shape the gradient already has is the identity.
 	// The graph copies (Into kernels never alias); the tape can share,
 	// because it never writes a gradient a rule produced.
-	if op == "Unbroadcast" && tensor.SameShape(in[0].(*tensor.Tensor), in[1].(*tensor.Tensor)) {
-		return in[0]
+	if op == "Unbroadcast" {
+		g, gok := in[0].(*tensor.Tensor)
+		ref, rok := in[1].(*tensor.Tensor)
+		if gok && rok && tensor.SameShape(g, ref) {
+			return g
+		}
 	}
 	def := graph.Lookup(op)
 	if def == nil {

@@ -271,6 +271,19 @@ func TestTapeForwardsListElements(t *testing.T) {
 	}
 }
 
+// TestTapeScalarOperands: plain Go numbers reach the tape as operands (a
+// Python float in the interpreter, a scalar edge in tape mode); the rules
+// differentiate through them like constant tensors.
+func TestTapeScalarOperands(t *testing.T) {
+	tp := NewTape()
+	x := tp.Watch("x", tensor.FromSlice([]float64{1, 2}))
+	y := op(tp, "Pow", nil, op(tp, "Mul", nil, x, 3.0), 2)
+	g := tp.Gradient(op(tp, "Sum", nil, y))["x"] // d/dx (3x)^2 = 18x
+	if !tensor.Equal(g, tensor.FromSlice([]float64{18, 36})) {
+		t.Fatalf("gradient %v, want [18 36]", g)
+	}
+}
+
 func TestGradientOfUntrackedLossIsZero(t *testing.T) {
 	tp := NewTape()
 	tp.Watch("w", tensor.FromSlice([]float64{1, 2}))

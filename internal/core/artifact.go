@@ -34,11 +34,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// ArtifactVersion identifies the artifact file schema. Bump on any change
-// to the artifact structs below; the CI snapshot fixture must be
-// regenerated in the same change (the cold-start workflow fails with a
-// clear message otherwise).
-const ArtifactVersion = 1
+// ArtifactVersion identifies the artifact file schema and the meaning of the
+// graphs it holds. Bump on any change to the artifact structs below, and on
+// any change to what a persisted graph computes: an op's inputs, arity or
+// attrs, or a gradient rule that changes the ops or results of a training
+// graph (version 2: PowGrad, SliceGrad and ConcatGradSlice take shapes and
+// exponents as inputs, and a Variable's gradient sums every read). The CI
+// snapshot fixture must be regenerated in the same change (the cold-start
+// workflow fails with a clear message otherwise).
+const ArtifactVersion = 2
 
 // Artifact metric help strings.
 const (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"errors"
@@ -133,7 +134,8 @@ func TestArtifactRoundTripWarmBoot(t *testing.T) {
 }
 
 // TestArtifactRejection drives every rejection class: missing file, garbage
-// bytes, truncated gzip, format-version skew, and a program-hash mismatch.
+// bytes, truncated gzip, format-version skew (an artifact of the previous
+// version included), and a program-hash mismatch.
 // Each must reject without touching the cache, count the tagged reason, and
 // leave the engine able to compile cold.
 func TestArtifactRejection(t *testing.T) {
@@ -181,6 +183,20 @@ func TestArtifactRejection(t *testing.T) {
 		}, "hash-a"},
 		{"version-skew", "version", func(t *testing.T, p string) {
 			writeGz(t, p, &Artifact{Version: ArtifactVersion + 1, GraphWire: 1, ProgramHash: "hash-a"})
+		}, "hash-a"},
+		{"previous-version", "version", func(t *testing.T, p string) {
+			// Version 1 graphs predate the current gradient ops: a
+			// training entry would fail on every step or train wrongly.
+			var art Artifact
+			zr, err := gzip.NewReader(bytes.NewReader(good))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.NewDecoder(zr).Decode(&art); err != nil {
+				t.Fatal(err)
+			}
+			art.Version = 1
+			writeGz(t, p, &art)
 		}, "hash-a"},
 		{"wire-skew", "wire", func(t *testing.T, p string) {
 			writeGz(t, p, &Artifact{Version: ArtifactVersion, GraphWire: 999, ProgramHash: "hash-a"})

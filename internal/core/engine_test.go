@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -201,6 +202,147 @@ for step in range(4):
 		if vI, vJ := imp.Store.MustGet(name), jan.Store.MustGet(name); !tensor.AllClose(vI, vJ, 1e-12) {
 			t.Fatalf("%s diverged: imperative %v janus %v", name, vI, vJ)
 		}
+	}
+}
+
+// cachedGraphKinds reports whether e's graph cache holds a static and a
+// dynamic (tape-mode) training graph.
+func cachedGraphKinds(e *Engine) (static, dynamic bool) {
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	for _, fs := range e.cache.funcs {
+		fs.mu.Lock()
+		for _, c := range fs.entries {
+			static = static || c.static
+			dynamic = dynamic || !c.static
+		}
+		fs.mu.Unlock()
+	}
+	return static, dynamic
+}
+
+// janusMatchesImperative runs src imperatively and under JANUS (cfg) from
+// the same seed and checks that the named variables end equal to 1e-12
+// relative and that JANUS ran the expected kind of graph.
+func janusMatchesImperative(t *testing.T, cfg Config, src string, wantDynamic bool, names ...string) {
+	t.Helper()
+	cfg.Seed = 23
+	jan := NewEngine(cfg)
+	if err := jan.Run(src); err != nil {
+		t.Fatalf("janus: %v", err)
+	}
+	if st := jan.Stats(); st.GraphSteps == 0 {
+		t.Fatalf("janus never ran a graph step: %+v (reason: %s)", st, jan.impReason())
+	}
+	if static, dynamic := cachedGraphKinds(jan); dynamic != wantDynamic || static == wantDynamic {
+		t.Fatalf("cached graphs static=%v dynamic=%v, want dynamic=%v", static, dynamic, wantDynamic)
+	}
+	imp := NewEngine(Config{Mode: Imperative, LR: cfg.LR, Seed: cfg.Seed})
+	if err := imp.Run(src); err != nil {
+		t.Fatalf("imperative: %v", err)
+	}
+	for _, name := range names {
+		vI, vJ := imp.Store.MustGet(name), jan.Store.MustGet(name)
+		if !tensor.AllClose(vI, vJ, 1e-12) {
+			t.Fatalf("%s diverged: imperative %v janus %v", name, vI, vJ)
+		}
+	}
+}
+
+// TestJanusMatchesImperativeOnIndexedVariable: w[i] on a variable of known
+// shape converts to Slice+ReshapeLike (IndexAny where the shape is unknown),
+// whose gradient must reach w in a static graph and in a dynamic (tape-mode)
+// graph alike.
+func TestJanusMatchesImperativeOnIndexedVariable(t *testing.T) {
+	t.Run("static", func(t *testing.T) {
+		janusMatchesImperative(t, DefaultJanusConfig(), `
+def loss_fn(x):
+    w = variable("w", [3, 2])
+    total = w[1] * x
+    for i in range(3):
+        total = total + w[i] * w[i]
+    return reduce_mean(total * total)
+
+x = constant([0.5, -1.0])
+for step in range(8):
+    optimize(lambda: loss_fn(x))
+`, false, "w")
+	})
+	t.Run("dynamic", func(t *testing.T) {
+		// Without unrolling the loop is a Loop op: a dynamic graph.
+		cfg := DefaultJanusConfig()
+		cfg.Unroll, cfg.Specialize = false, false
+		janusMatchesImperative(t, cfg, `
+def loss_fn(xs):
+    w = variable("w", [3, 2])
+    state = w[0]
+    for x in xs:
+        state = tanh(x * w[1] + state * w[-1])
+    return reduce_mean(state * state)
+
+xs = [constant([1.0, 0.5]), constant([-0.5, 2.0])]
+for step in range(8):
+    optimize(lambda: loss_fn(xs))
+`, true, "w")
+	})
+	t.Run("recursive", func(t *testing.T) {
+		// Invoke makes the graph dynamic; node.val reaches Mul as a plain
+		// float next to a tracked tensor.
+		janusMatchesImperative(t, DefaultJanusConfig(), `
+class Node:
+    def __init__(self, leaf, val, left, right):
+        self.leaf = leaf
+        self.val = val
+        self.left = left
+        self.right = right
+
+def embed(node):
+    w = variable("w", [3, 2])
+    if node.leaf:
+        return w[0] * node.val + w[2]
+    return tanh(embed(node.left) * embed(node.right))
+
+def loss_fn(tree):
+    out = embed(tree)
+    return reduce_mean(out * out)
+
+root = Node(False, 0.0, Node(True, 1.0, None, None), Node(True, -2.0, None, None))
+for step in range(8):
+    optimize(lambda: loss_fn(root))
+`, true, "w")
+	})
+}
+
+// TestJanusMatchesImperativeOnTrackedExponent: in x ** p with p a variable,
+// p trains by d/dp x**p = x**p log(x), imperatively and under JANUS alike.
+func TestJanusMatchesImperativeOnTrackedExponent(t *testing.T) {
+	const src = `
+def loss_fn(x):
+    p = variable("p", [2])
+    return reduce_mean((x ** p - 1.5) * (x ** p - 1.5))
+
+x = constant([[0.5, 2.0], [1.5, 3.0]])
+for step in range(8):
+    optimize(lambda: loss_fn(x))
+`
+	janusMatchesImperative(t, DefaultJanusConfig(), src, false, "p")
+	e := NewEngine(Config{Mode: Imperative, LR: 0.1, Seed: 23})
+	p0 := tensor.FromSlice([]float64{0.5, -0.25})
+	e.Store.Set("p", p0.Clone())
+	if err := e.Run(strings.Replace(src, "range(8)", "range(1)", 1)); err != nil {
+		t.Fatal(err)
+	}
+	// One SGD step by hand: dL/dp_j = 2/4 sum_i (x_ij^p_j - 1.5) x_ij^p_j log x_ij.
+	x := [][]float64{{0.5, 2.0}, {1.5, 3.0}}
+	want := p0.Clone()
+	for j := 0; j < 2; j++ {
+		for i := 0; i < 2; i++ {
+			y := math.Pow(x[i][j], p0.Data()[j])
+			want.Data()[j] -= 0.1 * 2.0 / 4 * (y - 1.5) * y * math.Log(x[i][j])
+		}
+	}
+	if got := e.Store.MustGet("p"); !tensor.AllClose(got, want, 1e-12) {
+		t.Fatalf("p after one step: %v, want %v", got, want)
 	}
 }
 

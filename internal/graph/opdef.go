@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/tensor"
 )
@@ -102,16 +101,6 @@ func register(defs ...OpDef) {
 
 // Lookup returns op's definition, or nil for an unregistered op.
 func Lookup(op string) *OpDef { return ops[op] }
-
-// OpNames returns every registered op name, sorted.
-func OpNames() []string {
-	names := make([]string, 0, len(ops))
-	for name := range ops {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Foldable reports whether the op is pure — it has a kernel here rather
 // than an implementation in the executor — and may therefore be evaluated at

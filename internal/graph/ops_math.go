@@ -106,9 +106,9 @@ func init() {
 				return nil
 			}},
 		OpDef{Name: "Pow", Into: zipInto(tensor.PowInto), ReadsOnly: true, InPlace: true,
-			// The exponent is treated as a constant: it gets no gradient.
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				add(0, e.Emit("PowGrad", nil, in[0], in[1], gout))
+				unbroadcast(e, add, in, 1, e.Emit("PowExpGrad", nil, in[0], out, gout))
 				return nil
 			}},
 		OpDef{Name: "Maximum", Into: zipInto(tensor.MaximumInto), ReadsOnly: true, InPlace: true, Grad: gradExtremum,
@@ -331,6 +331,26 @@ func init() {
 				}
 				d := tensor.Mul(tensor.Pow(x, tensor.AddScalar(p, -1)), p)
 				return tensor.UnbroadcastTo(tensor.Mul(g, d), x.Shape()), nil
+			}},
+		// PowExpGrad(x, y, g) is g * d/dp x**p = g * y * log(x) for y =
+		// x**p, taken as 0 where x <= 0 (the limit at x = 0; x**p is not
+		// differentiable in p for negative x).
+		OpDef{Name: "PowExpGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
+			Kernel: func(n *Node, in []Val) (Val, error) {
+				x, y, g, err := t3(n, in)
+				if err != nil {
+					return nil, err
+				}
+				if _, err := broadcastShape(n, x, y); err != nil {
+					return nil, err
+				}
+				logx := tensor.Map(x, func(v float64) float64 {
+					if v <= 0 {
+						return 0
+					}
+					return math.Log(v)
+				})
+				return tensor.Mul(tensor.Mul(g, y), logx), nil
 			}},
 		OpDef{Name: "LogGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
 			Kernel: func(n *Node, in []Val) (Val, error) {

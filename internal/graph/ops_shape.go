@@ -38,7 +38,7 @@ func resolveReshape(size int, shape []int) ([]int, error) {
 }
 
 // gradReshapeLike restores the input's shape on the way back (Reshape,
-// ExpandDims).
+// ReshapeLike, ExpandDims). ReshapeLike's shape input gets no gradient.
 func gradReshapeLike(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 	add(0, e.Emit("ReshapeLike", nil, gout, in[0]))
 	return nil
@@ -94,7 +94,7 @@ func init() {
 				return tensor.CopyInto(alloc.Get(resolved...), a), nil
 			}},
 		// ReshapeLike reshapes input 0 to the shape of input 1 at run time.
-		OpDef{Name: "ReshapeLike", ReadsOnly: true, StopGrad: true,
+		OpDef{Name: "ReshapeLike", ReadsOnly: true, Grad: gradReshapeLike,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				a, ref, err := t2(n, in)
 				if err != nil {
@@ -124,25 +124,24 @@ func init() {
 				return tensor.Concat(n.IntAttr("axis", 0), ts...), nil
 			},
 			// Each input gets its own slice of gout, located from the
-			// inputs' widths at run time.
+			// widths of the inputs up to it at run time.
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				args := append([]Val{gout}, in...)
 				for i := range in {
-					add(i, e.Emit("ConcatGradSlice", map[string]Val{"axis": n.IntAttr("axis", 0), "index": i}, args...))
+					args := append([]Val{gout}, in[:i+1]...)
+					add(i, e.Emit("ConcatGradSlice", map[string]Val{"axis": n.IntAttr("axis", 0)}, args...))
 				}
 				return nil
 			}},
-		// ConcatGradSlice(g, x0, ..., xk) cuts input "index"'s share out of
-		// the gradient g of Concat(x0, ..., xk) along "axis".
+		// ConcatGradSlice(g, x0, ..., xi) cuts xi's share out of the
+		// gradient g of a Concat along "axis" whose first inputs are x0..xi.
 		OpDef{Name: "ConcatGradSlice", ReadsOnly: true, Fresh: true, StopGrad: true,
 			Kernel: func(n *Node, in []Val) (Val, error) {
 				ts, err := allTensors(n, in)
 				if err != nil {
 					return nil, err
 				}
-				i := n.IntAttr("index", 0)
-				if len(ts) < 2 || i < 0 || i >= len(ts)-1 {
-					return nil, fmt.Errorf("%s: input %d of %d", n.Op, i, len(ts)-1)
+				if len(ts) < 2 {
+					return nil, fmt.Errorf("%s: want a gradient and at least 1 input, got %d values", n.Op, len(ts))
 				}
 				g, xs := ts[0], ts[1:]
 				axis := n.IntAttr("axis", 0)
@@ -153,10 +152,10 @@ func init() {
 					return nil, fmt.Errorf("%s: axis %d out of range for %v", n.Op, n.IntAttr("axis", 0), g.Shape())
 				}
 				lo := 0
-				for _, x := range xs[:i] {
+				for _, x := range xs[:len(xs)-1] {
 					lo += x.Dim(axis)
 				}
-				return tensor.SliceAxis(g, axis, lo, lo+xs[i].Dim(axis)), nil
+				return tensor.SliceAxis(g, axis, lo, lo+xs[len(xs)-1].Dim(axis)), nil
 			}},
 		OpDef{Name: "Slice", ReadsOnly: true, Fresh: true,
 			Kernel: func(n *Node, in []Val) (Val, error) {

@@ -35,7 +35,8 @@ const maxPorts = 1 << 12
 
 // SerialVersion identifies the graph wire encoding. Bump on any change to
 // the graphPB/attrPB schema; artifacts carrying another version are rejected
-// at load (the replica falls back to a cold compile).
+// at load (the replica falls back to a cold compile). A change to what an op
+// computes keeps the encoding and bumps core.ArtifactVersion instead.
 const SerialVersion = 1
 
 type graphPB struct {
