@@ -237,7 +237,6 @@ func (c *Converter) invokeCall(ex *minipy.CallExpr, fn *minipy.FuncVal, self *sy
 		}
 		inputs = append(inputs, p)
 	}
-	c.dynamic = true
 	inv := c.g.Add("Invoke", map[string]graph.Val{"func": fg}, inputs...)
 	return &sym{kind: kDyn, port: inv.P()}, nil
 }
@@ -314,9 +313,6 @@ func (c *Converter) functionGraph(ex *minipy.CallExpr, fn *minipy.FuncVal, self 
 	// Asserts inside the function body validate per invocation; surface them
 	// for control-dep wiring of updates.
 	c.asserts = append(c.asserts, sub.asserts...)
-	if sub.dynamic {
-		c.dynamic = true
-	}
 	return fg, nil
 }
 

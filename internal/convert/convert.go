@@ -76,9 +76,8 @@ type Result struct {
 	Graph *graph.Graph
 	// Loss is the port holding the function's return value.
 	Loss graph.Port
-	// Dynamic reports that the graph contains dynamic control flow
-	// (Switch/Merge/Invoke/Loop) or unknown shapes, so gradients must be
-	// computed by the executor's trace tape rather than statically.
+	// Dynamic marks a graph that trains on the executor's trace tape. Only
+	// the engine sets it, when FinalizeTraining fails; ConvertCall never does.
 	Dynamic bool
 	// Asserts lists the embedded assumption checks.
 	Asserts []*graph.Node
@@ -98,7 +97,6 @@ type Converter struct {
 
 	g        *graph.Graph
 	asserts  []*graph.Node
-	dynamic  bool
 	varNames map[string]bool
 	feeds    int
 
@@ -202,7 +200,6 @@ func ConvertCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile,
 	return &Result{
 		Graph:     c.g,
 		Loss:      lossPort,
-		Dynamic:   c.dynamic,
 		Asserts:   c.asserts,
 		VarNames:  names,
 		Signature: sig,
@@ -215,12 +212,9 @@ func ConvertCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile,
 // parameter updates are also automatically inserted", §3.1). Every update
 // gets control dependencies on every AssertOp so state changes only happen
 // once all assumptions validated; under exec.Options.GradSink the same ops
-// emit their gradients instead. Dynamic graphs skip this: the runtime uses
-// the executor's trace tape and applies the optimizer itself.
+// emit their gradients instead. It fails, leaving the graph untouched, when
+// graph.Gradients cannot differentiate the graph.
 func FinalizeTraining(r *Result, lr float64) error {
-	if r.Dynamic {
-		return nil
-	}
 	grads, err := graph.Gradients(r.Graph, r.Loss, r.VarNames)
 	if err != nil {
 		return err
@@ -546,8 +540,6 @@ func (c *Converter) valueToSym(v minipy.Value, leafIdx *int) *sym {
 		sh := x.T().Shape()
 		if c.opts.Specialize {
 			c.shapes[ph.P()] = append([]int(nil), sh...)
-		} else {
-			c.dynamic = true // unknown shapes force tape-mode gradients
 		}
 		return &sym{kind: kDyn, port: ph.P(), exemplar: v}
 	case *minipy.ObjectVal:
@@ -677,8 +669,7 @@ func (c *Converter) asAnyPort(s *sym, at minipy.Node) (graph.Port, error) {
 		return c.g.ConstVal(s.val).P(), nil
 	case kSeq:
 		// Lists crossing a runtime boundary (recursive returns, branch
-		// merges) become boxed []Val values via Pack; gradient support comes
-		// from the executor's trace tape, so the graph turns dynamic.
+		// merges) become boxed []Val values via Pack.
 		ports := make([]graph.Port, len(s.seq.elems))
 		for i, el := range s.seq.elems {
 			p, err := c.asAnyPort(el, at)
@@ -687,7 +678,6 @@ func (c *Converter) asAnyPort(s *sym, at minipy.Node) (graph.Port, error) {
 			}
 			ports[i] = p
 		}
-		c.dynamic = true
 		return c.g.Add("Pack", nil, ports...).P(), nil
 	}
 	return graph.Port{}, notConvertible(at, "cannot lower %s to a runtime value", s.describe())

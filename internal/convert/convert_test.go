@@ -2,6 +2,7 @@ package convert
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,9 +65,6 @@ def loss_fn(x, y):
 	if err != nil {
 		t.Fatalf("convert: %v", err)
 	}
-	if res.Dynamic {
-		t.Fatal("static program marked dynamic")
-	}
 	_, leaves := Flatten(fn, args)
 	feeds := map[string]graph.Val{}
 	for i, v := range leaves {
@@ -79,6 +77,10 @@ def loss_fn(x, y):
 	got, _ := graph.AsTensor(out.Outputs[0])
 	if got.Item() != 2.25 {
 		t.Fatalf("graph computed %v, want 2.25", got.Item())
+	}
+	// A static program gets static gradients.
+	if err := FinalizeTraining(res, 0.1); err != nil {
+		t.Fatalf("FinalizeTraining: %v", err)
 	}
 }
 
@@ -148,9 +150,7 @@ def f(xs):
 	if res.Graph.CountOps()["Loop"] != 1 {
 		t.Fatalf("BASE mode did not emit Loop: %v", res.Graph.CountOps())
 	}
-	if !res.Dynamic {
-		t.Fatal("Loop graphs must be dynamic (tape gradients)")
-	}
+	assertGradientsFail(t, res, "Loop")
 	_, leaves := Flatten(fn, args)
 	feeds := map[string]graph.Val{}
 	for i, v := range leaves {
@@ -387,9 +387,8 @@ def fact(x, n):
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Dynamic {
-		t.Fatal("recursive graphs are dynamic")
-	}
+	// The walk meets the Merge of the base-case branch before the Invoke.
+	assertGradientsFail(t, res, "Merge")
 	found := false
 	for _, n := range res.Graph.Nodes {
 		if n.Op == "Invoke" {
@@ -407,6 +406,21 @@ def fact(x, n):
 	got, _ := graph.AsTensor(exec.Unwrap(out.Outputs[0]))
 	if got.Item() != 16 { // 2 * 2 * 2 * 2
 		t.Fatalf("fact graph got %v want 16", got.Item())
+	}
+}
+
+// assertGradientsFail checks that FinalizeTraining rejects res, naming op,
+// and leaves its graph as it was: the engine then trains the graph on the
+// executor's trace tape.
+func assertGradientsFail(t *testing.T, res *Result, op string) {
+	t.Helper()
+	before := append([]*graph.Node(nil), res.Graph.Nodes...)
+	err := FinalizeTraining(res, 0.1)
+	if err == nil || !strings.Contains(err.Error(), op) {
+		t.Fatalf("FinalizeTraining: got %v, want an error naming %s", err, op)
+	}
+	if !slices.Equal(before, res.Graph.Nodes) || len(res.Graph.Updates) != 0 {
+		t.Fatal("failed FinalizeTraining changed the graph")
 	}
 }
 

@@ -113,7 +113,6 @@ func (c *Converter) expr(x minipy.Expr, e *env) (*sym, error) {
 			}
 		}
 		// Dynamic conditional expression: both sides via Switch/Merge.
-		c.dynamic = true
 		a, err := c.expr(ex.A, e)
 		if err != nil {
 			return nil, err
@@ -306,13 +305,10 @@ func (c *Converter) attr(ex *minipy.AttrExpr, e *env) (*sym, error) {
 			c.shapes[read.P()] = append([]int(nil), sh...)
 			c.addAssert(read.P(), "shape", fmt.Sprintf("attr %s@%d shape", ex.Name, ex.ID()), ex.ID(),
 				map[string]graph.Val{"shape": append([]int(nil), sh...)})
-		} else {
-			c.dynamic = true
 		}
 	case nil:
 		// No exemplar (e.g. recursing past the exemplar tree): fully dynamic.
 		out.isRef = true
-		c.dynamic = true
 	}
 	return out, nil
 }
@@ -387,7 +383,6 @@ func (c *Converter) index(ex *minipy.IndexExpr, e *env) (*sym, error) {
 				out.isRef = true
 			case nil:
 				out.isRef = true
-				c.dynamic = true
 			}
 			return out, nil
 		}
@@ -399,12 +394,11 @@ func (c *Converter) index(ex *minipy.IndexExpr, e *env) (*sym, error) {
 		sh, known := c.shapes[obj.port]
 		if !known {
 			// Shape-free subscript (e.g. elements of a Pack'd recursive
-			// return): generic runtime indexing, tape-mode gradients.
+			// return): generic runtime indexing.
 			kp, err := c.asAnyPort(key, ex)
 			if err != nil {
 				return nil, err
 			}
-			c.dynamic = true
 			n := c.g.Add("IndexAny", nil, obj.port, kp)
 			return &sym{kind: kDyn, port: n.P()}, nil
 		}

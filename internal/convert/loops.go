@@ -116,7 +116,6 @@ func (c *Converter) unrollFor(st *minipy.ForStmt, items []*sym, e *env) error {
 // loopOpFor converts the loop into a structured Loop node over a
 // once-converted body subgraph (BASE mode).
 func (c *Converter) loopOpFor(st *minipy.ForStmt, items []*sym, e *env) error {
-	c.dynamic = true
 	trips := len(items)
 	// Identify names assigned in the body; they become loop-carried values.
 	assigned := map[string]bool{}
@@ -212,9 +211,6 @@ func (c *Converter) loopOpFor(st *minipy.ForStmt, items []*sym, e *env) error {
 	}
 	if ret != nil {
 		return notConvertible(st, "return inside BASE-mode loop body")
-	}
-	if sub.dynamic {
-		c.dynamic = true
 	}
 
 	// Body outputs: next carried values then accumulator elements (each

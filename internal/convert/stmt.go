@@ -340,7 +340,6 @@ type branchOut struct {
 }
 
 func (c *Converter) switchMerge(st *minipy.IfStmt, cond *sym, e *env) (*sym, error) {
-	c.dynamic = true
 	pred := cond.port
 
 	convertSide := func(body []minipy.Stmt, takeTrue bool) (*branchOut, error) {

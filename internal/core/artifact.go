@@ -121,11 +121,11 @@ type FuncArtifact struct {
 
 // EntryArtifact snapshots one compiled graph.
 type EntryArtifact struct {
-	Pattern   []string        `json:"pattern"`
-	LeafCount int             `json:"leaf_count"`
-	Static    bool            `json:"static"`
-	Dynamic   bool            `json:"dynamic,omitempty"`
-	Graph     json.RawMessage `json:"graph"`
+	Pattern   []string `json:"pattern"`
+	LeafCount int      `json:"leaf_count"`
+	// Static is !Result.Dynamic; older builds' extra "dynamic" key is ignored.
+	Static bool            `json:"static"`
+	Graph  json.RawMessage `json:"graph"`
 	// LossNode/LossOut locate the Result's loss port by node index (-1 =
 	// zero port).
 	LossNode int `json:"loss_node"`
@@ -221,8 +221,7 @@ func snapshotEntry(e *compiled, sigHashes []uint64) (EntryArtifact, error) {
 	ea := EntryArtifact{
 		Pattern:   e.pattern,
 		LeafCount: e.leafCount,
-		Static:    e.static,
-		Dynamic:   e.res.Dynamic,
+		Static:    !e.res.Dynamic,
 		Graph:     buf,
 		LossNode:  -1,
 		VarNames:  e.res.VarNames,
@@ -367,7 +366,7 @@ func restoreEntry(ea EntryArtifact) (*compiled, *graph.MemoryPlan, error) {
 	}
 	res := &convert.Result{
 		Graph:     g,
-		Dynamic:   ea.Dynamic,
+		Dynamic:   !ea.Static,
 		VarNames:  ea.VarNames,
 		Signature: ea.Pattern,
 		NumFeeds:  ea.NumFeeds,
@@ -391,7 +390,6 @@ func restoreEntry(ea EntryArtifact) (*compiled, *graph.MemoryPlan, error) {
 		pattern:      ea.Pattern,
 		leafCount:    ea.LeafCount,
 		res:          res,
-		static:       ea.Static,
 		passes:       ea.Passes,
 		fromSnapshot: true,
 	}

@@ -295,6 +295,37 @@ func TestRelaxMergeSharesOneGraph(t *testing.T) {
 	}
 }
 
+// TestRecursiveGraphNeitherMergesNorSnapshots: a recursive function's
+// compiled graph has no canonical encoding, so the batch-dim merge passes
+// it over and a snapshot skips it — neither may crash the process.
+func TestRecursiveGraphNeitherMergesNorSnapshots(t *testing.T) {
+	cfg := DefaultJanusConfig()
+	cfg.ProfileIters = 1
+	cfg.RelaxBatchDim = true
+	e := NewEngine(cfg)
+	if err := e.Run(`
+def chain(x, n):
+    if n <= 0:
+        return x
+    return tanh(x) + chain(x, n - 1)
+`); err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range []int{4, 4, 8, 8} {
+		x := minipy.NewTensor(tensor.Full(0.5, rows, 2))
+		if _, err := e.Call("chain", []minipy.Value{x, minipy.NewTensor(tensor.Scalar(2))}); err != nil {
+			t.Fatalf("rows=%d: %v", rows, err)
+		}
+	}
+	if got := e.Cache().Entries(); got != 2 {
+		t.Fatalf("cache holds %d entries, want one per batch size", got)
+	}
+	saved, err := e.SaveArtifact(ArtifactPath(t.TempDir()), "h")
+	if err != nil || saved != 0 {
+		t.Fatalf("SaveArtifact saved %d entries (%v), want 0", saved, err)
+	}
+}
+
 // TestArtifactRoundTripRelaxedEntry checks the two features compose: a
 // wildcard (bucketed) entry survives the snapshot round trip and still
 // serves multiple batch sizes warm.

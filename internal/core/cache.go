@@ -257,7 +257,7 @@ func (c *GraphCache) Inspect() CacheInfo {
 				Func:       fs.key.fn,
 				Infer:      fs.key.infer,
 				Signature:  append([]string(nil), e.pattern...),
-				Static:     e.static,
+				Static:     !e.res.Dynamic,
 				Hits:       e.hits.Load(),
 				LastUse:    e.lastUse.Load(),
 				Provenance: prov,

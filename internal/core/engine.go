@@ -178,10 +178,9 @@ type compiled struct {
 	// signature-hash collision with a different arity can never execute
 	// this graph with misaligned feeds.
 	leafCount int
-	res       *convert.Result
-	// static graphs carry their own gradient/update ops; dynamic graphs are
-	// differentiated through the executor's trace tape.
-	static bool
+	// res.Dynamic marks graphs differentiated through the executor's trace
+	// tape; the rest (static) carry their own gradient/update ops.
+	res *convert.Result
 	// passes is the post-processor pipeline report for this graph (nil when
 	// the pipeline was disabled), surfaced through Explain.
 	passes *passes.Report
@@ -742,8 +741,9 @@ func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, args []minipy.Value
 	ksp := obs.StartSpan(e.runCtx, "compile")
 	t1 := time.Now()
 	if train && convert.FinalizeTraining(res, e.cfg.LR) != nil {
-		// Static gradient generation failed (e.g. an op without a
-		// gradient): run the graph dynamically via the trace tape instead.
+		// The one static-vs-tape decision: graph.Gradients met an op or
+		// output it cannot differentiate and left the graph untouched, so
+		// train it on the executor's trace tape instead.
 		res.Dynamic = true
 	}
 	rep, perr := e.runPasses(res, copts.Specialize)
@@ -757,7 +757,7 @@ func (e *Engine) generate(fs *funcState, fn *minipy.FuncVal, args []minipy.Value
 	if o := e.tryRelaxMerge(fs, res, sig, numLeaves); o != nil {
 		return o, nil
 	}
-	c := &compiled{pattern: sig, leafCount: numLeaves, res: res, static: !train || !res.Dynamic, passes: rep}
+	c := &compiled{pattern: sig, leafCount: numLeaves, res: res, passes: rep}
 	fs.entries = append(fs.entries, c)
 	e.cache.noteInsert(c)
 	return c, nil
@@ -781,7 +781,7 @@ func (e *Engine) tryRelaxMerge(fs *funcState, res *convert.Result, sig []string,
 	}
 	var newBytes []byte
 	for _, o := range fs.entries {
-		if o.static == res.Dynamic || o.leafCount != numLeaves {
+		if o.res.Dynamic != res.Dynamic || o.leafCount != numLeaves {
 			continue
 		}
 		relaxed := convert.RelaxSignature(o.pattern, sig)
@@ -855,7 +855,7 @@ func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value, train bool) (m
 		GradSink: e.gradSink,
 	}
 	var tape *autodiff.Tape
-	if !c.static {
+	if c.res.Dynamic {
 		// Dynamic graph: executed-trace tape gradients, optimizer applied here.
 		tape = autodiff.NewTape()
 		opts.Tape = tape
@@ -877,7 +877,7 @@ func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value, train bool) (m
 		}
 		return &minipy.TupleVal{Items: items}, nil
 	}
-	if c.static {
+	if !c.res.Dynamic {
 		t, err := graph.AsTensor(res.Outputs[0])
 		if err != nil {
 			return nil, fmt.Errorf("core: graph loss: %v", err)

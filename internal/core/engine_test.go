@@ -213,8 +213,8 @@ func cachedGraphKinds(e *Engine) (static, dynamic bool) {
 	for _, fs := range e.cache.funcs {
 		fs.mu.Lock()
 		for _, c := range fs.entries {
-			static = static || c.static
-			dynamic = dynamic || !c.static
+			static = static || !c.res.Dynamic
+			dynamic = dynamic || c.res.Dynamic
 		}
 		fs.mu.Unlock()
 	}

@@ -199,7 +199,7 @@ func explainState(fs *funcState) ExplainState {
 	for _, c := range fs.entries {
 		eg := ExplainGraph{
 			Signature: append([]string(nil), c.pattern...),
-			Static:    c.static,
+			Static:    !c.res.Dynamic,
 			Nodes:     len(c.res.Graph.Nodes),
 		}
 		if c.passes != nil {
@@ -267,7 +267,7 @@ func (e *Engine) Profile(name string) (*FuncProfile, error) {
 			fp.Graphs = append(fp.Graphs, GraphProfileEntry{
 				Path:      path,
 				Signature: append([]string(nil), c.pattern...),
-				Static:    c.static,
+				Static:    !c.res.Dynamic,
 				Profile:   exec.ProfileOf(c.res.Graph).Snapshot(),
 			})
 		}

@@ -197,3 +197,81 @@ func waitForEvictions(t *testing.T, e *Engine) {
 }
 
 var _ = fmt.Sprintf
+
+// TestForwardControlFlowPassesInvisible: a forward-only graph never trains,
+// so one with Invoke or Switch/Merge gets the structural passes too. Calls
+// through the compiled graph must return the same bits with every pass off.
+func TestForwardControlFlowPassesInvisible(t *testing.T) {
+	const src = `
+def chain(x, n):
+    w = variable("w", [3, 3])
+    h = tanh(matmul(x, w)) * 2.0 + 1.0
+    if n <= 0:
+        return h
+    return h * 0.5 + chain(h, n - 1)
+
+def gate(x):
+    w = variable("w", [3, 3])
+    h = matmul(x, w)
+    if reduce_sum(h) > 0.0:
+        h = relu(h) * 2.0 + 1.0
+    else:
+        h = tanh(h) - 1.0
+    return h
+`
+	x := func(sign float64) minipy.Value {
+		return minipy.NewTensor(tensor.FromRows([][]float64{{sign, 0.5, -0.25}, {0.75, sign, 1}}))
+	}
+	cases := []struct {
+		fn, op string
+		args   func(i int) []minipy.Value
+	}{
+		{"chain", "Invoke", func(i int) []minipy.Value {
+			return []minipy.Value{x(1), minipy.NewTensor(tensor.Scalar(float64(i%3 + 1)))}
+		}},
+		{"gate", "Merge", func(i int) []minipy.Value { return []minipy.Value{x(float64(1-2*(i%2)) * 4)} }},
+	}
+	for _, c := range cases {
+		t.Run(c.fn, func(t *testing.T) {
+			outs := map[bool][]*tensor.Tensor{}
+			for _, noPasses := range []bool{false, true} {
+				cfg := DefaultJanusConfig()
+				cfg.Seed = 5
+				if noPasses {
+					cfg.DisablePasses = []string{"all"}
+				}
+				e := NewEngine(cfg)
+				if err := e.Run(src); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 8; i++ {
+					out, err := e.Call(c.fn, c.args(i))
+					if err != nil {
+						t.Fatalf("call %d: %v", i, err)
+					}
+					outs[noPasses] = append(outs[noPasses], out.(*minipy.TensorVal).T())
+				}
+				if e.Stats().GraphSteps == 0 {
+					t.Fatalf("no call ran a graph: %+v", e.Stats())
+				}
+				ops := 0
+				for _, fs := range e.cache.states() {
+					for _, en := range fs.entries {
+						ops += en.res.Graph.CountOps()[c.op]
+					}
+				}
+				if ops == 0 {
+					t.Fatalf("no compiled graph holds %s", c.op)
+				}
+				if fused := e.Stats().OptimizeReport["fuse"]; !noPasses && fused == 0 {
+					t.Fatal("the structural fuse pass never fired")
+				}
+			}
+			for i, got := range outs[false] {
+				if !tensor.Equal(got, outs[true][i]) {
+					t.Fatalf("call %d: passes on %v, off %v", i, got, outs[true][i])
+				}
+			}
+		})
+	}
+}

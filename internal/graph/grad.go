@@ -11,16 +11,23 @@ import (
 // requested variable name. This is the symbolic-graph autodiff the paper
 // relies on ("operations for automatic differentiation ... are also
 // automatically inserted", §3.1): it runs each op's OpDef.Grad rule with the
-// graph as the Emitter — the same rules the eager tape runs. It only handles
-// static graphs; graphs containing dynamic control-flow ops are
-// differentiated at run time by the executor's trace tape instead (see
-// DESIGN.md §3.1).
+// graph as the Emitter — the same rules the eager tape runs. It fails closed
+// and leaves g as it found it: a gradient reaching an op with neither Grad
+// nor StopGrad, or any output k > 0, is an error, and the engine then trains
+// the graph on the executor's trace tape (DESIGN.md §3.1).
 //
 // The converter emits one Variable node per read, so a variable's gradient
 // is the sum over every node of that name, taken in the order the rules
 // reported the contributions: the order in which the tape, which watches one
 // node per name, accumulates them.
-func Gradients(g *Graph, loss Port, varNames []string) (map[string]Port, error) {
+func Gradients(g *Graph, loss Port, varNames []string) (_ map[string]Port, err error) {
+	n0, id0 := len(g.Nodes), g.nextID
+	defer func() {
+		if err != nil {
+			clear(g.Nodes[n0:])
+			g.Nodes, g.nextID = g.Nodes[:n0], id0
+		}
+	}()
 	// Reverse topological walk: nodes were appended in construction order,
 	// which is a valid topological order for our builders.
 	grads := make(map[Port][]Port) // accumulated gradient contributions
@@ -46,8 +53,6 @@ func Gradients(g *Graph, loss Port, varNames []string) (map[string]Port, error) 
 
 	for i := len(g.Nodes) - 1; i >= 0; i-- {
 		n := g.Nodes[i]
-		// Gather this node's output gradient (port 0 only; multi-output ops
-		// are control-flow and unsupported here).
 		contribs, ok := grads[n.P()]
 		if !ok || len(contribs) == 0 {
 			continue
@@ -67,6 +72,12 @@ func Gradients(g *Graph, loss Port, varNames []string) (map[string]Port, error) 
 		case def != nil && def.StopGrad:
 		default:
 			return nil, fmt.Errorf("graph: no gradient registered for op %s", n.Op)
+		}
+	}
+	// Rules differentiate output 0 only: the walk never read these.
+	for p := range grads {
+		if p.Out > 0 {
+			return nil, fmt.Errorf("graph: no gradient through output %d of op %s", p.Out, p.Node.Op)
 		}
 	}
 

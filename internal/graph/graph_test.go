@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -248,6 +251,59 @@ func TestGradientsSumEveryReadOfAVariable(t *testing.T) {
 	got := evalStatic(t, g, nil)[0].(*tensor.Tensor)
 	if !tensor.Equal(got, tensor.FromSlice([]float64{2, 2})) {
 		t.Fatalf("gradient of sum(w)+sum(w) over two reads of w: %v, want [2 2]", got)
+	}
+}
+
+// TestGradientsRejectOutputPortAboveZero: rules differentiate output 0 only,
+// so a gradient that reaches a later output (Switch's true side, a Loop's
+// second carried value) must fail naming the op and port, not be dropped.
+func TestGradientsRejectOutputPortAboveZero(t *testing.T) {
+	for _, c := range []struct {
+		op   string
+		port int
+	}{{"Switch", 1}, {"Loop", 2}} {
+		g := New()
+		w := g.Variable("w")
+		n := g.Add(c.op, nil, w.P(), g.Const(tensor.Scalar(1)).P())
+		loss := g.Add("Add", nil, g.Add("Sum", nil, w.P()).P(), g.Add("Sum", nil, n.Out(c.port)).P())
+		_, err := Gradients(g, loss.P(), []string{"w"})
+		want := fmt.Sprintf("output %d of op %s", c.port, c.op)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.op, err, want)
+		}
+	}
+}
+
+// TestFailedGradientsLeavesGraphUnchanged: the rules run before the walk
+// meets what it cannot differentiate, and their nodes must not stay behind —
+// the caller runs the same graph on the trace tape and may persist it.
+func TestFailedGradientsLeavesGraphUnchanged(t *testing.T) {
+	for _, op := range []string{"Merge", "Switch"} {
+		g := New()
+		w := g.Variable("w")
+		n := g.Add(op, nil, w.P(), g.Const(tensor.Scalar(1)).P())
+		port := n.P()
+		if op == "Switch" {
+			port = n.Out(1)
+		}
+		loss := g.Add("Sum", nil, g.Add("Tanh", nil, port).P())
+		g.Outputs = []Port{loss.P()}
+		before, err := CanonicalBytes(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, nextID := len(g.Nodes), g.nextID
+		if _, err := Gradients(g, loss.P(), []string{"w"}); err == nil {
+			t.Fatalf("%s: Gradients succeeded", op)
+		}
+		after, err := CanonicalBytes(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) || len(g.Nodes) != nodes || g.nextID != nextID {
+			t.Errorf("%s: failed Gradients left %d nodes (next ID %d), want %d (%d)",
+				op, len(g.Nodes), g.nextID, nodes, nextID)
+		}
 	}
 }
 

@@ -7,9 +7,11 @@ package graph
 //
 // Heap reads (PyGetAttr/PyGetSubscr) are gradient stops, matching how TF
 // treats values read from external Python state: the carried RNN state
-// receives no gradient across iteration boundaries. Invoke, While, Loop and
-// the heap ops are not ReadsOnly: values crossing a subgraph or heap boundary
-// may be retained, so their inputs stay pinned.
+// receives no gradient across iteration boundaries. Control flow has no rule:
+// a loss through it makes Gradients fail, and the graph trains on the trace
+// tape (DESIGN.md §3.1). Invoke, While, Loop and the heap ops are not
+// ReadsOnly: values crossing a subgraph or heap boundary may be retained, so
+// their inputs stay pinned.
 func init() {
 	register(
 		OpDef{Name: "Placeholder", StopGrad: true},

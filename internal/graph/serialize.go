@@ -94,7 +94,7 @@ type fusedPB struct {
 // deterministic: the same graph structure always yields the same bytes, so
 // callers may compare encodings for structural equality (see CanonicalBytes).
 func MarshalGraph(g *Graph) ([]byte, error) {
-	pb, err := encodeGraph(g)
+	pb, err := encodeGraph(g, map[*Graph]bool{})
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,14 @@ func UnmarshalGraph(data []byte) (*Graph, error) {
 // for bit) iff their canonical bytes are equal.
 func CanonicalBytes(g *Graph) ([]byte, error) { return MarshalGraph(g) }
 
-func encodeGraph(g *Graph) (*graphPB, error) {
+// encodeGraph encodes g; open holds the graphs enclosing it, so a recursive
+// function's self-invoking subgraph is an error, not endless recursion.
+func encodeGraph(g *Graph, open map[*Graph]bool) (*graphPB, error) {
+	if open[g] {
+		return nil, fmt.Errorf("graph: a recursive subgraph has no wire form")
+	}
+	open[g] = true
+	defer delete(open, g)
 	index := make(map[*Node]int, len(g.Nodes))
 	for i, n := range g.Nodes {
 		index[n] = i
@@ -145,7 +152,7 @@ func encodeGraph(g *Graph) (*graphPB, error) {
 		if len(n.Attrs) > 0 {
 			np.Attrs = make(map[string]attrPB, len(n.Attrs))
 			for k, v := range n.Attrs {
-				av, err := encodeAttr(v)
+				av, err := encodeAttr(v, open)
 				if err != nil {
 					return nil, fmt.Errorf("graph: node %d (%s) attr %q: %w", n.ID, n.Op, k, err)
 				}
@@ -241,7 +248,7 @@ func decodeGraph(pb *graphPB) (*Graph, error) {
 	return g, nil
 }
 
-func encodeAttr(v Val) (attrPB, error) {
+func encodeAttr(v Val, open map[*Graph]bool) (attrPB, error) {
 	switch x := v.(type) {
 	case nil:
 		return attrPB{T: "nil"}, nil
@@ -263,7 +270,7 @@ func encodeAttr(v Val) (attrPB, error) {
 	case *tensor.Tensor:
 		return attrPB{T: "tensor", Tensor: encodeTensor(x)}, nil
 	case *Graph:
-		sub, err := encodeGraph(x)
+		sub, err := encodeGraph(x, open)
 		if err != nil {
 			return attrPB{}, err
 		}

@@ -124,6 +124,18 @@ func TestGraphSerializeRejectsHeapRefs(t *testing.T) {
 	}
 }
 
+// TestGraphSerializeRejectsRecursiveSubgraph: a recursive function's
+// subgraph Invokes itself; encoding it is an error, not a stack overflow.
+func TestGraphSerializeRejectsRecursiveSubgraph(t *testing.T) {
+	fg := New()
+	fg.Outputs = []Port{fg.Add("Invoke", map[string]Val{"func": fg}, fg.Placeholder("x").P()).P()}
+	g := New()
+	g.Outputs = []Port{g.Add("Invoke", map[string]Val{"func": fg}, g.Placeholder("x").P()).P()}
+	if _, err := MarshalGraph(g); err == nil {
+		t.Fatal("expected error for a self-invoking subgraph")
+	}
+}
+
 func TestGraphSerializeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		[]byte("not json"),

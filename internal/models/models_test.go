@@ -132,37 +132,90 @@ func avg(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// TestJanusMatchesImperativeOnAllModels: every model trains the same under
-// JANUS as imperatively — per-step losses and final parameters within 1e-9
-// relative — since both engines run the same gradient rules and kernels.
+// How JANUS trains a model in one rung of the ablation ladder, as the
+// engine decided it.
+const (
+	static     = "static"     // graphs carry their own gradient and update ops
+	tape       = "tape"       // graphs are differentiated by the executor's trace tape
+	imperative = "imperative" // nothing converts: every step is interpreted
+)
+
+// trainingMode reads the engine's static-vs-tape decision off its cached
+// training graphs.
+func trainingMode(e *core.Engine) string {
+	if e.Stats().GraphSteps == 0 {
+		return imperative
+	}
+	for _, c := range e.Cache().Inspect().EntryList {
+		if !c.Static {
+			return tape
+		}
+	}
+	return static
+}
+
+// TestJanusMatchesImperativeOnAllModels: in every rung of {Unroll} ×
+// {Specialize}, every model trains the same under JANUS as imperatively —
+// per-step losses and final parameters within 1e-9 relative — since both
+// engines run the same gradient rules and kernels. The engine alone decides
+// static or tape gradients (graph.Gradients fails on what it cannot
+// differentiate); the table pins that decision per rung.
 func TestJanusMatchesImperativeOnAllModels(t *testing.T) {
 	const steps = 8
+	rungs := []struct {
+		name               string
+		unroll, specialize bool
+	}{{"BASE", false, false}, {"UNRL", true, false}, {"SPCN", false, true}, {"UNRL+SPCN", true, true}}
+	// want[model][i] is the training mode in rungs[i]. Without unrolling
+	// (which also speculates on stable branches), ResNet's and Inception's
+	// batch-norm conditional on self.training becomes Switch/Merge; LM and
+	// LSTM name their variables from a str attribute, which only
+	// specialization makes a build-time value; the TreeNNs recurse through
+	// Invoke and Switch/Merge.
+	want := map[string][4]string{
+		"LeNet":     {static, static, static, static},
+		"ResNet":    {tape, static, static, static},
+		"Inception": {tape, static, static, static},
+		"LSTM":      {imperative, imperative, static, static},
+		"LM":        {imperative, imperative, static, static},
+		"TreeRNN":   {tape, tape, tape, tape},
+		"TreeLSTM":  {tape, tape, tape, tape},
+		"A3C":       {static, static, static, static},
+		"PPO":       {static, static, static, static},
+		"AN":        {static, static, static, static},
+		"pix2pix":   {static, static, static, static},
+	}
 	for _, m := range All() {
 		t.Run(m.Name, func(t *testing.T) {
 			impLosses, imp := trainSteps(t, m.Name, core.Config{Mode: core.Imperative, LR: 0.05, Seed: 9}, steps)
-			cfg := core.DefaultJanusConfig()
-			cfg.LR = 0.05
-			cfg.Seed = 9
-			janLosses, jan := trainSteps(t, m.Name, cfg, steps)
-			if jan.Stats().GraphSteps == 0 {
-				t.Fatalf("never ran on the graph executor: %+v", jan.Stats())
-			}
-			for i := range impLosses {
-				if !closeRel(impLosses[i], janLosses[i]) {
-					t.Fatalf("step %d loss: imperative %.17g janus %.17g", i, impLosses[i], janLosses[i])
-				}
-			}
-			names := imp.Store.Names()
-			if got := jan.Store.Names(); len(got) != len(names) {
-				t.Fatalf("parameters: imperative %v janus %v", names, got)
-			}
-			for _, name := range names {
-				vi, vj := imp.Store.MustGet(name), jan.Store.MustGet(name)
-				for k, x := range vi.Data() {
-					if !closeRel(x, vj.Data()[k]) {
-						t.Fatalf("%s[%d] after %d steps: imperative %.17g janus %.17g", name, k, steps, x, vj.Data()[k])
+			for i, r := range rungs {
+				t.Run(r.name, func(t *testing.T) {
+					cfg := core.DefaultJanusConfig()
+					cfg.LR = 0.05
+					cfg.Seed = 9
+					cfg.Unroll, cfg.Specialize = r.unroll, r.specialize
+					janLosses, jan := trainSteps(t, m.Name, cfg, steps)
+					if got := trainingMode(jan); got != want[m.Name][i] {
+						t.Errorf("trains %s, want %s", got, want[m.Name][i])
 					}
-				}
+					for i := range impLosses {
+						if !closeRel(impLosses[i], janLosses[i]) {
+							t.Fatalf("step %d loss: imperative %.17g janus %.17g", i, impLosses[i], janLosses[i])
+						}
+					}
+					names := imp.Store.Names()
+					if got := jan.Store.Names(); len(got) != len(names) {
+						t.Fatalf("parameters: imperative %v janus %v", names, got)
+					}
+					for _, name := range names {
+						vi, vj := imp.Store.MustGet(name), jan.Store.MustGet(name)
+						for k, x := range vi.Data() {
+							if !closeRel(x, vj.Data()[k]) {
+								t.Fatalf("%s[%d] after %d steps: imperative %.17g janus %.17g", name, k, steps, x, vj.Data()[k])
+							}
+						}
+					}
+				})
 			}
 		})
 	}
