@@ -19,8 +19,16 @@ var fuzzVars = []struct {
 }{{"a", []int{2, 3}}, {"b", []int{3}}, {"c", []int{3, 2}}, {"d", []int{2, 1}}}
 
 var (
-	fuzzUnary  = []string{"Neg", "ReLU", "Sigmoid", "Tanh", "Exp", "Softmax", "Sum", "Mean", "Transpose"}
-	fuzzBinary = []string{"Add", "Sub", "Mul", "Maximum", "Minimum", "MatMul", "MSE"}
+	// fuzzOps is indexed by an op byte modulo its length; "" reads a
+	// parameter. New ops go at the end, so that the seeds below keep
+	// decoding to the programs they were written as.
+	fuzzOps = []string{
+		"Neg", "ReLU", "Sigmoid", "Tanh", "Exp", "Softmax", "Sum", "Mean", "Transpose",
+		"Add", "Sub", "Mul", "Maximum", "Minimum", "MatMul", "MSE", "", "Abs", "Pow",
+	}
+	fuzzBinary = map[string]bool{
+		"Add": true, "Sub": true, "Mul": true, "Maximum": true, "Minimum": true, "MatMul": true, "MSE": true, "Pow": true,
+	}
 )
 
 // FuzzTapeMatchesGraph decodes the input as a straight-line program over
@@ -86,14 +94,14 @@ func FuzzTapeMatchesGraph(f *testing.F) {
 			vals = append(vals, value{out, n.P(), vt.(*tensor.Tensor)})
 		}
 		for i := 0; i+2 < len(prog); i += 3 {
-			op, x, y := prog[i], prog[i+1], prog[i+2]
-			switch k := int(op) % (len(fuzzUnary) + len(fuzzBinary) + 1); {
-			case k < len(fuzzUnary):
-				apply(fuzzUnary[k], pick(x))
-			case k < len(fuzzUnary)+len(fuzzBinary):
-				apply(fuzzBinary[k-len(fuzzUnary)], pick(x), pick(y))
-			default:
+			x, y := prog[i+1], prog[i+2]
+			switch op := fuzzOps[int(prog[i])%len(fuzzOps)]; {
+			case op == "":
 				vals = append(vals, read(x))
+			case fuzzBinary[op]:
+				apply(op, pick(x), pick(y))
+			default:
+				apply(op, pick(x))
 			}
 		}
 		last := vals[len(vals)-1]

@@ -440,7 +440,7 @@ func TestGradientStreamUntrackedLossEmitsZeros(t *testing.T) {
 	emitted := 0
 	out := tape.GradientStream(Const(tensor.Scalar(1)), func(name string, g *tensor.Tensor) {
 		emitted++
-		if tensor.Sum(g).Item() != 0 {
+		if tensor.SumInto(tensor.Scalar(0), g).Item() != 0 {
 			t.Fatalf("untracked loss produced nonzero gradient for %q: %v", name, g)
 		}
 	})

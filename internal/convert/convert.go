@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"repro/internal/graph"
@@ -81,7 +82,8 @@ type Result struct {
 	Dynamic bool
 	// Asserts lists the embedded assumption checks.
 	Asserts []*graph.Node
-	// VarNames are the model parameters read by the graph.
+	// VarNames are the model parameters read by the graph, sorted, so that
+	// one program always builds the same training graph.
 	VarNames []string
 	// Signature is the cache-key pattern for the exemplar invocation.
 	Signature []string
@@ -197,6 +199,7 @@ func ConvertCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile,
 	for n := range c.varNames {
 		names = append(names, n)
 	}
+	sort.Strings(names)
 	return &Result{
 		Graph:     c.g,
 		Loss:      lossPort,
@@ -219,8 +222,8 @@ func FinalizeTraining(r *Result, lr float64) error {
 	if err != nil {
 		return err
 	}
-	for name, gp := range grads {
-		upd := r.Graph.Add("AssignSub", map[string]graph.Val{"name": name, "lr": lr}, gp)
+	for _, name := range r.VarNames {
+		upd := r.Graph.Add("AssignSub", map[string]graph.Val{"name": name, "lr": lr}, grads[name])
 		upd.ControlDeps = append(upd.ControlDeps, r.Asserts...)
 		r.Graph.Updates = append(r.Graph.Updates, upd)
 	}

@@ -460,3 +460,39 @@ def loss(x):
 		t.Fatal("training step did not update the variable")
 	}
 }
+
+// TestTrainingGraphIsDeterministic: a program reading several variables
+// builds the same training graph every time, gradient sums and updates in
+// the same order, so its canonical bytes (artifacts, relax-merge) agree.
+func TestTrainingGraphIsDeterministic(t *testing.T) {
+	src := `
+def loss(x):
+    w1 = variable("w1", [2, 3])
+    b1 = variable("b1", [3])
+    w2 = variable("w2", [3, 1])
+    b2 = variable("b2", [1])
+    h = relu(matmul(x, w1) + b1)
+    return reduce_mean((matmul(h, w2) + b2 + matmul(x, w1)[0][0]) ** 2.0)
+`
+	args := []minipy.Value{minipy.NewTensor(tensor.FromRows([][]float64{{1, 2}, {3, 4}}))}
+	fn, prof, it, _ := setup(t, src, "loss", [][]minipy.Value{args, args, args})
+	var first []byte
+	for i := 0; i < 10; i++ {
+		res, err := ConvertCall(fn, args, prof, it.Builtins, defaultOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := FinalizeTraining(res, 0.1); err != nil {
+			t.Fatal(err)
+		}
+		b, err := graph.CanonicalBytes(res.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = b
+		} else if string(b) != string(first) {
+			t.Fatalf("build %d encodes differently from build 0 (variables %v)", i, res.VarNames)
+		}
+	}
+}

@@ -39,10 +39,12 @@ import (
 // any change to what a persisted graph computes: an op's inputs, arity or
 // attrs, or a gradient rule that changes the ops or results of a training
 // graph (version 2: PowGrad, SliceGrad and ConcatGradSlice take shapes and
-// exponents as inputs, and a Variable's gradient sums every read). The CI
+// exponents as inputs, and a Variable's gradient sums every read; version 3:
+// Abs has a gradient rule, so a program using abs trains a static graph
+// where it trained on the tape before). The CI
 // snapshot fixture must be regenerated in the same change (the cold-start
 // workflow fails with a clear message otherwise).
-const ArtifactVersion = 2
+const ArtifactVersion = 3
 
 // Artifact metric help strings.
 const (

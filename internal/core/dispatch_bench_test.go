@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/minipy"
 	"repro/internal/tensor"
 	"repro/internal/vars"
@@ -53,21 +54,28 @@ func BenchmarkDispatchOverhead(b *testing.B) {
 	b.ReportMetric(perOp, "ns/frameworkop")
 }
 
-// BenchmarkDispatchKernelOnly runs the same op sequence directly on the
-// tensor kernels — the compute floor beneath the interpreter.
+// BenchmarkDispatchKernelOnly runs the same op sequence through OpDef.Eval,
+// the call the interpreter makes for each op — the compute floor beneath it.
 func BenchmarkDispatchKernelOnly(b *testing.B) {
 	x := tensor.Full(0.5, 8, 8)
+	eval := func(op string, in ...graph.Val) graph.Val {
+		v, err := graph.Lookup(op).Eval(&graph.Node{Op: op}, in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return v
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := tensor.Add(x, x)
+		h := eval("Add", x, x)
 		for j := 1; j < dispatchOps-1; j++ {
 			if j%2 == 0 {
-				h = tensor.Add(h, x)
+				h = eval("Add", h, x)
 			} else {
-				h = tensor.ReLU(h)
+				h = eval("ReLU", h)
 			}
 		}
-		tensor.Sum(h)
+		eval("Sum", h)
 	}
 	b.StopTimer()
 	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(dispatchOps)

@@ -346,6 +346,45 @@ for step in range(8):
 	}
 }
 
+// TestJanusTrainsL1Loss: abs differentiates as sign(x), so an L1 loss
+// trains w, imperatively and on a static JANUS graph, to the same bits.
+func TestJanusTrainsL1Loss(t *testing.T) {
+	const src = `
+def loss_fn(x, y):
+    w = variable("w", [2, 1])
+    return reduce_mean(abs(matmul(x, w) - y))
+
+x = constant([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5], [-2.0, 1.0]])
+y = constant([[1.0], [-2.0], [4.0], [0.0]])
+for step in range(20):
+    optimize(lambda: loss_fn(x, y))
+`
+	w0 := tensor.New([]int{2, 1}, []float64{0.1883, 0.6952})
+	run := func(cfg Config) *Engine {
+		cfg.LR, cfg.Seed = 0.1, 23
+		e := NewEngine(cfg)
+		e.Store.Set("w", w0.Clone())
+		if err := e.Run(src); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	imp, jan := run(Config{Mode: Imperative}), run(DefaultJanusConfig())
+	if st := jan.Stats(); st.GraphSteps == 0 {
+		t.Fatalf("janus never ran a graph step: %+v", st)
+	}
+	if static, dynamic := cachedGraphKinds(jan); !static || dynamic {
+		t.Fatalf("cached graphs static=%v dynamic=%v, want a static graph only", static, dynamic)
+	}
+	wI, wJ := imp.Store.MustGet("w"), jan.Store.MustGet("w")
+	if tensor.AllClose(wI, w0, 1e-3) {
+		t.Fatalf("w did not train: %v", wI)
+	}
+	if !tensor.Equal(wI, wJ) {
+		t.Fatalf("w diverged: imperative %v janus %v", wI, wJ)
+	}
+}
+
 func TestJanusHandlesLoopsAndLists(t *testing.T) {
 	// RNN-style accumulation loop over a captured list (Figure 1 shape,
 	// without object state).

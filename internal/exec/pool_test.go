@@ -119,9 +119,9 @@ func TestPooledSwitchMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := res.Outputs[0].(*tensor.Tensor)
-		want := tensor.Neg(x)
+		want := tensor.NegInto(tensor.Zeros(3), x)
 		if pred {
-			want = tensor.Exp(x)
+			want = tensor.ExpInto(tensor.Zeros(3), x)
 		}
 		if !tensor.Equal(got, want) {
 			t.Fatalf("iter %d pred=%v: got %v want %v", i, pred, got, want)

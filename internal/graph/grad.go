@@ -74,11 +74,16 @@ func Gradients(g *Graph, loss Port, varNames []string) (_ map[string]Port, err e
 			return nil, fmt.Errorf("graph: no gradient registered for op %s", n.Op)
 		}
 	}
-	// Rules differentiate output 0 only: the walk never read these.
+	// Rules differentiate output 0 only: the walk never read these. The
+	// error names the first such port in node order.
+	var bad *Port
 	for p := range grads {
-		if p.Out > 0 {
-			return nil, fmt.Errorf("graph: no gradient through output %d of op %s", p.Out, p.Node.Op)
+		if p.Out > 0 && (bad == nil || p.Node.ID < bad.Node.ID || p.Node.ID == bad.Node.ID && p.Out < bad.Out) {
+			bad = &p
 		}
+	}
+	if bad != nil {
+		return nil, fmt.Errorf("graph: no gradient through output %d of op %s", bad.Out, bad.Node.Op)
 	}
 
 	out := make(map[string]Port, len(varNames))

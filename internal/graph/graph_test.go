@@ -85,7 +85,7 @@ func TestKernelsMatchTensorOps(t *testing.T) {
 		want *tensor.Tensor
 	}{
 		{"Add", tensor.Add(a, b)},
-		{"Sub", tensor.Sub(a, b)},
+		{"Sub", tensor.SubInto(tensor.Zeros(2, 3), a, b)},
 		{"Mul", tensor.Mul(a, b)},
 		{"Div", tensor.Div(a, b)},
 	}
@@ -270,6 +270,23 @@ func TestGradientsRejectOutputPortAboveZero(t *testing.T) {
 		want := fmt.Sprintf("output %d of op %s", c.port, c.op)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: got %v, want an error naming %q", c.op, err, want)
+		}
+	}
+}
+
+// TestGradientsOutputPortErrorIsDeterministic: with several unsupported
+// ports in the graph, the error always names the first in node order.
+func TestGradientsOutputPortErrorIsDeterministic(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		g := New()
+		w := g.Variable("w")
+		one := g.Const(tensor.Scalar(1)).P()
+		sw := g.Add("Switch", nil, w.P(), one)
+		lp := g.Add("Loop", nil, w.P(), one)
+		loss := g.Add("Add", nil, g.Add("Sum", nil, lp.Out(2)).P(), g.Add("Sum", nil, sw.Out(1)).P())
+		_, err := Gradients(g, loss.P(), []string{"w"})
+		if want := "output 1 of op Switch"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("build %d: got %v, want an error naming %q", i, err, want)
 		}
 	}
 }

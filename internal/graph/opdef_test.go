@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -219,21 +220,19 @@ func TestFuseCodesMatchKernels(t *testing.T) {
 				in, extras = []Val{v, e}, []*tensor.Tensor{e}
 				in[0], in[pos] = in[pos], in[0]
 			}
-			n := &Node{Op: name, Attrs: map[string]Val{"s": 0.5}}
-			want, err := d.Eval(n, in)
+			want, err := d.Eval(&Node{Op: name}, in)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			prog := []tensor.FusedStep{{Code: code, Scalar: 0.5}}
-			got := tensor.FusedElementwise(v, extras, prog)
+			got := tensor.FusedElementwiseInto(tensor.Zeros(3, 4), v, extras, []tensor.FusedStep{{Code: code}}, nil)
 			// Tolerance 0 and not Equal: Log of a negative is NaN on both sides.
 			if !tensor.AllClose(got, want.(*tensor.Tensor), 0) {
 				t.Errorf("%s with the chain at input %d: step code %d gives %v, the kernel %v", name, pos, code, got, want)
 			}
 		}
 	}
-	if fusable != 25 {
-		t.Errorf("%d fusable (op, input) pairs, want 25: the fusable set decides the graphs the pass pipeline produces", fusable)
+	if fusable != 24 {
+		t.Errorf("%d fusable (op, input) pairs, want 24: the fusable set decides the graphs the pass pipeline produces", fusable)
 	}
 }
 
@@ -268,6 +267,29 @@ func TestEveryOpHasAGradientVerdict(t *testing.T) {
 		case err == nil || !strings.Contains(err.Error(), "no gradient registered for op "+name):
 			t.Errorf("%s: want the no-gradient-registered error, got %v", name, err)
 		}
+	}
+}
+
+// TestOpsWithoutAGradientDecision pins the ops that have neither Grad nor
+// StopGrad, so an op that silently drops its gradient (the tape skips it,
+// Gradients fails over to the tape) cannot be registered unnoticed. They are
+// the ops the executor implements and the ops passes add after Gradients has
+// run.
+func TestOpsWithoutAGradientDecision(t *testing.T) {
+	want := []string{
+		"AssignSub", "NoOp", "Switch", "Merge", "Invoke", "Loop", "While", "PySetAttr", "PySetSubscr", "Pack", "IndexList",
+		"Im2Col", "Conv2DFromCol", "Conv2DGradFilterFromCol", "Fused",
+	}
+	var got []string
+	for name, d := range ops {
+		if d.Grad == nil && !d.StopGrad {
+			got = append(got, name)
+		}
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("ops with neither Grad nor StopGrad:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -307,11 +329,50 @@ func TestShapeMismatchIsAnErrorNamingTheOp(t *testing.T) {
 	}
 }
 
-// TestLossKernelsBroadcast: the loss ops broadcast their second operand, as
-// the imperative interpreter's tensor.MSE / tensor.CrossEntropy do, and agree
-// with the composition of primitive ops that defines them (up to a fused
-// multiply-add's rounding) — pooled and on the heap.
+// TestGradOpsTakeAScalarSeed: Gradients seeds a non-scalar loss with a
+// scalar 1, so the gradient ops that may sit at the loss take an upstream
+// gradient that broadcasts to the output, giving what its expansion gives.
+func TestGradOpsTakeAScalarSeed(t *testing.T) {
+	rng := tensor.NewRNG(7)
+	x, p := rng.Uniform(0.5, 1.5, 2, 3), rng.Randn(3)
+	y := tensor.PowInto(tensor.Zeros(2, 3), x, p)
+	cases := []struct {
+		op    string
+		attrs map[string]Val
+		in    []Val
+	}{
+		{"SoftmaxGrad", nil, []Val{tensor.Softmax(x)}},
+		{"PowGrad", nil, []Val{x, p}},
+		{"PowExpGrad", nil, []Val{x, y}},
+		{"ExtremumGrad", map[string]Val{"max": true, "side": 1}, []Val{x, p}},
+	}
+	for _, c := range cases {
+		n := &Node{Op: c.op, Attrs: c.attrs}
+		got, err := Lookup(c.op).Into(n, append(c.in, tensor.Scalar(0.5)), tensor.NewPool())
+		if err != nil {
+			t.Fatalf("%s: %v", c.op, err)
+		}
+		want, err := Lookup(c.op).Eval(n, append(c.in, tensor.Full(0.5, 2, 3)))
+		if err != nil {
+			t.Fatalf("%s: %v", c.op, err)
+		}
+		if !tensor.Equal(got.(*tensor.Tensor), want.(*tensor.Tensor)) {
+			t.Errorf("%s: scalar seed gives %v, its expansion %v", c.op, got, want)
+		}
+	}
+}
+
+// TestLossKernelsBroadcast: the loss ops broadcast their second operand and
+// agree with the composition of primitive ops that defines them (up to a
+// fused multiply-add's rounding) — pooled and on the heap.
 func TestLossKernelsBroadcast(t *testing.T) {
+	eval := func(op string, in ...Val) *tensor.Tensor {
+		out, err := Lookup(op).Eval(&Node{Op: op}, in)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		return out.(*tensor.Tensor)
+	}
 	rng := tensor.NewRNG(3)
 	gout := tensor.Scalar(0.5)
 	pred, logits := rng.Randn(4, 1), rng.Randn(4, 3)
@@ -323,18 +384,18 @@ func TestLossKernelsBroadcast(t *testing.T) {
 	var cases []lossCase
 	for _, shape := range [][]int{{1}, {4, 1}, {4, 5}, {}} {
 		target := rng.Randn(shape...)
-		d := tensor.Sub(pred, target)
+		d := eval("Sub", pred, target)
 		cases = append(cases,
-			lossCase{"MSE", []Val{pred, target}, tensor.Mean(tensor.Mul(d, d))},
+			lossCase{"MSE", []Val{pred, target}, eval("Mean", eval("Mul", d, d))},
 			lossCase{"MSEGrad", []Val{pred, target, gout}, tensor.MulScalar(d, 2/float64(d.Size())*gout.Item())})
 	}
 	for _, shape := range [][]int{{3}, {4, 3}, {1, 3}, {2, 4, 3}} {
 		labels := rng.Randn(shape...)
-		nll := tensor.Sum(tensor.Mul(labels, tensor.LogSoftmax(logits))).Item()
+		nll := eval("Sum", eval("Mul", labels, tensor.LogSoftmaxInto(tensor.Zeros(4, 3), logits))).Item()
 		cases = append(cases,
 			lossCase{"CrossEntropy", []Val{logits, labels}, tensor.Scalar(-nll / 4)},
 			lossCase{"CrossEntropyGrad", []Val{logits, labels},
-				tensor.MulScalar(tensor.Sub(tensor.Softmax(logits), labels), 1.0/4)})
+				tensor.MulScalar(eval("Sub", eval("Softmax", logits), labels), 1.0/4)})
 	}
 	for _, c := range cases {
 		d := Lookup(c.op)

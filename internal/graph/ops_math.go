@@ -72,6 +72,17 @@ func logitsAndLabels(n *Node, in []Val) (logits, labels *tensor.Tensor, shape []
 	return logits, labels, shape, err
 }
 
+// broadcastsTo checks that each of ts broadcasts to shape without growing
+// it, as a gradient op's operands do to the forward op's output shape.
+func broadcastsTo(n *Node, shape []int, ts ...*tensor.Tensor) error {
+	for _, t := range ts {
+		if s, err := tensor.BroadcastShapes(t.Shape(), shape); err != nil || !tensor.ShapeEq(s, shape) {
+			return fmt.Errorf("%s: operand %v does not broadcast to %v", n.Op, t.Shape(), shape)
+		}
+	}
+	return nil
+}
+
 func init() {
 	register(
 		OpDef{Name: "Add", Into: zipInto(tensor.AddInto), ReadsOnly: true, InPlace: true,
@@ -137,18 +148,9 @@ func init() {
 		OpDef{Name: "Log", Into: mapInto(tensor.LogInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedLog)}, Grad: gradUnary("LogGrad", false)},
 		OpDef{Name: "Abs", Into: mapInto(tensor.AbsInto), ReadsOnly: true, InPlace: true,
-			Fuse: []uint8{fuseAs(tensor.FusedAbs)}},
-		OpDef{Name: "Floor", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
-				x, err := t1(n, in)
-				if err != nil {
-					return nil, err
-				}
-				return tensor.Map(x, math.Floor), nil
-			}},
+			Fuse: []uint8{fuseAs(tensor.FusedAbs)}, Grad: gradUnary("AbsGrad", false)},
 		OpDef{Name: "Softmax", Into: mapInto(tensor.SoftmaxInto), ReadsOnly: true, InPlace: true,
 			Grad: gradUnary("SoftmaxGrad", true)},
-		OpDef{Name: "LogSoftmax", Into: mapInto(tensor.LogSoftmaxInto), ReadsOnly: true, InPlace: true},
 		OpDef{Name: "Sum", Into: reduceInto(tensor.SumInto), ReadsOnly: true,
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				add(0, e.Emit("FillLike", map[string]Val{"scale": 1.0}, in[0], gout))
@@ -160,19 +162,9 @@ func init() {
 				return nil
 			}},
 
-		// Scale multiplies by the static attr "s"; ScaleByScalar by the
-		// scalar tensor input 1, a size-1 tensor in every well-formed graph
-		// (the gradient of a scalar loss), so in a chain through input 0 it
-		// is a Mul by the broadcast extra.
-		OpDef{Name: "Scale", ReadsOnly: true, InPlace: true, StopGrad: true,
-			Fuse: []uint8{fuseAs(tensor.FusedScale)},
-			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
-				a, err := t1(n, in)
-				if err != nil {
-					return nil, err
-				}
-				return tensor.MulScalarInto(alloc.Get(a.Shape()...), a, n.Attr("s").(float64)), nil
-			}},
+		// ScaleByScalar multiplies by the scalar tensor input 1, a size-1
+		// tensor in every well-formed graph (the gradient of a scalar loss),
+		// so in a chain through input 0 it is a Mul by the broadcast extra.
 		OpDef{Name: "ScaleByScalar", ReadsOnly: true, InPlace: true, StopGrad: true,
 			Fuse: []uint8{fuseAs(tensor.FusedMul), 0},
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
@@ -215,8 +207,7 @@ func init() {
 				return nil
 			}},
 
-		// The loss kernels broadcast their second operand like the imperative
-		// interpreter's tensor.CrossEntropy and tensor.MSE do.
+		// The loss kernels broadcast their second operand.
 		OpDef{Name: "CrossEntropy", ReadsOnly: true,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				logits, labels, _, err := logitsAndLabels(n, in)
@@ -295,89 +286,127 @@ func init() {
 					return gv * (1 - vv*vv)
 				})
 			})},
-		// SoftmaxGrad(s, g): s is the softmax output.
-		OpDef{Name: "SoftmaxGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
+		// AbsGrad(x, g) is g * sign(x), with sign(0) = 0.
+		OpDef{Name: "AbsGrad", ReadsOnly: true, InPlace: true, StopGrad: true,
+			Into: zipInto(func(dst, x, g *tensor.Tensor) *tensor.Tensor {
+				return tensor.ZipInto(dst, x, g, func(xv, gv float64) float64 {
+					sign := 0.0
+					if xv > 0 {
+						sign = 1
+					} else if xv < 0 {
+						sign = -1
+					}
+					return gv * sign
+				})
+			})},
+		// SoftmaxGrad(s, g) is s * (g - sum(g * s)) along the last axis, s
+		// being the softmax output. A g that broadcasts to s (the seed of a
+		// loss that is itself a softmax) is expanded first.
+		OpDef{Name: "SoftmaxGrad", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				s, g, err := t2(n, in)
 				if err != nil {
 					return nil, err
 				}
+				if err := broadcastsTo(n, s.Shape(), g); err != nil {
+					return nil, err
+				}
+				out := alloc.Get(s.Shape()...)
 				if s.Rank() == 0 {
 					// The softmax of a scalar is the constant 1.
-					return tensor.Zeros(), nil
+					return tensor.FillInto(out, 0), nil
 				}
-				gs := tensor.Mul(g, s)
-				sum := tensor.SumAxis(gs, -1)
-				nLast := s.Shape()[s.Rank()-1]
-				exp := tensor.Zeros(s.Shape()...)
-				ed, sd := exp.Data(), sum.Data()
-				for i := range sd {
-					for j := 0; j < nLast; j++ {
-						ed[i*nLast+j] = sd[i]
-					}
+				if !tensor.SameShape(s, g) {
+					gb := tensor.ZipInto(alloc.Get(s.Shape()...), g, s, func(gv, _ float64) float64 { return gv })
+					defer alloc.Put(gb)
+					g = gb
 				}
-				return tensor.Mul(s, tensor.Sub(g, exp)), nil
+				// Row sums of g*s, each accumulated from 0 in index order.
+				sums := alloc.GetZeroed(append(s.Shape()[:s.Rank()-1:s.Rank()-1], 1)...)
+				gs, sd, last := tensor.MulInto(out, g, s).Data(), sums.Data(), s.Shape()[s.Rank()-1]
+				for i := range gs {
+					sd[i/last] += gs[i]
+				}
+				tensor.MulInto(out, s, tensor.SubInto(out, g, sums))
+				alloc.Put(sums)
+				return out, nil
 			}},
 		// PowGrad(x, p, g) is g * d/dx x**p = g * p * x**(p-1), summed back
 		// to x's shape when the exponent broadcast x.
-		OpDef{Name: "PowGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
+		OpDef{Name: "PowGrad", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				x, p, g, err := t3(n, in)
 				if err != nil {
 					return nil, err
 				}
-				if _, err := broadcastShape(n, x, p); err != nil {
+				shape, err := broadcastShape(n, x, p)
+				if err != nil {
 					return nil, err
 				}
-				d := tensor.Mul(tensor.Pow(x, tensor.AddScalar(p, -1)), p)
-				return tensor.UnbroadcastTo(tensor.Mul(g, d), x.Shape()), nil
+				if err := broadcastsTo(n, shape, g); err != nil {
+					return nil, err
+				}
+				pm1 := tensor.MapInto(alloc.Get(p.Shape()...), p, func(v float64) float64 { return v - 1 })
+				d := tensor.PowInto(alloc.Get(shape...), x, pm1)
+				alloc.Put(pm1)
+				tensor.MulInto(d, d, p)
+				tensor.MulInto(d, g, d)
+				if tensor.ShapeEq(shape, x.Shape()) {
+					return d, nil
+				}
+				defer alloc.Put(d)
+				return tensor.UnbroadcastToInto(alloc.Get(x.Shape()...), d), nil
 			}},
 		// PowExpGrad(x, y, g) is g * d/dp x**p = g * y * log(x) for y =
 		// x**p, taken as 0 where x <= 0 (the limit at x = 0; x**p is not
 		// differentiable in p for negative x).
-		OpDef{Name: "PowExpGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
+		OpDef{Name: "PowExpGrad", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				x, y, g, err := t3(n, in)
 				if err != nil {
 					return nil, err
 				}
-				if _, err := broadcastShape(n, x, y); err != nil {
+				if err := broadcastsTo(n, y.Shape(), x, g); err != nil {
 					return nil, err
 				}
-				logx := tensor.Map(x, func(v float64) float64 {
+				logx := tensor.MapInto(alloc.Get(x.Shape()...), x, func(v float64) float64 {
 					if v <= 0 {
 						return 0
 					}
 					return math.Log(v)
 				})
-				return tensor.Mul(tensor.Mul(g, y), logx), nil
+				defer alloc.Put(logx)
+				dst := tensor.MulInto(alloc.Get(y.Shape()...), g, y)
+				return tensor.MulInto(dst, dst, logx), nil
 			}},
-		OpDef{Name: "LogGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
-				x, g, err := t2(n, in)
-				if err != nil {
-					return nil, err
-				}
-				return tensor.Div(g, x), nil
-			}},
+		// LogGrad(x, g) is g / x.
+		OpDef{Name: "LogGrad", ReadsOnly: true, StopGrad: true,
+			Into: zipInto(func(dst, x, g *tensor.Tensor) *tensor.Tensor { return tensor.DivInto(dst, g, x) })},
 		// ExtremumGrad(a, b, g) routes the upstream gradient to the winning
 		// side of a Maximum/Minimum op (side 0 = first input, ties included).
-		OpDef{Name: "ExtremumGrad", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
+		OpDef{Name: "ExtremumGrad", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				a, b, g, err := t3(n, in)
 				if err != nil {
 					return nil, err
 				}
+				shape, err := broadcastShape(n, a, b)
+				if err != nil {
+					return nil, err
+				}
+				if err := broadcastsTo(n, shape, g); err != nil {
+					return nil, err
+				}
 				isMax := n.Attrs["max"] == true
 				side := n.IntAttr("side", 0)
-				mask := tensor.Zip(a, b, func(x, y float64) float64 {
+				mask := tensor.ZipInto(alloc.Get(shape...), a, b, func(x, y float64) float64 {
 					win := (isMax && x >= y) || (!isMax && x <= y)
 					if (win && side == 0) || (!win && side == 1) {
 						return 1
 					}
 					return 0
 				})
-				return tensor.Mul(g, mask), nil
+				return tensor.MulInto(mask, g, mask), nil
 			}},
 		// FillLike(x, g) broadcasts the scalar gradient g to x's shape,
 		// scaled by the attrs "scale" and (for Mean) 1/size.

@@ -105,16 +105,6 @@ func init() {
 				}
 				return tensor.CopyInto(alloc.Get(ref.Shape()...), a), nil
 			}},
-		OpDef{Name: "ExpandDims", ReadsOnly: true, Grad: gradReshapeLike,
-			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
-				a, err := t1(n, in)
-				if err != nil {
-					return nil, err
-				}
-				sh := append([]int{1}, a.Shape()...)
-				return tensor.CopyInto(alloc.Get(sh...), a), nil
-			}},
-
 		OpDef{Name: "Concat", ReadsOnly: true, Fresh: true,
 			Kernel: func(n *Node, in []Val) (Val, error) {
 				ts, err := allTensors(n, in)
@@ -340,18 +330,6 @@ func init() {
 		OpDef{Name: "Pack",
 			Kernel: func(n *Node, in []Val) (Val, error) {
 				return append([]Val(nil), in...), nil
-			}},
-		OpDef{Name: "Unpack", ReadsOnly: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
-				xs, ok := in[0].([]Val)
-				if !ok {
-					return nil, fmt.Errorf("Unpack: input is %T", in[0])
-				}
-				i := n.IntAttr("index", 0)
-				if i < 0 || i >= len(xs) {
-					return nil, fmt.Errorf("Unpack: index %d out of range (%d elems)", i, len(xs))
-				}
-				return xs[i], nil
 			}},
 		// IndexAny is the generic subscript: runtime []Val lists index by
 		// element; tensors slice their leading axis. Only the tensor case

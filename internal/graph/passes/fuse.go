@@ -9,7 +9,7 @@ import (
 
 // Elementwise-chain fusion: a single-consumer chain of elementwise ops
 //
-//	t1 = ReLUGrad(x, g); t2 = Mul(t1, m); y = Scale(t2, s=0.5)
+//	t1 = ReLUGrad(x, g); t2 = Mul(t1, m); y = ScaleByScalar(t2, s)
 //
 // becomes one Fused node carrying an op-code program
 // (tensor.FusedStep), dispatched as a single destination-passing kernel
@@ -26,13 +26,7 @@ func fuseStep(n *graph.Node, chainPos int) (tensor.FusedStep, bool) {
 	if !ok || n.NumOutputs > 1 || len(n.ControlDeps) > 0 {
 		return tensor.FusedStep{}, false
 	}
-	step := tensor.FusedStep{Code: code}
-	if code == tensor.FusedScale {
-		if step.Scalar, ok = n.Attr("s").(float64); !ok {
-			return tensor.FusedStep{}, false
-		}
-	}
-	return step, true
+	return tensor.FusedStep{Code: code}, true
 }
 
 // use records one reference to a node's output port 0.

@@ -284,20 +284,20 @@ func TestFuseElementwiseChain(t *testing.T) {
 		r := g.Add("ReLU", nil, x.P())
 		n := g.Add("Neg", nil, r.P())
 		a := g.Add("Add", nil, n.P(), y.P())
-		s := g.Add("Scale", map[string]graph.Val{"s": 0.5}, a.P())
+		s := g.Add("ScaleByScalar", nil, a.P(), g.Const(tensor.Scalar(0.5)).P())
 		g.Outputs = []graph.Port{s.P()}
 		return g
 	}
 	g1, g2 := build(), build()
 	rep := mustRun(t, only("fuse", "dce"), g2).Map()
 	if rep["fuse"] != 3 {
-		t.Fatalf("fuse=%d, want 3 (ReLU+Neg+Add+Scale collapses 3 nodes)", rep["fuse"])
+		t.Fatalf("fuse=%d, want 3 (ReLU+Neg+Add+ScaleByScalar collapses 3 nodes)", rep["fuse"])
 	}
 	if got := countOp(g2, "Fused"); got != 1 {
 		t.Fatalf("Fused nodes: %d", got)
 	}
 	// The chain ops must be gone after the DCE sweep.
-	for _, op := range []string{"ReLU", "Neg", "Add", "Scale"} {
+	for _, op := range []string{"ReLU", "Neg", "Add", "ScaleByScalar"} {
 		if countOp(g2, op) != 0 {
 			t.Fatalf("%s survived fusion+dce", op)
 		}
@@ -312,7 +312,7 @@ func TestFuseElementwiseChain(t *testing.T) {
 			fused = n
 		}
 	}
-	if label := fused.StrAttr("label"); label != "Fused[ReLU+Neg+Add+Scale]" {
+	if label := fused.StrAttr("label"); label != "Fused[ReLU+Neg+Add+ScaleByScalar]" {
 		t.Fatalf("label %q", label)
 	}
 	feeds := map[string]graph.Val{"x": xv, "y": yv}

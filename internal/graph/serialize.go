@@ -84,10 +84,12 @@ type tensorPB struct {
 	Data string `json:"data"`
 }
 
+// fusedPB is one fused step. Encodings from before the Scale op was
+// removed also carry a "scalar" key, which decoding ignores: it was zero on
+// every code that still exists.
 type fusedPB struct {
-	Code   uint8  `json:"code"`
-	Arg    int    `json:"arg"`
-	Scalar uint64 `json:"scalar"` // IEEE-754 bits
+	Code uint8 `json:"code"`
+	Arg  int   `json:"arg"`
 }
 
 // MarshalGraph encodes g into the canonical wire form. The encoding is
@@ -278,7 +280,7 @@ func encodeAttr(v Val, open map[*Graph]bool) (attrPB, error) {
 	case []tensor.FusedStep:
 		steps := make([]fusedPB, len(x))
 		for i, s := range x {
-			steps[i] = fusedPB{Code: uint8(s.Code), Arg: s.Arg, Scalar: math.Float64bits(s.Scalar)}
+			steps[i] = fusedPB{Code: uint8(s.Code), Arg: s.Arg}
 		}
 		return attrPB{T: "fused", Fused: steps}, nil
 	default:
@@ -316,7 +318,11 @@ func decodeAttr(av attrPB) (Val, error) {
 	case "fused":
 		steps := make([]tensor.FusedStep, len(av.Fused))
 		for i, s := range av.Fused {
-			steps[i] = tensor.FusedStep{Code: tensor.FusedOpCode(s.Code), Arg: s.Arg, Scalar: math.Float64frombits(s.Scalar)}
+			code := tensor.FusedOpCode(s.Code)
+			if !code.Valid() {
+				return nil, fmt.Errorf("unknown fused op code %d", s.Code)
+			}
+			steps[i] = tensor.FusedStep{Code: code, Arg: s.Arg}
 		}
 		return steps, nil
 	default:

@@ -22,8 +22,8 @@ func buildSerializeFixture() *Graph {
 	sw := g.Add("Switch", map[string]Val{"p": true}, rs.P(), g.ConstVal(true).P())
 	fused := g.Add("Fused", map[string]Val{
 		"prog": []tensor.FusedStep{
-			{Code: 3, Arg: 0, Scalar: 0},
-			{Code: 7, Arg: -1, Scalar: 0.5},
+			{Code: 3, Arg: 0},
+			{Code: 7, Arg: -1},
 		},
 	}, sw.Out(0), w.P())
 	sub := New()
@@ -75,7 +75,7 @@ func TestGraphSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("shape attr = %v", got)
 	}
 	prog := g2.Nodes[6].Attr("prog").([]tensor.FusedStep)
-	if len(prog) != 2 || prog[0].Code != 3 || prog[1].Arg != -1 || prog[1].Scalar != 0.5 {
+	if len(prog) != 2 || prog[0].Code != 3 || prog[1].Code != 7 || prog[1].Arg != -1 {
 		t.Fatalf("fused prog = %+v", prog)
 	}
 	sub := g2.Nodes[7].Attr("func").(*Graph)
@@ -133,6 +133,29 @@ func TestGraphSerializeRejectsRecursiveSubgraph(t *testing.T) {
 	g.Outputs = []Port{g.Add("Invoke", map[string]Val{"func": fg}, g.Placeholder("x").P()).P()}
 	if _, err := MarshalGraph(g); err == nil {
 		t.Fatal("expected error for a self-invoking subgraph")
+	}
+}
+
+// TestFusedStepsFromOlderEncodingsDecode: encodings written while the Scale
+// op existed carry a "scalar" key on every fused step. It decodes to the
+// same program when it is zero, as on every code that still exists; the
+// removed FusedScale code is rejected, never read as another step.
+func TestFusedStepsFromOlderEncodingsDecode(t *testing.T) {
+	fused := func(steps string) []byte {
+		return []byte(`{"v":1,"nodes":[{"id":0,"op":"Placeholder"},{"id":1,"op":"Fused","in":[{"n":0}],` +
+			`"attrs":{"prog":{"t":"fused","fused":[` + steps + `]}}}]}`)
+	}
+	g, err := UnmarshalGraph(fused(`{"code":12,"arg":-1,"scalar":0},{"code":3,"arg":0,"scalar":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []tensor.FusedStep{{Code: tensor.FusedNeg, Arg: -1}, {Code: tensor.FusedMul, Arg: 0}}
+	if got := g.Nodes[1].Attr("prog"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("prog = %+v, want %+v", got, want)
+	}
+	// FusedScale was code 19, its multiplier in "scalar" (0.5 here).
+	if _, err := UnmarshalGraph(fused(`{"code":19,"arg":0,"scalar":4602678819172646912}`)); err == nil {
+		t.Fatal("a FusedScale step decoded")
 	}
 }
 

@@ -2,11 +2,11 @@ package tensor
 
 import "fmt"
 
-// Destination-passing convolution/pooling kernels. These mirror conv.go but
-// write into caller-provided tensors and rent im2col scratch from an
-// Allocator, so a planned graph replay performs the whole conv stack with
-// zero heap allocations. The allocating signatures in conv.go are wrappers
-// over these.
+// Destination-passing convolution/pooling kernels. They write into
+// caller-provided tensors and rent im2col scratch from an Allocator, so a
+// planned graph replay performs the whole conv stack with zero heap
+// allocations. Layout: NCHW for activations, [outC, inC, kH, kW] for
+// filters; padding is symmetric and the stride applies to both dims.
 
 // Conv2DShape returns the output dims of Conv2D for the given input/filter
 // shapes.

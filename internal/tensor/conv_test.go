@@ -48,13 +48,19 @@ func naiveConv2D(x, w *Tensor, stride, pad int) *Tensor {
 	return out
 }
 
+// conv2D runs Conv2DInto on the heap.
+func conv2D(x, w *Tensor, stride, pad int) *Tensor {
+	n, oc, oh, ow := Conv2DShape(x.Shape(), w.Shape(), stride, pad)
+	return Conv2DInto(Zeros(n, oc, oh, ow), x, w, stride, pad, nil)
+}
+
 func TestConv2DMatchesNaive(t *testing.T) {
 	rng := NewRNG(10)
 	cases := []struct{ stride, pad int }{{1, 0}, {1, 1}, {2, 1}, {2, 0}}
 	for _, cse := range cases {
 		x := rng.Randn(2, 3, 6, 6)
 		w := rng.Randn(4, 3, 3, 3)
-		got := Conv2D(x, w, cse.stride, cse.pad)
+		got := conv2D(x, w, cse.stride, cse.pad)
 		want := naiveConv2D(x, w, cse.stride, cse.pad)
 		if !AllClose(got, want, 1e-9) {
 			t.Fatalf("stride=%d pad=%d mismatch", cse.stride, cse.pad)
@@ -67,7 +73,7 @@ func TestConv2DIdentityFilter(t *testing.T) {
 	x := rng.Randn(1, 1, 5, 5)
 	w := Zeros(1, 1, 1, 1)
 	w.Set(1, 0, 0, 0, 0)
-	if !AllClose(Conv2D(x, w, 1, 0), x, 1e-12) {
+	if !AllClose(conv2D(x, w, 1, 0), x, 1e-12) {
 		t.Fatal("1x1 identity conv changed input")
 	}
 }
@@ -77,14 +83,14 @@ func TestConv2DGradNumerically(t *testing.T) {
 	x := rng.Randn(1, 2, 5, 5)
 	w := rng.Randn(3, 2, 3, 3)
 	stride, pad := 1, 1
-	out := Conv2D(x, w, stride, pad)
+	out := conv2D(x, w, stride, pad)
 	gout := NewRNG(9).Randn(out.Shape()...)
-	gx := Conv2DGradInput(x, w, gout, stride, pad)
-	gw := Conv2DGradFilter(x, w, gout, stride, pad)
+	gx := Conv2DGradInputInto(Zeros(x.Shape()...), x, w, gout, stride, pad, nil)
+	gw := Conv2DGradFilterInto(Zeros(w.Shape()...), x, w, gout, stride, pad, nil)
 
 	loss := func() float64 {
-		o := Conv2D(x, w, stride, pad)
-		return Sum(Mul(o, gout)).Item()
+		o := conv2D(x, w, stride, pad)
+		return SumInto(Scalar(0), Mul(o, gout)).Item()
 	}
 	const h = 1e-6
 	// Spot check a sample of gradient entries against finite differences.
@@ -121,25 +127,25 @@ func TestMaxPool2D(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	})
-	out, arg := MaxPool2D(x, 2, 2)
+	out := MaxPool2DInto(Zeros(1, 1, 2, 2), x, 2, 2)
 	want := New([]int{1, 1, 2, 2}, []float64{6, 8, 14, 16})
 	if !Equal(out, want) {
 		t.Fatalf("got %v", out)
 	}
-	g := MaxPool2DGrad(x.Shape(), arg, Full(1, 1, 1, 2, 2))
+	g := MaxPool2DGradInto(Full(9, x.Shape()...), x, 2, 2, Full(1, 1, 1, 2, 2))
 	// Gradient lands exactly on max positions.
-	if g.At(0, 0, 1, 1) != 1 || g.At(0, 0, 3, 3) != 1 || Sum(g).Item() != 4 {
+	if g.At(0, 0, 1, 1) != 1 || g.At(0, 0, 3, 3) != 1 || SumInto(Scalar(0), g).Item() != 4 {
 		t.Fatalf("bad pool grad %v", g)
 	}
 }
 
 func TestAvgPool2DAndGrad(t *testing.T) {
 	x := Full(2, 1, 1, 4, 4)
-	out := AvgPool2D(x, 2, 2)
+	out := AvgPool2DInto(Zeros(1, 1, 2, 2), x, 2, 2)
 	if !Equal(out, Full(2, 1, 1, 2, 2)) {
 		t.Fatalf("got %v", out)
 	}
-	g := AvgPool2DGrad(x.Shape(), 2, 2, Full(4, 1, 1, 2, 2))
+	g := AvgPool2DGradInto(Full(9, x.Shape()...), 2, 2, Full(4, 1, 1, 2, 2))
 	if !Equal(g, Full(1, 1, 1, 4, 4)) {
 		t.Fatalf("grad got %v", g)
 	}
@@ -154,16 +160,17 @@ func TestBatchNormTrainingNormalizes(t *testing.T) {
 	rv := Full(1, 4)
 	out := BatchNorm(x, gamma, beta, rm, rv, true, 0.9, 1e-5)
 	// Per-channel mean ~0 and variance ~1.
-	mean := MeanAxis(out, 0)
+	colMean := func(a *Tensor) *Tensor { return MulScalar(UnbroadcastToInto(Zeros(1, 4), a), 1.0/16) }
+	mean := colMean(out)
 	for i := 0; i < 4; i++ {
-		if math.Abs(mean.At(i)) > 1e-9 {
-			t.Fatalf("channel %d mean %v", i, mean.At(i))
+		if math.Abs(mean.At(0, i)) > 1e-9 {
+			t.Fatalf("channel %d mean %v", i, mean.At(0, i))
 		}
 	}
-	sq := MeanAxis(Mul(out, out), 0)
+	sq := colMean(Mul(out, out))
 	for i := 0; i < 4; i++ {
-		if math.Abs(sq.At(i)-1) > 1e-3 {
-			t.Fatalf("channel %d var %v", i, sq.At(i))
+		if math.Abs(sq.At(0, i)-1) > 1e-3 {
+			t.Fatalf("channel %d var %v", i, sq.At(0, i))
 		}
 	}
 	// Running stats moved away from init.
@@ -265,12 +272,12 @@ func TestConv2DGradSplitMatchesCombined(t *testing.T) {
 	rng := NewRNG(31)
 	x := rng.Randn(2, 3, 6, 6)
 	w := rng.Randn(4, 3, 3, 3)
-	out := Conv2D(x, w, 2, 1)
+	out := conv2D(x, w, 2, 1)
 	g := rng.Randn(out.Shape()...)
-	if !Equal(Conv2DGradInput(x, w, g, 2, 1), naiveConv2DGradInput(x, w, g, 2, 1)) {
+	if !Equal(Conv2DGradInputInto(Zeros(x.Shape()...), x, w, g, 2, 1, nil), naiveConv2DGradInput(x, w, g, 2, 1)) {
 		t.Fatal("input gradient differs from the direct-loop oracle")
 	}
-	if !Equal(Conv2DGradFilter(x, w, g, 2, 1), naiveConv2DGradFilter(x, w, g, 2, 1)) {
+	if !Equal(Conv2DGradFilterInto(Zeros(w.Shape()...), x, w, g, 2, 1, nil), naiveConv2DGradFilter(x, w, g, 2, 1)) {
 		t.Fatal("filter gradient differs from the direct-loop oracle")
 	}
 }
@@ -317,10 +324,10 @@ func TestFromColKernelsRejectMismatchedCol(t *testing.T) {
 		}()
 	}
 	// The well-formed calls still agree with the fused kernels.
-	if !Equal(Conv2DFromColInto(Zeros(1, 4, 4, 4), col, w1, 1, 4, 4, nil), Conv2D(x, w1, 1, 1)) {
-		t.Fatal("Conv2DFromColInto differs from Conv2D")
+	if !Equal(Conv2DFromColInto(Zeros(1, 4, 4, 4), col, w1, 1, 4, 4, nil), conv2D(x, w1, 1, 1)) {
+		t.Fatal("Conv2DFromColInto differs from Conv2DInto")
 	}
-	if !Equal(Conv2DGradFilterFromColInto(Full(9, 4, 1, 3, 3), col, gout, nil), Conv2DGradFilter(x, w1, gout, 1, 1)) {
-		t.Fatal("Conv2DGradFilterFromColInto differs from Conv2DGradFilter")
+	if !Equal(Conv2DGradFilterFromColInto(Full(9, 4, 1, 3, 3), col, gout, nil), Conv2DGradFilterInto(Zeros(4, 1, 3, 3), x, w1, gout, 1, 1, nil)) {
+		t.Fatal("Conv2DGradFilterFromColInto differs from Conv2DGradFilterInto")
 	}
 }

@@ -51,9 +51,10 @@ const (
 	FusedReLU
 	FusedSigmoid
 	FusedTanh
-	// FusedScale multiplies v by the step's static Scalar.
-	FusedScale
 )
+
+// Valid reports whether c is one of the codes above.
+func (c FusedOpCode) Valid() bool { return c <= FusedTanh }
 
 // fusedBinary reports whether the code consumes an extra operand.
 func fusedBinary(c FusedOpCode) bool { return c <= FusedTanhGradOut }
@@ -63,8 +64,6 @@ type FusedStep struct {
 	Code FusedOpCode
 	// Arg indexes the extras slice for binary codes (-1 for unary).
 	Arg int
-	// Scalar is the static multiplier of FusedScale.
-	Scalar float64
 }
 
 // fusedBlockElems is the tile size of the fast path: the chain value
@@ -164,11 +163,6 @@ func fusedBlockApply(st FusedStep, b, e []float64) {
 		for j := range b {
 			b[j] = math.Tanh(b[j])
 		}
-	case FusedScale:
-		s := st.Scalar
-		for j := range b {
-			b[j] *= s
-		}
 	default:
 		panic(fmt.Sprintf("tensor: unknown fused op code %d", st.Code))
 	}
@@ -223,8 +217,6 @@ func fusedApply(st FusedStep, v, e float64) float64 {
 		return 1 / (1 + math.Exp(-v))
 	case FusedTanh:
 		return math.Tanh(v)
-	case FusedScale:
-		return v * st.Scalar
 	}
 	panic(fmt.Sprintf("tensor: unknown fused op code %d", st.Code))
 }
@@ -358,13 +350,4 @@ func FusedElementwiseInto(dst, x *Tensor, extras []*Tensor, prog []FusedStep, al
 		alloc.Put(cur)
 	}
 	return dst
-}
-
-// FusedElementwise is the allocating form of FusedElementwiseInto.
-func FusedElementwise(x *Tensor, extras []*Tensor, prog []FusedStep) *Tensor {
-	sh, err := FusedShape(x, extras, prog)
-	if err != nil {
-		panic(err)
-	}
-	return FusedElementwiseInto(Zeros(sh...), x, extras, prog, nil)
 }

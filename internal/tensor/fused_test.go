@@ -5,8 +5,17 @@ import (
 	"testing"
 )
 
+// fused runs FusedElementwiseInto on the heap.
+func fused(x *Tensor, extras []*Tensor, prog []FusedStep) *Tensor {
+	sh, err := FusedShape(x, extras, prog)
+	if err != nil {
+		panic(err)
+	}
+	return FusedElementwiseInto(Zeros(sh...), x, extras, prog, nil)
+}
+
 // reference evaluates a fused program step by step with the standalone
-// allocating kernels — the semantics fusion must reproduce bit-for-bit.
+// kernels — the semantics fusion must reproduce bit-for-bit.
 func reference(x *Tensor, extras []*Tensor, prog []FusedStep) *Tensor {
 	cur := x
 	for _, st := range prog {
@@ -42,28 +51,27 @@ func TestFusedApplyMatchesStandaloneKernels(t *testing.T) {
 		want *Tensor
 	}{
 		{"add", []FusedStep{{Code: FusedAdd, Arg: 0}}, Add(x, y)},
-		{"sub", []FusedStep{{Code: FusedSub, Arg: 0}}, Sub(x, y)},
-		{"rsub", []FusedStep{{Code: FusedRSub, Arg: 0}}, Sub(y, x)},
+		{"sub", []FusedStep{{Code: FusedSub, Arg: 0}}, SubInto(Zeros(3, 4), x, y)},
+		{"rsub", []FusedStep{{Code: FusedRSub, Arg: 0}}, SubInto(Zeros(3, 4), y, x)},
 		{"mul", []FusedStep{{Code: FusedMul, Arg: 0}}, Mul(x, y)},
 		{"div", []FusedStep{{Code: FusedDiv, Arg: 0}}, Div(x, y)},
-		{"max", []FusedStep{{Code: FusedMaximum, Arg: 0}}, Maximum(x, y)},
-		{"min", []FusedStep{{Code: FusedMinimum, Arg: 0}}, Minimum(x, y)},
+		{"max", []FusedStep{{Code: FusedMaximum, Arg: 0}}, MaximumInto(Zeros(3, 4), x, y)},
+		{"min", []FusedStep{{Code: FusedMinimum, Arg: 0}}, MinimumInto(Zeros(3, 4), x, y)},
 		{"relugate", []FusedStep{{Code: FusedReLUGate, Arg: 0}}, ReLUGradInto(Zeros(3, 4), y, x)},
 		{"sigmoidgrad", []FusedStep{{Code: FusedSigmoidGradOut, Arg: 0}},
 			// Same association as the SigmoidGradFromOut kernel: gv*(sv*(1-sv)).
 			ZipInto(Zeros(3, 4), y, x, func(sv, gv float64) float64 { return gv * (sv * (1 - sv)) })},
 		{"tanhgrad", []FusedStep{{Code: FusedTanhGradOut, Arg: 0}},
 			ZipInto(Zeros(3, 4), y, x, func(vv, gv float64) float64 { return gv * (1 - vv*vv) })},
-		{"neg", []FusedStep{{Code: FusedNeg}}, Neg(x)},
-		{"abs", []FusedStep{{Code: FusedAbs}}, Abs(x)},
-		{"exp", []FusedStep{{Code: FusedExp}}, Exp(x)},
-		{"relu", []FusedStep{{Code: FusedReLU}}, ReLU(x)},
-		{"sigmoid", []FusedStep{{Code: FusedSigmoid}}, Sigmoid(x)},
+		{"neg", []FusedStep{{Code: FusedNeg}}, NegInto(Zeros(3, 4), x)},
+		{"abs", []FusedStep{{Code: FusedAbs}}, AbsInto(Zeros(3, 4), x)},
+		{"exp", []FusedStep{{Code: FusedExp}}, ExpInto(Zeros(3, 4), x)},
+		{"relu", []FusedStep{{Code: FusedReLU}}, ReLUInto(Zeros(3, 4), x)},
+		{"sigmoid", []FusedStep{{Code: FusedSigmoid}}, SigmoidInto(Zeros(3, 4), x)},
 		{"tanh", []FusedStep{{Code: FusedTanh}}, Tanh(x)},
-		{"scale", []FusedStep{{Code: FusedScale, Scalar: 0.3}}, MulScalar(x, 0.3)},
 	}
 	for _, c := range cases {
-		got := FusedElementwise(x, []*Tensor{y}, c.prog)
+		got := fused(x, []*Tensor{y}, c.prog)
 		if !Equal(got, c.want) {
 			t.Fatalf("%s: fused != standalone", c.name)
 		}
@@ -81,7 +89,7 @@ func TestFusedChainBitIdenticalFastAndSlow(t *testing.T) {
 		{Code: FusedTanh},
 		{Code: FusedMul, Arg: 0},
 		{Code: FusedAdd, Arg: 1},
-		{Code: FusedScale, Scalar: -2.5},
+		{Code: FusedMul, Arg: 1},
 		{Code: FusedMaximum, Arg: 2},
 	}
 	for _, c := range []struct {
@@ -93,7 +101,7 @@ func TestFusedChainBitIdenticalFastAndSlow(t *testing.T) {
 		{"slow-general-broadcast", []*Tensor{general, scalar, same}},
 	} {
 		want := reference(x, c.extras, prog)
-		got := FusedElementwise(x, c.extras, prog)
+		got := fused(x, c.extras, prog)
 		if !Equal(got, want) {
 			t.Fatalf("%s: fused chain differs from stepwise", c.name)
 		}
@@ -133,14 +141,14 @@ func TestIm2ColMatchesConvInternals(t *testing.T) {
 
 		n, _, oh, ow := Conv2DShape(x.Shape(), w.Shape(), c.stride, c.pad)
 		got := Conv2DFromColInto(Zeros(n, 5, oh, ow), col, w, n, oh, ow, nil)
-		want := Conv2D(x, w, c.stride, c.pad)
+		want := Conv2DInto(Zeros(n, 5, oh, ow), x, w, c.stride, c.pad, nil)
 		if !Equal(got, want) {
 			t.Fatalf("stride=%d pad=%d: Im2Col+FromCol != Conv2D", c.stride, c.pad)
 		}
 
 		gout := rng.Randn(n, 5, oh, ow)
 		gotG := Conv2DGradFilterFromColInto(Zeros(w.Shape()...), col, gout, nil)
-		wantG := Conv2DGradFilter(x, w, gout, c.stride, c.pad)
+		wantG := Conv2DGradFilterInto(Zeros(w.Shape()...), x, w, gout, c.stride, c.pad, nil)
 		if !Equal(gotG, wantG) {
 			t.Fatalf("stride=%d pad=%d: GradFilterFromCol != Conv2DGradFilter", c.stride, c.pad)
 		}
@@ -151,8 +159,8 @@ func TestFusedNaNPropagation(t *testing.T) {
 	// max(v, 0) (the builtin) and math.Max agree on NaN: fused ReLU must
 	// propagate NaN exactly like ReLUInto does.
 	x := New([]int{3}, []float64{math.NaN(), -1, 2})
-	got := FusedElementwise(x, nil, []FusedStep{{Code: FusedReLU}})
-	want := ReLU(x)
+	got := fused(x, nil, []FusedStep{{Code: FusedReLU}})
+	want := ReLUInto(Zeros(3), x)
 	for i := range want.Data() {
 		g, w := got.Data()[i], want.Data()[i]
 		if math.IsNaN(w) != math.IsNaN(g) || (!math.IsNaN(w) && g != w) {

@@ -8,12 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the destination-passing variants of the hot kernels: every
-// *Into function writes its result into a caller-provided tensor instead of
-// allocating one, so the plan-driven graph executor can rent all
-// intermediates from a Pool and replay graphs with ~zero allocations. The
-// original allocating signatures (Add, MatMul, Conv2D, ...) remain as thin
-// wrappers in ops.go/conv.go, so the tape and eager paths are unchanged.
+// This file holds the destination-passing kernels: every *Into function
+// writes its result into a caller-provided tensor instead of allocating one,
+// so the plan-driven graph executor can rent all intermediates from a Pool
+// and replay graphs with ~zero allocations. They are the only form of the
+// graph ops' kernels; the few allocating helpers left in ops.go (Add,
+// MatMul, Softmax, ...) serve callers outside the op table.
 //
 // Aliasing contract: dst may alias an input only when the shapes are equal
 // element-for-element (the executor's in-place rule); every kernel here reads
@@ -217,7 +217,7 @@ func LogInto(dst, a *Tensor) *Tensor { return MapInto(dst, a, math.Log) }
 func AbsInto(dst, a *Tensor) *Tensor { return MapInto(dst, a, math.Abs) }
 
 // ReLUInto computes max(a, 0) into dst. The builtin max compiles branch-
-// free and keeps math.Max's NaN/-0 semantics, matching the allocating ReLU.
+// free and keeps math.Max's NaN/-0 semantics.
 func ReLUInto(dst, a *Tensor) *Tensor {
 	checkDst(dst, a.shape, "ReLUInto")
 	dd, ad := dst.data, a.data

@@ -150,28 +150,28 @@ func TestConv2DIntoMatchesNaive(t *testing.T) {
 		// other and with themselves across scratch reuse (second run hits
 		// the pool's free lists).
 		gout := randT(rng, want.Shape()...)
-		gin1 := Conv2DGradInput(x, w, gout, cse.stride, cse.pad)
+		gin1 := Conv2DGradInputInto(Zeros(x.Shape()...), x, w, gout, cse.stride, cse.pad, nil)
 		gin2 := Conv2DGradInputInto(pool.Get(x.Shape()...), x, w, gout, cse.stride, cse.pad, pool)
 		if !Equal(gin1, gin2) {
 			t.Fatalf("Conv2DGradInputInto %s: pooled differs from heap", name)
 		}
 		if !Equal(gin1, naiveConv2DGradInput(x, w, gout, cse.stride, cse.pad)) {
-			t.Fatalf("Conv2DGradInput %s differs from the direct-loop oracle", name)
+			t.Fatalf("Conv2DGradInputInto %s differs from the direct-loop oracle", name)
 		}
-		gw1 := Conv2DGradFilter(x, w, gout, cse.stride, cse.pad)
+		gw1 := Conv2DGradFilterInto(Zeros(w.Shape()...), x, w, gout, cse.stride, cse.pad, nil)
 		gw2 := Conv2DGradFilterInto(pool.Get(w.Shape()...), x, w, gout, cse.stride, cse.pad, pool)
 		if !Equal(gw1, gw2) {
 			t.Fatalf("Conv2DGradFilterInto %s: pooled differs from heap", name)
 		}
 		if !Equal(gw1, naiveConv2DGradFilter(x, w, gout, cse.stride, cse.pad)) {
-			t.Fatalf("Conv2DGradFilter %s differs from the direct-loop oracle", name)
+			t.Fatalf("Conv2DGradFilterInto %s differs from the direct-loop oracle", name)
 		}
 	}
 }
 
 // TestElementwiseIntoMatchesAndAliases checks the Into elementwise kernels
-// against the allocating ones, including the in-place (dst aliases input)
-// mode the executor's memory plan uses.
+// against their per-element expressions, including the in-place (dst
+// aliases input) mode the executor's memory plan uses.
 func TestElementwiseIntoMatchesAndAliases(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	shapes := [][]int{{}, {1}, {7}, {3, 5}, {2, 3, 4}, {1, 65}}
@@ -179,26 +179,34 @@ func TestElementwiseIntoMatchesAndAliases(t *testing.T) {
 		a := randT(rng, sh...)
 		b := randT(rng, sh...)
 		checks := []struct {
-			name  string
-			alloc func() *Tensor
-			into  func(dst *Tensor) *Tensor
+			name string
+			ref  func(x, y float64) float64
+			into func(dst *Tensor) *Tensor
 		}{
-			{"Add", func() *Tensor { return Add(a, b) }, func(d *Tensor) *Tensor { return AddInto(d, a, b) }},
-			{"Sub", func() *Tensor { return Sub(a, b) }, func(d *Tensor) *Tensor { return SubInto(d, a, b) }},
-			{"Mul", func() *Tensor { return Mul(a, b) }, func(d *Tensor) *Tensor { return MulInto(d, a, b) }},
-			{"Div", func() *Tensor { return Div(a, b) }, func(d *Tensor) *Tensor { return DivInto(d, a, b) }},
-			{"Maximum", func() *Tensor { return Maximum(a, b) }, func(d *Tensor) *Tensor { return MaximumInto(d, a, b) }},
-			{"ReLU", func() *Tensor { return ReLU(a) }, func(d *Tensor) *Tensor { return ReLUInto(d, a) }},
-			{"Neg", func() *Tensor { return Neg(a) }, func(d *Tensor) *Tensor { return NegInto(d, a) }},
-			{"Exp", func() *Tensor { return Exp(a) }, func(d *Tensor) *Tensor { return ExpInto(d, a) }},
-			{"Tanh", func() *Tensor { return Tanh(a) }, func(d *Tensor) *Tensor { return TanhInto(d, a) }},
-			{"Sigmoid", func() *Tensor { return Sigmoid(a) }, func(d *Tensor) *Tensor { return SigmoidInto(d, a) }},
-			{"ReLUGrad", func() *Tensor { return ReLUGrad(a, b) }, func(d *Tensor) *Tensor { return ReLUGradInto(d, a, b) }},
+			{"Add", func(x, y float64) float64 { return x + y }, func(d *Tensor) *Tensor { return AddInto(d, a, b) }},
+			{"Sub", func(x, y float64) float64 { return x - y }, func(d *Tensor) *Tensor { return SubInto(d, a, b) }},
+			{"Mul", func(x, y float64) float64 { return x * y }, func(d *Tensor) *Tensor { return MulInto(d, a, b) }},
+			{"Div", func(x, y float64) float64 { return x / y }, func(d *Tensor) *Tensor { return DivInto(d, a, b) }},
+			{"Maximum", math.Max, func(d *Tensor) *Tensor { return MaximumInto(d, a, b) }},
+			{"ReLU", func(x, _ float64) float64 { return math.Max(x, 0) }, func(d *Tensor) *Tensor { return ReLUInto(d, a) }},
+			{"Neg", func(x, _ float64) float64 { return -x }, func(d *Tensor) *Tensor { return NegInto(d, a) }},
+			{"Exp", func(x, _ float64) float64 { return math.Exp(x) }, func(d *Tensor) *Tensor { return ExpInto(d, a) }},
+			{"Tanh", func(x, _ float64) float64 { return math.Tanh(x) }, func(d *Tensor) *Tensor { return TanhInto(d, a) }},
+			{"Sigmoid", func(x, _ float64) float64 { return 1 / (1 + math.Exp(-x)) }, func(d *Tensor) *Tensor { return SigmoidInto(d, a) }},
+			{"ReLUGrad", func(x, y float64) float64 {
+				if x > 0 {
+					return y
+				}
+				return 0
+			}, func(d *Tensor) *Tensor { return ReLUGradInto(d, a, b) }},
 		}
 		for _, c := range checks {
-			want := c.alloc()
+			want := Zeros(sh...)
+			for i := range want.data {
+				want.data[i] = c.ref(a.data[i], b.data[i])
+			}
 			if got := c.into(Zeros(sh...)); !Equal(got, want) {
-				t.Fatalf("%sInto%v differs from %s", c.name, sh, c.name)
+				t.Fatalf("%sInto%v differs from its expression", c.name, sh)
 			}
 			// In-place: dst aliases the first input.
 			ac := a.Clone()
@@ -207,24 +215,47 @@ func TestElementwiseIntoMatchesAndAliases(t *testing.T) {
 			got := c.into(ac)
 			a = aSave
 			if got != ac || !Equal(got, want) {
-				t.Fatalf("%sInto%v in-place differs from %s", c.name, sh, c.name)
+				t.Fatalf("%sInto%v in-place differs from its expression", c.name, sh)
 			}
 		}
 	}
 }
 
-// TestBroadcastZipInto checks the broadcast path of ZipInto against Zip.
+// TestBroadcastZipInto checks the broadcast path of ZipInto (through
+// AddInto) against indexing each operand through its own shape.
 func TestBroadcastZipInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pairs := [][2][]int{
 		{{3, 4}, {4}}, {{2, 1, 5}, {3, 5}}, {{4, 1}, {1, 6}}, {{5}, {}},
 	}
+	// at reads t at the trailing-aligned index idx, a size-1 dim reading 0.
+	at := func(t *Tensor, idx []int) float64 {
+		off := 0
+		for d, n := range t.shape {
+			if i := idx[len(idx)-len(t.shape)+d]; n > 1 {
+				off = off*n + i
+			}
+		}
+		return t.data[off]
+	}
 	for _, p := range pairs {
 		a, b := randT(rng, p[0]...), randT(rng, p[1]...)
-		want := Add(a, b)
-		got := AddInto(Zeros(want.Shape()...), a, b)
-		if !Equal(got, want) {
-			t.Fatalf("broadcast AddInto %v+%v differs", p[0], p[1])
+		shape, err := BroadcastShapes(a.shape, b.shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AddInto(Zeros(shape...), a, b)
+		idx := make([]int, len(shape))
+		for i := range got.data {
+			if want := at(a, idx) + at(b, idx); got.data[i] != want {
+				t.Fatalf("broadcast AddInto %v+%v at %v: %v, want %v", p[0], p[1], idx, got.data[i], want)
+			}
+			for d := len(idx) - 1; d >= 0; d-- {
+				if idx[d]++; idx[d] < shape[d] {
+					break
+				}
+				idx[d] = 0
+			}
 		}
 	}
 }
@@ -235,29 +266,30 @@ func TestSoftmaxLossInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	logits := randT(rng, 6, 5)
 	labels := OneHot([]int{0, 2, 4, 1, 3, 2}, 5)
-	if got := SoftmaxInto(Zeros(6, 5), logits); !Equal(got, Softmax(logits)) {
-		t.Fatal("SoftmaxInto differs")
-	}
-	if got := SoftmaxInto(logits.Clone(), logits.Clone()); !Equal(got, Softmax(logits)) {
+	sm := SoftmaxInto(Zeros(6, 5), logits)
+	if got := SoftmaxInto(logits.Clone(), logits.Clone()); !Equal(got, sm) {
 		t.Fatal("SoftmaxInto differs") // fresh dst, fresh src
 	}
 	lc := logits.Clone()
-	if got := SoftmaxInto(lc, lc); !Equal(got, Softmax(logits)) {
+	if got := SoftmaxInto(lc, lc); !Equal(got, sm) {
 		t.Fatal("SoftmaxInto in-place differs")
 	}
+	lsm := LogSoftmaxInto(Zeros(6, 5), logits)
 	lc = logits.Clone()
-	if got := LogSoftmaxInto(lc, lc); !Equal(got, LogSoftmax(logits)) {
+	if got := LogSoftmaxInto(lc, lc); !Equal(got, lsm) {
 		t.Fatal("LogSoftmaxInto in-place differs")
 	}
+	// Pooled scratch and the heap agree.
 	pool := NewPool()
-	if got := CrossEntropyInto(Scalar(0), logits, labels, pool); !Equal(got, CrossEntropy(logits, labels)) {
+	if got := CrossEntropyInto(Scalar(0), logits, labels, pool); !Equal(got, CrossEntropyInto(Scalar(0), logits, labels, nil)) {
 		t.Fatal("CrossEntropyInto differs")
 	}
-	if got := CrossEntropyGradInto(Zeros(6, 5), logits, labels); !Equal(got, CrossEntropyGrad(logits, labels)) {
-		t.Fatal("CrossEntropyGradInto differs")
+	lc = logits.Clone()
+	if got := CrossEntropyGradInto(lc, lc, labels); !Equal(got, CrossEntropyGradInto(Zeros(6, 5), logits, labels)) {
+		t.Fatal("CrossEntropyGradInto in-place differs")
 	}
 	pred, tgt := randT(rng, 4, 3), randT(rng, 4, 3)
-	if got := MSEInto(Scalar(0), pred, tgt, pool); !Equal(got, MSE(pred, tgt)) {
+	if got := MSEInto(Scalar(0), pred, tgt, pool); !Equal(got, MSEInto(Scalar(0), pred, tgt, nil)) {
 		t.Fatal("MSEInto differs")
 	}
 
@@ -265,18 +297,19 @@ func TestSoftmaxLossInto(t *testing.T) {
 	// primitive ops, may still write over their first operand, and return
 	// their scratch.
 	row := randT(rng, 5)
-	nll := Sum(Mul(row, LogSoftmax(logits))).Item()
+	nll := SumInto(Scalar(0), Mul(row, lsm)).Item()
 	if got := CrossEntropyInto(Scalar(0), logits, row, pool); !AllClose(got, Scalar(-nll/6), 1e-12) {
 		t.Fatalf("CrossEntropyInto broadcast: %v, want %v", got, -nll/6)
 	}
 	lc = logits.Clone()
-	if got := CrossEntropyGradInto(lc, lc, row); !Equal(got, MulScalar(Sub(Softmax(logits), row), 1.0/6)) {
+	if got := CrossEntropyGradInto(lc, lc, row); !Equal(got, MulScalar(SubInto(Zeros(6, 5), sm, row), 1.0/6)) {
 		t.Fatal("CrossEntropyGradInto broadcast in-place differs")
 	}
 	col := randT(rng, 4, 1)
-	d := Sub(col, row)
-	if got := MSEInto(Scalar(0), col, row, pool); !AllClose(got, Mean(Mul(d, d)), 1e-12) {
-		t.Fatalf("MSEInto broadcast: %v, want %v", got, Mean(Mul(d, d)))
+	d := SubInto(Zeros(4, 5), col, row)
+	mse := MeanInto(Scalar(0), Mul(d, d))
+	if got := MSEInto(Scalar(0), col, row, pool); !AllClose(got, mse, 1e-12) {
+		t.Fatalf("MSEInto broadcast: %v, want %v", got, mse)
 	}
 	if got := MSEGradInto(Zeros(4, 5), col, row, 0.5); !Equal(got, MulScalar(d, 2.0/20*0.5)) {
 		t.Fatal("MSEGradInto broadcast differs")

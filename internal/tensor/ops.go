@@ -58,16 +58,6 @@ func broadcastStrides(shape, out []int) []int {
 	return strides
 }
 
-// Map applies f element-wise, returning a new tensor.
-func Map(a *Tensor, f func(float64) float64) *Tensor {
-	return MapInto(Zeros(a.shape...), a, f)
-}
-
-// Zip applies f element-wise over broadcast inputs.
-func Zip(a, b *Tensor, f func(x, y float64) float64) *Tensor {
-	return ZipInto(Zeros(mustBroadcast(a, b)...), a, b, f)
-}
-
 // mustBroadcast returns the broadcast shape of a and b, panicking when they
 // are incompatible.
 func mustBroadcast(a, b *Tensor) []int {
@@ -81,191 +71,36 @@ func mustBroadcast(a, b *Tensor) []int {
 	return shape
 }
 
-// UnbroadcastTo sums t over broadcast dimensions so that the result has the
-// given original shape. This is the gradient counterpart of broadcasting.
-func UnbroadcastTo(t *Tensor, shape []int) *Tensor {
-	if ShapeEq(t.shape, shape) {
-		return t
-	}
-	return UnbroadcastToInto(Zeros(shape...), t)
-}
-
 // ---------------------------------------------------------------------------
 // Element-wise arithmetic
 // ---------------------------------------------------------------------------
 
 // Add returns a + b with broadcasting.
-func Add(a, b *Tensor) *Tensor { return Zip(a, b, func(x, y float64) float64 { return x + y }) }
-
-// Sub returns a - b with broadcasting.
-func Sub(a, b *Tensor) *Tensor { return Zip(a, b, func(x, y float64) float64 { return x - y }) }
+func Add(a, b *Tensor) *Tensor { return AddInto(Zeros(mustBroadcast(a, b)...), a, b) }
 
 // Mul returns a * b (element-wise) with broadcasting.
-func Mul(a, b *Tensor) *Tensor { return Zip(a, b, func(x, y float64) float64 { return x * y }) }
+func Mul(a, b *Tensor) *Tensor { return MulInto(Zeros(mustBroadcast(a, b)...), a, b) }
 
 // Div returns a / b with broadcasting.
-func Div(a, b *Tensor) *Tensor { return Zip(a, b, func(x, y float64) float64 { return x / y }) }
-
-// Pow returns a ** b with broadcasting.
-func Pow(a, b *Tensor) *Tensor { return Zip(a, b, math.Pow) }
-
-// Maximum returns element-wise max with broadcasting.
-func Maximum(a, b *Tensor) *Tensor { return Zip(a, b, math.Max) }
-
-// Minimum returns element-wise min with broadcasting.
-func Minimum(a, b *Tensor) *Tensor { return Zip(a, b, math.Min) }
-
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return Map(a, func(x float64) float64 { return -x }) }
-
-// Exp returns e**a element-wise.
-func Exp(a *Tensor) *Tensor { return Map(a, math.Exp) }
-
-// Log returns ln(a) element-wise.
-func Log(a *Tensor) *Tensor { return Map(a, math.Log) }
+func Div(a, b *Tensor) *Tensor { return DivInto(Zeros(mustBroadcast(a, b)...), a, b) }
 
 // Sqrt returns sqrt(a) element-wise.
-func Sqrt(a *Tensor) *Tensor { return Map(a, math.Sqrt) }
-
-// Abs returns |a| element-wise.
-func Abs(a *Tensor) *Tensor { return Map(a, math.Abs) }
-
-// Sign returns the element-wise sign of a.
-func Sign(a *Tensor) *Tensor {
-	return Map(a, func(x float64) float64 {
-		switch {
-		case x > 0:
-			return 1
-		case x < 0:
-			return -1
-		default:
-			return 0
-		}
-	})
-}
+func Sqrt(a *Tensor) *Tensor { return MapInto(Zeros(a.shape...), a, math.Sqrt) }
 
 // AddScalar returns a + s.
 func AddScalar(a *Tensor, s float64) *Tensor {
-	return Map(a, func(x float64) float64 { return x + s })
+	return MapInto(Zeros(a.shape...), a, func(x float64) float64 { return x + s })
 }
 
 // MulScalar returns a * s.
-func MulScalar(a *Tensor, s float64) *Tensor {
-	return Map(a, func(x float64) float64 { return x * s })
-}
-
-// Clip bounds every element to [lo, hi].
-func Clip(a *Tensor, lo, hi float64) *Tensor {
-	return Map(a, func(x float64) float64 { return math.Min(hi, math.Max(lo, x)) })
-}
-
-// ---------------------------------------------------------------------------
-// Activations
-// ---------------------------------------------------------------------------
-
-// ReLU returns max(a, 0).
-func ReLU(a *Tensor) *Tensor { return Map(a, func(x float64) float64 { return math.Max(x, 0) }) }
-
-// ReLUGrad returns the gradient mask of ReLU at input x times upstream g.
-func ReLUGrad(x, g *Tensor) *Tensor {
-	return Zip(x, g, func(xv, gv float64) float64 {
-		if xv > 0 {
-			return gv
-		}
-		return 0
-	})
-}
-
-// Sigmoid returns 1/(1+e^-a).
-func Sigmoid(a *Tensor) *Tensor {
-	return Map(a, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
-}
+func MulScalar(a *Tensor, s float64) *Tensor { return MulScalarInto(Zeros(a.shape...), a, s) }
 
 // Tanh returns tanh(a).
-func Tanh(a *Tensor) *Tensor { return Map(a, math.Tanh) }
+func Tanh(a *Tensor) *Tensor { return TanhInto(Zeros(a.shape...), a) }
 
 // ---------------------------------------------------------------------------
 // Reductions
 // ---------------------------------------------------------------------------
-
-// Sum reduces all elements to a scalar tensor.
-func Sum(a *Tensor) *Tensor {
-	s := 0.0
-	for _, v := range a.data {
-		s += v
-	}
-	return Scalar(s)
-}
-
-// Mean reduces all elements to their scalar mean.
-func Mean(a *Tensor) *Tensor {
-	if len(a.data) == 0 {
-		return Scalar(0)
-	}
-	return Scalar(Sum(a).Item() / float64(len(a.data)))
-}
-
-// SumAxis sums over one axis, removing it from the shape.
-func SumAxis(a *Tensor, axis int) *Tensor {
-	axis = normAxis(axis, a.Rank())
-	outShape := append([]int{}, a.shape[:axis]...)
-	outShape = append(outShape, a.shape[axis+1:]...)
-	out := Zeros(outShape...)
-	inner := 1
-	for _, d := range a.shape[axis+1:] {
-		inner *= d
-	}
-	outer := 1
-	for _, d := range a.shape[:axis] {
-		outer *= d
-	}
-	n := a.shape[axis]
-	for o := 0; o < outer; o++ {
-		for k := 0; k < n; k++ {
-			base := (o*n + k) * inner
-			obase := o * inner
-			for i := 0; i < inner; i++ {
-				out.data[obase+i] += a.data[base+i]
-			}
-		}
-	}
-	return out
-}
-
-// MeanAxis averages over one axis, removing it from the shape.
-func MeanAxis(a *Tensor, axis int) *Tensor {
-	axis = normAxis(axis, a.Rank())
-	return MulScalar(SumAxis(a, axis), 1/float64(a.shape[axis]))
-}
-
-// MaxAxis returns the max over one axis, removing it from the shape.
-func MaxAxis(a *Tensor, axis int) *Tensor {
-	axis = normAxis(axis, a.Rank())
-	outShape := append([]int{}, a.shape[:axis]...)
-	outShape = append(outShape, a.shape[axis+1:]...)
-	out := Full(math.Inf(-1), outShape...)
-	inner := 1
-	for _, d := range a.shape[axis+1:] {
-		inner *= d
-	}
-	outer := 1
-	for _, d := range a.shape[:axis] {
-		outer *= d
-	}
-	n := a.shape[axis]
-	for o := 0; o < outer; o++ {
-		for k := 0; k < n; k++ {
-			base := (o*n + k) * inner
-			obase := o * inner
-			for i := 0; i < inner; i++ {
-				if a.data[base+i] > out.data[obase+i] {
-					out.data[obase+i] = a.data[base+i]
-				}
-			}
-		}
-	}
-	return out
-}
 
 // ArgmaxAxis returns element indices of the max along axis (as float values).
 func ArgmaxAxis(a *Tensor, axis int) *Tensor {
@@ -317,14 +152,6 @@ func normAxis(axis, rank int) int {
 func MatMul(a, b *Tensor) *Tensor {
 	m, _, n := matmulDims(a, b)
 	return MatMulInto(Zeros(m, n), a, b)
-}
-
-// Transpose swaps the two axes of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose wants rank 2, got %v", a.shape))
-	}
-	return TransposeInto(Zeros(a.shape[1], a.shape[0]), a)
 }
 
 // Concat joins tensors along axis. All other dimensions must agree.
@@ -473,7 +300,7 @@ func OneHot(ids []int, depth int) *Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// Softmax / losses
+// Softmax
 // ---------------------------------------------------------------------------
 
 // Softmax applies a numerically-stable softmax along the last axis.
@@ -482,25 +309,4 @@ func Softmax(a *Tensor) *Tensor {
 		return Scalar(1)
 	}
 	return SoftmaxInto(Zeros(a.shape...), a)
-}
-
-// LogSoftmax applies log-softmax along the last axis.
-func LogSoftmax(a *Tensor) *Tensor {
-	return LogSoftmaxInto(Zeros(a.shape...), a)
-}
-
-// CrossEntropy computes mean softmax cross-entropy between logits [b,c] and
-// one-hot (or soft) labels [b,c] (labels broadcast).
-func CrossEntropy(logits, labels *Tensor) *Tensor {
-	return CrossEntropyInto(Scalar(0), logits, labels, nil)
-}
-
-// CrossEntropyGrad returns d(mean xent)/d(logits) = (softmax - labels)/batch.
-func CrossEntropyGrad(logits, labels *Tensor) *Tensor {
-	return CrossEntropyGradInto(Zeros(mustBroadcast(logits, labels)...), logits, labels)
-}
-
-// MSE computes mean squared error between two tensors (broadcast).
-func MSE(pred, target *Tensor) *Tensor {
-	return MSEInto(Scalar(0), pred, target, nil)
 }

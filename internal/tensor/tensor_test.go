@@ -105,13 +105,13 @@ func TestAddBroadcast(t *testing.T) {
 func TestUnbroadcastToInvertsBroadcast(t *testing.T) {
 	// Broadcasting [3] over [2,3] then unbroadcasting must sum rows.
 	g := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := UnbroadcastTo(g, []int{3})
+	got := UnbroadcastToInto(Zeros(3), g)
 	want := FromSlice([]float64{5, 7, 9})
 	if !Equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 	// Scalar case.
-	s := UnbroadcastTo(g, []int{})
+	s := UnbroadcastToInto(Scalar(0), g)
 	if s.Item() != 21 {
 		t.Fatalf("scalar unbroadcast got %v", s.Item())
 	}
@@ -120,7 +120,7 @@ func TestUnbroadcastToInvertsBroadcast(t *testing.T) {
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice([]float64{1, -2, 3})
 	b := FromSlice([]float64{2, 2, 2})
-	if !Equal(Sub(a, b), FromSlice([]float64{-1, -4, 1})) {
+	if !Equal(SubInto(Zeros(3), a, b), FromSlice([]float64{-1, -4, 1})) {
 		t.Error("Sub wrong")
 	}
 	if !Equal(Mul(a, b), FromSlice([]float64{2, -4, 6})) {
@@ -129,35 +129,29 @@ func TestElementwiseOps(t *testing.T) {
 	if !Equal(Div(a, b), FromSlice([]float64{0.5, -1, 1.5})) {
 		t.Error("Div wrong")
 	}
-	if !Equal(Neg(a), FromSlice([]float64{-1, 2, -3})) {
+	if !Equal(NegInto(Zeros(3), a), FromSlice([]float64{-1, 2, -3})) {
 		t.Error("Neg wrong")
 	}
-	if !Equal(Abs(a), FromSlice([]float64{1, 2, 3})) {
+	if !Equal(AbsInto(Zeros(3), a), FromSlice([]float64{1, 2, 3})) {
 		t.Error("Abs wrong")
 	}
-	if !Equal(Sign(a), FromSlice([]float64{1, -1, 1})) {
-		t.Error("Sign wrong")
-	}
-	if !Equal(Maximum(a, b), FromSlice([]float64{2, 2, 3})) {
+	if !Equal(MaximumInto(Zeros(3), a, b), FromSlice([]float64{2, 2, 3})) {
 		t.Error("Maximum wrong")
 	}
-	if !Equal(Minimum(a, b), FromSlice([]float64{1, -2, 2})) {
+	if !Equal(MinimumInto(Zeros(3), a, b), FromSlice([]float64{1, -2, 2})) {
 		t.Error("Minimum wrong")
 	}
-	if !Equal(Clip(a, -1, 1), FromSlice([]float64{1, -1, 1})) {
-		t.Error("Clip wrong")
-	}
-	if !Equal(Pow(b, FromSlice([]float64{3, 3, 3})), FromSlice([]float64{8, 8, 8})) {
+	if !Equal(PowInto(Zeros(3), b, FromSlice([]float64{3, 3, 3})), FromSlice([]float64{8, 8, 8})) {
 		t.Error("Pow wrong")
 	}
 }
 
 func TestActivations(t *testing.T) {
 	a := FromSlice([]float64{-1, 0, 2})
-	if !Equal(ReLU(a), FromSlice([]float64{0, 0, 2})) {
+	if !Equal(ReLUInto(Zeros(3), a), FromSlice([]float64{0, 0, 2})) {
 		t.Error("ReLU wrong")
 	}
-	s := Sigmoid(Scalar(0))
+	s := SigmoidInto(Scalar(1), Scalar(0))
 	if math.Abs(s.Item()-0.5) > 1e-12 {
 		t.Error("Sigmoid(0) != 0.5")
 	}
@@ -165,7 +159,7 @@ func TestActivations(t *testing.T) {
 	if th.Item() != 0 {
 		t.Error("Tanh(0) != 0")
 	}
-	g := ReLUGrad(a, FromSlice([]float64{5, 5, 5}))
+	g := ReLUGradInto(Zeros(3), a, FromSlice([]float64{5, 5, 5}))
 	if !Equal(g, FromSlice([]float64{0, 0, 5})) {
 		t.Error("ReLUGrad wrong")
 	}
@@ -173,26 +167,11 @@ func TestActivations(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if Sum(a).Item() != 21 {
+	if SumInto(Scalar(0), a).Item() != 21 {
 		t.Error("Sum wrong")
 	}
-	if Mean(a).Item() != 3.5 {
+	if MeanInto(Scalar(0), a).Item() != 3.5 {
 		t.Error("Mean wrong")
-	}
-	if !Equal(SumAxis(a, 0), FromSlice([]float64{5, 7, 9})) {
-		t.Errorf("SumAxis0 = %v", SumAxis(a, 0))
-	}
-	if !Equal(SumAxis(a, 1), FromSlice([]float64{6, 15})) {
-		t.Errorf("SumAxis1 = %v", SumAxis(a, 1))
-	}
-	if !Equal(SumAxis(a, -1), FromSlice([]float64{6, 15})) {
-		t.Errorf("SumAxis-1 = %v", SumAxis(a, -1))
-	}
-	if !Equal(MeanAxis(a, 0), FromSlice([]float64{2.5, 3.5, 4.5})) {
-		t.Errorf("MeanAxis0 = %v", MeanAxis(a, 0))
-	}
-	if !Equal(MaxAxis(a, 1), FromSlice([]float64{3, 6})) {
-		t.Errorf("MaxAxis1 = %v", MaxAxis(a, 1))
 	}
 	if !Equal(ArgmaxAxis(a, 1), FromSlice([]float64{2, 2})) {
 		t.Errorf("ArgmaxAxis1 = %v", ArgmaxAxis(a, 1))
@@ -224,13 +203,16 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
+// transpose runs TransposeInto on the heap.
+func transpose(a *Tensor) *Tensor { return TransposeInto(Zeros(a.Dim(1), a.Dim(0)), a) }
+
 func TestTranspose(t *testing.T) {
 	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := Transpose(a)
+	got := transpose(a)
 	if !ShapeEq(got.Shape(), []int{3, 2}) || got.At(2, 1) != 6 || got.At(0, 1) != 4 {
 		t.Fatalf("got %v", got)
 	}
-	if !Equal(Transpose(got), a) {
+	if !Equal(transpose(got), a) {
 		t.Fatal("double transpose not identity")
 	}
 }
@@ -300,15 +282,15 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := NewRNG(7)
 	a := rng.Randn(5, 9)
 	sm := Softmax(a)
-	rows := SumAxis(sm, 1)
+	rows := UnbroadcastToInto(Zeros(5, 1), sm)
 	for i := 0; i < 5; i++ {
-		if math.Abs(rows.At(i)-1) > 1e-9 {
-			t.Fatalf("row %d sums to %v", i, rows.At(i))
+		if math.Abs(rows.At(i, 0)-1) > 1e-9 {
+			t.Fatalf("row %d sums to %v", i, rows.At(i, 0))
 		}
 	}
 	// Stability: huge logits must not produce NaN.
 	big := Full(1e4, 2, 3)
-	if math.IsNaN(Sum(Softmax(big)).Item()) {
+	if math.IsNaN(SumInto(Scalar(0), Softmax(big)).Item()) {
 		t.Fatal("softmax overflow")
 	}
 }
@@ -316,7 +298,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 func TestLogSoftmaxMatchesLogOfSoftmax(t *testing.T) {
 	rng := NewRNG(3)
 	a := rng.Randn(4, 6)
-	if !AllClose(LogSoftmax(a), Log(Softmax(a)), 1e-9) {
+	if !AllClose(LogSoftmaxInto(Zeros(4, 6), a), LogInto(Zeros(4, 6), Softmax(a)), 1e-9) {
 		t.Fatal("logsoftmax mismatch")
 	}
 }
@@ -324,8 +306,8 @@ func TestLogSoftmaxMatchesLogOfSoftmax(t *testing.T) {
 func TestCrossEntropyAgainstManual(t *testing.T) {
 	logits := FromRows([][]float64{{2, 0, 0}})
 	labels := OneHot([]int{0}, 3)
-	got := CrossEntropy(logits, labels).Item()
-	want := -LogSoftmax(logits).At(0, 0)
+	got := CrossEntropyInto(Scalar(0), logits, labels, nil).Item()
+	want := -LogSoftmaxInto(Zeros(1, 3), logits).At(0, 0)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -335,14 +317,15 @@ func TestCrossEntropyGradNumerically(t *testing.T) {
 	rng := NewRNG(11)
 	logits := rng.Randn(2, 4)
 	labels := OneHot([]int{1, 3}, 4)
-	grad := CrossEntropyGrad(logits, labels)
+	grad := CrossEntropyGradInto(Zeros(2, 4), logits, labels)
+	xent := func() float64 { return CrossEntropyInto(Scalar(0), logits, labels, nil).Item() }
 	const h = 1e-6
 	for i := range logits.Data() {
 		orig := logits.Data()[i]
 		logits.Data()[i] = orig + h
-		up := CrossEntropy(logits, labels).Item()
+		up := xent()
 		logits.Data()[i] = orig - h
-		dn := CrossEntropy(logits, labels).Item()
+		dn := xent()
 		logits.Data()[i] = orig
 		num := (up - dn) / (2 * h)
 		if math.Abs(num-grad.Data()[i]) > 1e-6 {
@@ -354,8 +337,8 @@ func TestCrossEntropyGradNumerically(t *testing.T) {
 func TestMSE(t *testing.T) {
 	p := FromSlice([]float64{1, 2})
 	q := FromSlice([]float64{3, 2})
-	if MSE(p, q).Item() != 2 {
-		t.Fatalf("got %v", MSE(p, q).Item())
+	if got := MSEInto(Scalar(0), p, q, nil).Item(); got != 2 {
+		t.Fatalf("got %v", got)
 	}
 }
 
@@ -397,22 +380,25 @@ func TestPropTransposeMatMul(t *testing.T) {
 		m, k, n := 1+rng.Intn(4), 1+rng.Intn(4), 1+rng.Intn(4)
 		a := rng.Randn(m, k)
 		b := rng.Randn(k, n)
-		lhs := Transpose(MatMul(a, b))
-		rhs := MatMul(Transpose(b), Transpose(a))
+		lhs := transpose(MatMul(a, b))
+		rhs := MatMul(transpose(b), transpose(a))
 		if !AllClose(lhs, rhs, 1e-9) {
 			t.Fatal("transpose identity failed")
 		}
 	}
 }
 
+// TestPropSumAxisConsistent: the axis sums of UnbroadcastToInto add up to
+// the full sum.
 func TestPropSumAxisConsistent(t *testing.T) {
 	rng := NewRNG(5)
+	sum := func(a *Tensor) float64 { return SumInto(Scalar(0), a).Item() }
 	for iter := 0; iter < 20; iter++ {
 		m, n := 1+rng.Intn(6), 1+rng.Intn(6)
 		a := rng.Randn(m, n)
-		total := Sum(a).Item()
-		viaAxis0 := Sum(SumAxis(a, 0)).Item()
-		viaAxis1 := Sum(SumAxis(a, 1)).Item()
+		total := sum(a)
+		viaAxis0 := sum(UnbroadcastToInto(Zeros(1, n), a))
+		viaAxis1 := sum(UnbroadcastToInto(Zeros(m, 1), a))
 		if math.Abs(total-viaAxis0) > 1e-9 || math.Abs(total-viaAxis1) > 1e-9 {
 			t.Fatal("axis sums inconsistent")
 		}
