@@ -5,14 +5,17 @@
 // for dynamic graphs (internal/exec) run every differentiable op through
 // Tape.Apply: the op's kernel computes the value at once and the tape records
 // the op. Backprop runs each recorded op's OpDef.Grad rule with the tape as
-// the Emitter, so every op the rule emits is evaluated eagerly through
-// OpDef.Eval. graph.Gradients runs the very same rules symbolically for
-// static graphs: each derivative is written once, for both engines.
+// the Emitter, so every op the rule emits is evaluated at once: its Into
+// kernel writes into a buffer rented from the tape's pool, which takes the
+// buffer back at its last use (DESIGN.md §3.1). graph.Gradients runs the
+// very same rules symbolically for static graphs: each derivative is written
+// once, for both engines.
 package autodiff
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -57,19 +60,20 @@ type record struct {
 	lo, hi int
 }
 
-// grad is a node's accumulated gradient. owned marks a sum the tape
-// allocated itself, which later contributions may be added into in place;
-// any other gradient may be shared with a rule's output (Add hands the same
-// gradient to both inputs, Identity passes it through) and is never written.
-type grad struct {
-	t     *tensor.Tensor
-	owned bool
-}
-
 // Tape records operations during forward execution and replays them in
 // reverse to compute gradients. A tape belongs to one goroutine: the
 // interpreter or the graph executor records onto it, then the same caller
-// replays it after the forward pass completes.
+// replays it after the forward pass completes. Reset readies it for the next
+// step without giving up the capacity it has grown.
+//
+// Every tensor an Into kernel computes during backprop is rented from the
+// tape's pool and goes back at its last use. holds counts, per rented tensor,
+// the gradient entries that refer to it, plus one while it belongs to the
+// rule being run (the rule's outputs and its incoming gradient); the tensor
+// returns to the pool when the count reaches zero. A gradient handed out
+// (the returned map, emit) leaves holds: it is never returned to the pool
+// and never written again. Results of ops without an Into kernel stay on the
+// heap and are never pooled.
 type Tape struct {
 	ops []record
 	// args holds the inputs of every record, back to back.
@@ -77,9 +81,20 @@ type Tape struct {
 	// watched maps variable names to their tape nodes so Gradient can report
 	// per-variable gradients.
 	watched map[string]watch
-	grads   map[int64]grad
+	// grads is each node's accumulated gradient during backprop.
+	grads map[int64]*tensor.Tensor
 	// raw is scratch for the plain input values of one Apply or one rule.
 	raw []graph.Val
+
+	pool  *tensor.Pool
+	holds map[*tensor.Tensor]int32
+	// rule lists the tensors the running rule holds.
+	rule []*tensor.Tensor
+	em   eager
+	// cur is the record whose rule is running; add routes its contributions.
+	cur   *record
+	add   func(i int, g graph.Val)
+	order []watchedVar
 }
 
 // watch is a watched variable's node and its birth index: len(ops) when it
@@ -92,8 +107,49 @@ type watch struct {
 	born int
 }
 
-// NewTape returns an empty tape.
-func NewTape() *Tape { return &Tape{watched: make(map[string]watch)} }
+type watchedVar struct {
+	name string
+	watch
+}
+
+// NewTape returns an empty tape whose backprop rents from a private pool.
+func NewTape() *Tape { return NewPooledTape(nil) }
+
+// NewPooledTape returns an empty tape whose backprop rents from pool, or
+// from a private pool when pool is nil. The pool may be shared with other
+// users, as an engine shares its own with graph replay.
+func NewPooledTape(pool *tensor.Pool) *Tape {
+	if pool == nil {
+		pool = tensor.NewPool()
+	}
+	t := &Tape{
+		watched: make(map[string]watch),
+		grads:   make(map[int64]*tensor.Tensor),
+		pool:    pool,
+		holds:   make(map[*tensor.Tensor]int32),
+	}
+	t.em.t = t
+	t.add = func(i int, g graph.Val) { t.accum(t.args[t.cur.lo+i], g) }
+	return t
+}
+
+// Reset empties the tape for the next step: it drops every reference to the
+// last step's nodes, values and gradients, and keeps the capacity of its
+// record, argument and gradient tables.
+func (t *Tape) Reset() {
+	clear(t.ops)
+	t.ops = t.ops[:0]
+	clear(t.args)
+	t.args = t.args[:0]
+	clear(t.watched)
+	clear(t.grads)
+	clear(t.holds)
+	clear(t.rule)
+	t.rule = t.rule[:0]
+	clear(t.order)
+	t.order = t.order[:0]
+	t.cur = nil
+}
 
 // newNode allocates a tracked node holding v.
 func newNode(v *tensor.Tensor) *Node {
@@ -188,13 +244,17 @@ func value(h graph.Val) graph.Val {
 }
 
 // eager is the tape's Emitter: every op a gradient rule emits is evaluated
-// at once on the heap. Its handles are plain values.
-type eager struct{ n graph.Node }
+// at once, an Into kernel into a buffer rented from the tape's pool. Its
+// handles are plain values.
+type eager struct {
+	t *Tape
+	n graph.Node
+}
 
 func (e *eager) Emit(op string, attrs map[string]graph.Val, in ...graph.Val) graph.Val {
 	// An Unbroadcast to the shape the gradient already has is the identity.
 	// The graph copies (Into kernels never alias); the tape can share,
-	// because it never writes a gradient a rule produced.
+	// because it never writes a gradient another holder refers to.
 	if op == "Unbroadcast" {
 		g, gok := in[0].(*tensor.Tensor)
 		ref, rok := in[1].(*tensor.Tensor)
@@ -209,18 +269,54 @@ func (e *eager) Emit(op string, attrs map[string]graph.Val, in ...graph.Val) gra
 	// Kernels read attrs during the call only, so one scratch node serves
 	// every emission.
 	e.n.Op, e.n.Attrs = op, attrs
-	out, err := def.Eval(&e.n, in)
+	if def.Into == nil {
+		// A Kernel result stays on the heap.
+		out, err := def.Eval(&e.n, in)
+		if err != nil {
+			panic(fmt.Sprintf("autodiff: %v", err))
+		}
+		return out
+	}
+	out, err := def.Into(&e.n, in, e.t.pool)
 	if err != nil {
 		panic(fmt.Sprintf("autodiff: %v", err))
 	}
-	return out
+	r := out.(*tensor.Tensor)
+	e.t.holds[r] = 1
+	e.t.rule = append(e.t.rule, r)
+	return r
 }
+
+// retain counts one more holder of g if the tape rented it.
+func (t *Tape) retain(g *tensor.Tensor) {
+	if n, ok := t.holds[g]; ok {
+		t.holds[g] = n + 1
+	}
+}
+
+// release drops one holder of g, returning a rented g to the pool with its
+// last holder.
+func (t *Tape) release(g *tensor.Tensor) {
+	switch n, ok := t.holds[g]; {
+	case !ok:
+	case n > 1:
+		t.holds[g] = n - 1
+	default:
+		delete(t.holds, g)
+		t.pool.Put(g)
+	}
+}
+
+// handOut takes g out of the tape's accounting for good: a gradient given
+// to the caller is never returned to the pool and never written again.
+func (t *Tape) handOut(g *tensor.Tensor) { delete(t.holds, g) }
 
 // accum adds gradient g into input handle h: a node's accumulator, or, for a
 // list, each element's share of the list gradient g. The first contribution
-// is kept as given; the second is summed into a fresh tensor the tape owns,
-// which every later contribution is added into in place — the same order of
-// additions, so the same bits, as allocating a new sum each time.
+// is kept as given. A later one is added in place when the accumulator is a
+// rented tensor no one else holds; otherwise the sum goes into a fresh
+// rental, which replaces it. Either way the additions run in the same order,
+// so give the same bits.
 func (t *Tape) accum(h, g graph.Val) {
 	switch x := h.(type) {
 	case *Node:
@@ -231,11 +327,22 @@ func (t *Tape) accum(h, g graph.Val) {
 		cur, ok := t.grads[x.id]
 		switch {
 		case !ok:
-			t.grads[x.id] = grad{t: gt}
-		case cur.owned && tensor.SameShape(cur.t, gt):
-			tensor.AddInto(cur.t, cur.t, gt)
+			t.grads[x.id] = gt
+			t.retain(gt)
+		case t.holds[cur] == 1 && tensor.SameShape(cur, gt):
+			tensor.AddInto(cur, cur, gt)
 		default:
-			t.grads[x.id] = grad{t: tensor.Add(cur.t, gt), owned: true}
+			shape := cur.Shape()
+			if !tensor.SameShape(cur, gt) {
+				var err error
+				if shape, err = tensor.BroadcastShapes(cur.Shape(), gt.Shape()); err != nil {
+					panic(fmt.Sprintf("autodiff: accumulating gradients: %v", err))
+				}
+			}
+			sum := tensor.AddInto(t.pool.Get(shape...), cur, gt)
+			t.holds[sum] = 1
+			t.grads[x.id] = sum
+			t.release(cur)
 		}
 	case []graph.Val:
 		gs := g.([]graph.Val)
@@ -262,19 +369,20 @@ func (t *Tape) Gradient(loss *Node) map[string]*tensor.Tensor {
 //
 // Backprop is single-threaded; emit is called synchronously on the calling
 // goroutine and should hand expensive work (network pushes) off to another
-// goroutine to actually overlap communication with compute.
+// goroutine to actually overlap communication with compute. Every gradient
+// handed out stays valid and unchanged for good. Every other tensor backprop
+// rented is back in the pool when GradientStream returns.
 func (t *Tape) GradientStream(loss *Node, emit func(name string, g *tensor.Tensor)) map[string]*tensor.Tensor {
 	// Watched variables ordered by descending birth index: the next one to
 	// finalize is always at the front of the remainder.
-	type watchedVar struct {
-		name string
-		watch
-	}
-	order := make([]watchedVar, 0, len(t.watched))
+	order := t.order[:0]
 	for name, w := range t.watched {
 		order = append(order, watchedVar{name, w})
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].born > order[j].born })
+	slices.SortFunc(order, func(a, b watchedVar) int {
+		return cmp.Or(cmp.Compare(b.born, a.born), cmp.Compare(a.name, b.name))
+	})
+	t.order = order
 
 	out := make(map[string]*tensor.Tensor, len(t.watched))
 	next := 0
@@ -284,10 +392,11 @@ func (t *Tape) GradientStream(loss *Node, emit func(name string, g *tensor.Tenso
 	finalize := func(remaining int) {
 		for next < len(order) && order[next].born >= remaining {
 			v := order[next]
-			g := t.grads[v.n.id].t
+			g := t.grads[v.n.id]
 			if g == nil {
-				g = tensor.Zeros(v.n.Value.Shape()...)
+				g = t.pool.GetZeroed(v.n.Value.Shape()...)
 			}
+			t.handOut(g)
 			out[v.name] = g
 			if emit != nil {
 				emit(v.name, g)
@@ -296,41 +405,52 @@ func (t *Tape) GradientStream(loss *Node, emit func(name string, g *tensor.Tenso
 		}
 	}
 
-	if !loss.Tracked() {
-		// Loss does not depend on any tracked value; all grads are zero.
-		t.grads = make(map[int64]grad)
-		finalize(0)
-		return out
-	}
-	t.grads = make(map[int64]grad)
-	t.grads[loss.id] = grad{t: tensor.Full(1, loss.Value.Shape()...)}
-	// Replay in reverse recording order. Recording order is a valid
-	// topological order of the forward DAG because each op is recorded when
-	// its output is produced. add routes the contributions of the rule of
-	// record cur.
-	em := &eager{}
-	var cur *record
-	add := func(i int, g graph.Val) { t.accum(t.args[cur.lo+i], g) }
-	for i := len(t.ops) - 1; i >= 0; i-- {
-		cur = &t.ops[i]
-		if g, ok := t.grads[cur.out.id]; ok {
-			t.backward(cur, g.t, em, add)
+	clear(t.grads)
+	if loss.Tracked() {
+		seed := tensor.FillInto(t.pool.Get(loss.Value.Shape()...), 1)
+		t.holds[seed] = 1
+		t.grads[loss.id] = seed
+		// Replay in reverse recording order. Recording order is a valid
+		// topological order of the forward DAG because each op is recorded
+		// when its output is produced, so a record's gradient is complete
+		// when its turn comes, and no one reads it after its rule has run:
+		// the rule takes over its hold.
+		for i := len(t.ops) - 1; i >= 0; i-- {
+			r := &t.ops[i]
+			if g, ok := t.grads[r.out.id]; ok {
+				delete(t.grads, r.out.id)
+				t.rule = append(t.rule, g)
+				t.backward(r, g)
+				for _, x := range t.rule {
+					t.release(x)
+				}
+				clear(t.rule)
+				t.rule = t.rule[:0]
+			}
+			finalize(i)
 		}
-		finalize(i)
 	}
 	finalize(0)
+	// What is left are the handed-out gradients and those of nodes no
+	// record of this tape produced (state carried over from an earlier
+	// step), which nothing reads.
+	for _, g := range t.grads {
+		t.release(g)
+	}
+	clear(t.grads)
 	return out
 }
 
 // backward runs r's gradient rule on the plain values of its inputs and
 // output, accumulating each input's contribution. A rule that cannot run
 // panics: the forward pass already ran the same op on the same values.
-func (t *Tape) backward(r *record, g *tensor.Tensor, em *eager, add func(int, graph.Val)) {
+func (t *Tape) backward(r *record, g *tensor.Tensor) {
 	raw := t.raw[:0]
 	for _, v := range t.args[r.lo:r.hi] {
 		raw = append(raw, value(v))
 	}
-	err := r.def.Grad(em, r.n, raw, r.out.Value, g, add)
+	t.cur = r
+	err := r.def.Grad(&t.em, r.n, raw, r.out.Value, g, t.add)
 	clear(raw)
 	t.raw = raw
 	if err != nil {

@@ -248,6 +248,9 @@ type Engine struct {
 	// engines share parameters and compiled graphs but never buffers.
 	pool  *tensor.Pool
 	arena *exec.Arena
+	// tapes holds idle gradient tapes (at most maxIdleTapes), reset for
+	// the next step; backprop on them rents from pool.
+	tapes []*autodiff.Tape
 	// gradSink, when set, diverts parameter updates: instead of applying the
 	// optimizer locally, each watched variable's gradient is handed to the
 	// sink as backprop finalizes it (see SetGradSink).
@@ -521,11 +524,13 @@ func (e *Engine) imperative(fn *minipy.FuncVal, args []minipy.Value, prof *profi
 func (e *Engine) runImperative(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile, train bool) (minipy.Value, error) {
 	e.stats.imperativeSteps.Add(1)
 	prevTape, prevProf := e.Local.Tape, e.Local.Prof
-	e.Local.Tape = autodiff.NewTape()
+	tape := e.takeTape()
+	e.Local.Tape = tape
 	if prof != nil {
 		e.Local.Prof = prof
 	}
 	defer func() {
+		e.putTape(tape)
 		e.Local.Tape, e.Local.Prof = prevTape, prevProf
 	}()
 	out, err := e.Local.CallFunction(fn, args)
@@ -538,9 +543,9 @@ func (e *Engine) runImperative(fn *minipy.FuncVal, args []minipy.Value, prof *pr
 			return nil, fmt.Errorf("core: optimize() function returned %s, want tensor loss", out.TypeName())
 		}
 		if e.gradSink != nil {
-			e.Local.Tape.GradientStream(loss.Node, e.gradSink)
+			tape.GradientStream(loss.Node, e.gradSink)
 		} else {
-			grads := e.Local.Tape.Gradient(loss.Node)
+			grads := tape.Gradient(loss.Node)
 			e.Opt.Apply(e.Store, grads)
 		}
 	}
@@ -857,7 +862,8 @@ func (e *Engine) executeGraph(c *compiled, leaves []minipy.Value, train bool) (m
 	var tape *autodiff.Tape
 	if c.res.Dynamic {
 		// Dynamic graph: executed-trace tape gradients, optimizer applied here.
-		tape = autodiff.NewTape()
+		tape = e.takeTape()
+		defer e.putTape(tape)
 		opts.Tape = tape
 	}
 	res, err := exec.Run(c.res.Graph, feeds, opts)
@@ -970,6 +976,29 @@ func (e *Engine) traceStep(fn *minipy.FuncVal) (minipy.Value, error) {
 	}
 	e.stats.graphSteps.Add(1)
 	return loss, nil
+}
+
+// maxIdleTapes bounds the idle tapes an engine keeps. A step holds one tape;
+// a step nested inside another (a function that itself calls optimize())
+// holds a second.
+const maxIdleTapes = 2
+
+// takeTape returns an idle tape, or a new one backed by the engine's pool.
+func (e *Engine) takeTape() *autodiff.Tape {
+	if n := len(e.tapes); n > 0 {
+		t := e.tapes[n-1]
+		e.tapes = e.tapes[:n-1]
+		return t
+	}
+	return autodiff.NewPooledTape(e.pool)
+}
+
+// putTape resets a finished step's tape and keeps it for the next one.
+func (e *Engine) putTape(t *autodiff.Tape) {
+	t.Reset()
+	if len(e.tapes) < maxIdleTapes {
+		e.tapes = append(e.tapes, t)
+	}
 }
 
 // feedNameCache interns the placeholder names ("f0", "f1", ...) the

@@ -80,8 +80,8 @@ type Options struct {
 	// Arena, when non-nil, recycles per-run scheduler state (value arrays,
 	// refcounts) across executions of the same graphs. Callers that run one
 	// execution at a time (an Engine) share one Arena across runs; the
-	// Arena itself is safe for concurrent use and falls back to fresh
-	// allocations when a graph's slot is busy.
+	// Arena itself is safe for concurrent use, and runs that overlap a
+	// graph's running one (recursive Invoke) take bounded spare frames.
 	Arena *Arena
 	// DisableAsserts skips assumption validation (used by the assertion-cost
 	// experiment; never by the real runtime).
@@ -471,9 +471,11 @@ func memPlanFits(g *graph.Graph, mem *graph.MemoryPlan) bool {
 }
 
 // Arena recycles per-run scheduler state (value arrays, refcounts, buffer
-// tables) across executions. One Arena is typically owned by one Engine;
-// concurrent or reentrant executions of the same graph simply fall back to
-// fresh allocations.
+// tables) across executions. One Arena is typically owned by one Engine.
+// Each graph has one frame of such state for a run at a time; a run of a
+// graph that is already running (a recursive Invoke, or concurrent use)
+// takes a spare frame, up to spareFrameCap per graph, and beyond that falls
+// back to fresh allocations.
 //
 // The per-graph map is bounded: compiled graphs are evicted from the
 // GraphCache over time (capacity LRU, assumption failures), and an
@@ -489,19 +491,57 @@ type Arena struct {
 // arenaCap bounds how many graphs' scratch state one Arena retains.
 const arenaCap = 64
 
+// spareFrameCap bounds the spare frames one graph keeps for runs that
+// overlap its first: the depth of recursion whose frames are reused.
+const spareFrameCap = 32
+
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{per: make(map[*graph.Graph]*graphArena)} }
 
+// graphArena is one graph's scratch state: the frame of its outermost run
+// and the idle spare frames of overlapping runs.
 type graphArena struct {
-	busy  bool
+	first     frame
+	firstBusy bool
+	spare     []*frame
+	// made counts the spare frames ever created (at most spareFrameCap).
+	made int
+}
+
+// idle reports whether none of the graph's frames is in use.
+func (ga *graphArena) idle() bool { return !ga.firstBusy && len(ga.spare) == ga.made }
+
+// frame is the scratch state of one run of a graph.
+type frame struct {
+	owner *graphArena
 	vals  []graph.Val
 	in    []graph.Val
 	refs  []int32
 	moved []bool
 	bufs  []*tensor.Tensor
+	// feeds is the feed map of a subgraph run (argFeeds).
+	feeds map[string]graph.Val
 }
 
-func (a *Arena) acquire(g *graph.Graph) *graphArena {
+// argFeeds maps the placeholders arg0, arg1, ... to args in the frame's own
+// feed map, or in a fresh map when there is no frame.
+func (f *frame) argFeeds(args []graph.Val) map[string]graph.Val {
+	var m map[string]graph.Val
+	if f == nil {
+		m = make(map[string]graph.Val, len(args))
+	} else {
+		if f.feeds == nil {
+			f.feeds = make(map[string]graph.Val, len(args))
+		}
+		m = f.feeds
+	}
+	for i, v := range args {
+		m[argNames.name(i)] = v
+	}
+	return m
+}
+
+func (a *Arena) acquire(g *graph.Graph) *frame {
 	if a == nil {
 		return nil
 	}
@@ -511,33 +551,50 @@ func (a *Arena) acquire(g *graph.Graph) *graphArena {
 	if ga == nil {
 		if len(a.per) >= arenaCap {
 			for og, oga := range a.per {
-				if !oga.busy {
+				if oga.idle() {
 					delete(a.per, og)
 					break
 				}
 			}
 		}
 		ga = &graphArena{}
+		ga.first.owner = ga
 		a.per[g] = ga
 	}
-	if ga.busy {
-		return nil // reentrant (recursive Invoke) or concurrent use
+	var f *frame
+	switch n := len(ga.spare); {
+	case !ga.firstBusy:
+		ga.firstBusy = true
+		f = &ga.first
+	case n > 0:
+		f = ga.spare[n-1]
+		ga.spare = ga.spare[:n-1]
+	case ga.made < spareFrameCap:
+		ga.made++
+		f = &frame{owner: ga}
+	default:
+		return nil
 	}
-	ga.busy = true
-	return ga
+	return f
 }
 
-func (a *Arena) release(ga *graphArena) {
-	if a == nil || ga == nil {
+func (a *Arena) release(f *frame) {
+	if a == nil || f == nil {
 		return
 	}
-	// Drop the run's values before parking the slot: without this, the
+	// Drop the run's values before parking the frame: without this, the
 	// arena would pin the last run's tensors (or, under a tape, the whole
 	// autodiff tape) until the graph's next execution.
-	clear(ga.vals)
-	clear(ga.bufs)
+	clear(f.vals)
+	clear(f.bufs)
+	clear(f.feeds)
 	a.mu.Lock()
-	ga.busy = false
+	ga := f.owner
+	if f == &ga.first {
+		ga.firstBusy = false
+	} else {
+		ga.spare = append(ga.spare, f)
+	}
 	a.mu.Unlock()
 }
 
@@ -556,19 +613,19 @@ type memState struct {
 
 // initMemState prepares (or recycles) per-run plan state; returns nil when
 // buffer reuse is disabled for this execution.
-func initMemState(p *plan, c *ctx, ga *graphArena) *memState {
+func initMemState(p *plan, c *ctx, fr *frame) *memState {
 	if c.opts.Pool == nil || c.opts.Tape != nil || p.mem == nil {
 		return nil
 	}
 	nc := p.mem.NumClasses
 	ms := &memState{mem: p.mem, pool: c.opts.Pool, metrics: c.opts.Metrics, prof: p.prof}
-	if ga != nil {
-		if cap(ga.refs) < nc {
-			ga.refs = make([]int32, nc)
-			ga.moved = make([]bool, nc)
-			ga.bufs = make([]*tensor.Tensor, nc)
+	if fr != nil {
+		if cap(fr.refs) < nc {
+			fr.refs = make([]int32, nc)
+			fr.moved = make([]bool, nc)
+			fr.bufs = make([]*tensor.Tensor, nc)
 		}
-		ms.refs, ms.moved, ms.bufs = ga.refs[:nc], ga.moved[:nc], ga.bufs[:nc]
+		ms.refs, ms.moved, ms.bufs = fr.refs[:nc], fr.moved[:nc], fr.bufs[:nc]
 		for i := range ms.moved {
 			ms.moved[i] = false
 			ms.bufs[i] = nil
@@ -693,9 +750,24 @@ func runGraph(g *graph.Graph, feeds map[string]graph.Val, c *ctx) ([]graph.Val, 
 	if err != nil {
 		return nil, err
 	}
-	ga := c.opts.Arena.acquire(g)
-	defer c.opts.Arena.release(ga)
-	return runNodes(g, p, feeds, c, ga)
+	fr := c.opts.Arena.acquire(g)
+	defer c.opts.Arena.release(fr)
+	return runNodes(g, p, feeds, c, fr)
+}
+
+// runArgs runs a subgraph whose placeholders arg0, arg1, ... take args: an
+// Invoke's arguments or a While's loop variables.
+func runArgs(g *graph.Graph, args []graph.Val, c *ctx) ([]graph.Val, error) {
+	if len(g.Nodes) == 0 {
+		return nil, nil
+	}
+	p, err := planFor(g, c)
+	if err != nil {
+		return nil, err
+	}
+	fr := c.opts.Arena.acquire(g)
+	defer c.opts.Arena.release(fr)
+	return runNodes(g, p, fr.argFeeds(args), c, fr)
 }
 
 // safeExecNode runs execNode, converting kernel panics (e.g. a shape
@@ -757,21 +829,21 @@ func execFast(p *plan, g *graph.Graph, i int32, nd *graph.Node, in []graph.Val, 
 // runNodes executes the plan's nodes in topological order on the calling
 // goroutine: dead inputs propagate, fast-path kinds write their output port
 // directly, and pooled buffers return on their last consumer.
-func runNodes(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, ga *graphArena) ([]graph.Val, error) {
+func runNodes(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, fr *frame) ([]graph.Val, error) {
 	n := len(g.Nodes)
 	numPorts := int(p.portBase[n])
 	var vals []graph.Val
 	var inScratch []graph.Val
-	if ga != nil {
-		if cap(ga.vals) < numPorts {
-			ga.vals = make([]graph.Val, numPorts)
+	if fr != nil {
+		if cap(fr.vals) < numPorts {
+			fr.vals = make([]graph.Val, numPorts)
 		}
-		vals = ga.vals[:numPorts]
-		inScratch = ga.in
+		vals = fr.vals[:numPorts]
+		inScratch = fr.in
 	} else {
 		vals = make([]graph.Val, numPorts)
 	}
-	ms := initMemState(p, c, ga)
+	ms := initMemState(p, c, fr)
 	var na nodeAlloc
 	prof := p.prof
 	tick := prof.beginRun()
@@ -856,8 +928,8 @@ func runNodes(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, ga *g
 			ms.releaseInputs(i)
 		}
 	}
-	if ga != nil {
-		ga.in = inScratch
+	if fr != nil {
+		fr.in = inScratch
 	}
 	outs := make([]graph.Val, len(g.Outputs))
 	for i := range g.Outputs {

@@ -408,6 +408,70 @@ func TestTapeModeGradientThroughInvokeRecursion(t *testing.T) {
 	}
 }
 
+// powGraph computes x**n by recursion: f(x, n) = x * f(x, n-1), f(x, 0) = x
+// (so n+1 nested runs of the function graph), on variable x.
+func powGraph(n int) (g, fg *graph.Graph) {
+	fg = graph.New()
+	xa := fg.Placeholder("arg0")
+	na := fg.Placeholder("arg1")
+	isBase := fg.Add("Cmp", map[string]graph.Val{"op": "<="}, na.P(), fg.Const(tensor.Scalar(0)).P())
+	swX := fg.Add("Switch", nil, xa.P(), isBase.P())
+	swN := fg.Add("Switch", nil, na.P(), isBase.P())
+	nm1 := fg.Add("Sub", nil, swN.Out(1), fg.Const(tensor.Scalar(1)).P())
+	rec := fg.Add("Invoke", map[string]graph.Val{"func": fg}, swX.Out(1), nm1.P())
+	prod := fg.Add("Mul", nil, swX.Out(1), rec.P())
+	m := fg.Add("Merge", nil, fg.Add("Identity", nil, swX.Out(0)).P(), prod.P())
+	fg.Outputs = []graph.Port{m.P()}
+
+	g = graph.New()
+	call := g.Add("Invoke", map[string]graph.Val{"func": fg}, g.Variable("x").P(), g.Const(tensor.Scalar(float64(n))).P())
+	g.Outputs = []graph.Port{call.P()}
+	return g, fg
+}
+
+// TestRecursiveInvokeReusesBoundedFrames: each level of a recursion runs
+// on its own frame of the arena, the outermost on the graph's first frame
+// and the deeper ones on spare frames, at most spareFrameCap of them; deeper
+// levels run on fresh scratch. Every frame is back when the run ends, and
+// the results and tape gradients are those of a run without an arena.
+func TestRecursiveInvokeReusesBoundedFrames(t *testing.T) {
+	store := vars.NewStore()
+	store.Set("x", tensor.Scalar(1.001))
+	arena := NewArena()
+	tape := autodiff.NewTape()
+	for _, n := range []int{3, spareFrameCap + 8} {
+		g, fg := powGraph(n)
+		ref := autodiff.NewTape()
+		res, err := Run(g, nil, Options{Store: store, Tape: ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.Outputs[0].(*autodiff.Node)
+		wantGrad := ref.Gradient(want)["x"].Item()
+		for rep := 0; rep < 2; rep++ {
+			tape.Reset()
+			res, err := Run(g, nil, Options{Store: store, Tape: tape, Arena: arena})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Outputs[0].(*autodiff.Node)
+			if got.Value.Item() != want.Value.Item() {
+				t.Fatalf("n=%d: x**(n+1) is %v with the arena, %v without", n, got.Value.Item(), want.Value.Item())
+			}
+			if g := tape.Gradient(got)["x"].Item(); g != wantGrad {
+				t.Fatalf("n=%d: gradient %v with the arena, %v without", n, g, wantGrad)
+			}
+		}
+		ga := arena.per[fg]
+		if !ga.idle() {
+			t.Fatalf("n=%d: frames still in use: first busy %v, %d of %d spares back", n, ga.firstBusy, len(ga.spare), ga.made)
+		}
+		if want := min(n, spareFrameCap); ga.made != want {
+			t.Errorf("n=%d: %d spare frames made, want %d", n, ga.made, want)
+		}
+	}
+}
+
 func TestRunDetectsCycle(t *testing.T) {
 	g := graph.New()
 	a := g.Add("Identity", nil)

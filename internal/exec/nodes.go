@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/autodiff"
@@ -169,11 +170,7 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		if !ok {
 			return nil, fmt.Errorf("exec: Invoke without func graph")
 		}
-		sub := make(map[string]graph.Val, len(in))
-		for i, v := range in {
-			sub[fmt.Sprintf("arg%d", i)] = v
-		}
-		outs, err := runGraph(fg, sub, c)
+		outs, err := runArgs(fg, in, c)
 		if err != nil {
 			return nil, err
 		}
@@ -196,8 +193,7 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 			if err := c.canceled(); err != nil {
 				return nil, err
 			}
-			feedsC := loopFeeds(state)
-			cond, err := runGraph(condG, feedsC, c)
+			cond, err := runArgs(condG, state, c)
 			if err != nil {
 				return nil, err
 			}
@@ -208,7 +204,7 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 			if !ok {
 				break
 			}
-			next, err := runGraph(bodyG, loopFeeds(state), c)
+			next, err := runArgs(bodyG, state, c)
 			if err != nil {
 				return nil, err
 			}
@@ -247,13 +243,13 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		for t := 0; t < trips; t++ {
 			feedsT := make(map[string]graph.Val, numC+numI+numS+1)
 			for i := 0; i < numC; i++ {
-				feedsT[fmt.Sprintf("carried%d", i)] = state[i]
+				feedsT[carriedNames.name(i)] = state[i]
 			}
 			for i := 0; i < numI; i++ {
-				feedsT[fmt.Sprintf("inv%d", i)] = in[numC+i]
+				feedsT[invNames.name(i)] = in[numC+i]
 			}
 			for s := 0; s < numS; s++ {
-				feedsT[fmt.Sprintf("iter%d", s)] = in[numC+numI+s*trips+t]
+				feedsT[iterNames.name(s)] = in[numC+numI+s*trips+t]
 			}
 			feedsT["idx"] = t
 			outs, err := runGraph(body, feedsT, c)
@@ -316,12 +312,30 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 	return []graph.Val{v}, nil
 }
 
-func loopFeeds(state []graph.Val) map[string]graph.Val {
-	m := make(map[string]graph.Val, len(state))
-	for i, v := range state {
-		m[fmt.Sprintf("arg%d", i)] = v
+// feedNames interns the placeholder names prefix0, prefix1, ... that Invoke,
+// While and Loop feed their subgraphs, so a call or a trip does not format
+// them again.
+type feedNames struct {
+	prefix string
+	names  [16]string
+}
+
+var argNames, carriedNames, invNames, iterNames = newFeedNames("arg"), newFeedNames("carried"),
+	newFeedNames("inv"), newFeedNames("iter")
+
+func newFeedNames(prefix string) *feedNames {
+	f := &feedNames{prefix: prefix}
+	for i := range f.names {
+		f.names[i] = prefix + strconv.Itoa(i)
 	}
-	return m
+	return f
+}
+
+func (f *feedNames) name(i int) string {
+	if i >= 0 && i < len(f.names) {
+		return f.names[i]
+	}
+	return f.prefix + strconv.Itoa(i)
 }
 
 // checkAssert validates one assumption. Kinds:

@@ -26,7 +26,8 @@ type Kernel func(n *Node, in []Val) (Val, error)
 // each result. A *Graph adds them as nodes (Gradients); the eager tape in
 // internal/autodiff evaluates each at once through OpDef.Eval. Handles belong
 // to the emitter — Ports for a graph, values for the tape — and rules only
-// pass them on.
+// pass them on. Emit reads in during the call only, so a rule may reuse the
+// slice for its next emission.
 type Emitter interface {
 	Emit(op string, attrs map[string]Val, in ...Val) Val
 }

@@ -116,24 +116,25 @@ func init() {
 			// Each input gets its own slice of gout, located from the
 			// widths of the inputs up to it at run time.
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
+				attrs := map[string]Val{"axis": n.IntAttr("axis", 0)}
+				args := append(make([]Val, 0, len(in)+1), gout)
 				for i := range in {
-					args := append([]Val{gout}, in[:i+1]...)
-					add(i, e.Emit("ConcatGradSlice", map[string]Val{"axis": n.IntAttr("axis", 0)}, args...))
+					args = append(args, in[i])
+					add(i, e.Emit("ConcatGradSlice", attrs, args...))
 				}
 				return nil
 			}},
 		// ConcatGradSlice(g, x0, ..., xi) cuts xi's share out of the
 		// gradient g of a Concat along "axis" whose first inputs are x0..xi.
-		OpDef{Name: "ConcatGradSlice", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
-				ts, err := allTensors(n, in)
+		OpDef{Name: "ConcatGradSlice", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				if len(in) < 2 {
+					return nil, fmt.Errorf("%s: want a gradient and at least 1 input, got %d values", n.Op, len(in))
+				}
+				g, err := AsTensor(in[0])
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("%s: %v", n.Op, err)
 				}
-				if len(ts) < 2 {
-					return nil, fmt.Errorf("%s: want a gradient and at least 1 input, got %d values", n.Op, len(ts))
-				}
-				g, xs := ts[0], ts[1:]
 				axis := n.IntAttr("axis", 0)
 				if axis < 0 {
 					axis += g.Rank()
@@ -141,11 +142,27 @@ func init() {
 				if axis < 0 || axis >= g.Rank() {
 					return nil, fmt.Errorf("%s: axis %d out of range for %v", n.Op, n.IntAttr("axis", 0), g.Shape())
 				}
+				// xi's share has xi's shape: Concat inputs agree with the
+				// result off the axis.
 				lo := 0
-				for _, x := range xs[:len(xs)-1] {
-					lo += x.Dim(axis)
+				var x *tensor.Tensor
+				for _, v := range in[1:] {
+					if x != nil {
+						lo += x.Dim(axis)
+					}
+					if x, err = AsTensor(v); err != nil {
+						return nil, fmt.Errorf("%s: %v", n.Op, err)
+					}
+					if x.Rank() != g.Rank() {
+						return nil, fmt.Errorf("%s: input %v is not a part of the gradient %v", n.Op, x.Shape(), g.Shape())
+					}
 				}
-				return tensor.SliceAxis(g, axis, lo, lo+xs[len(xs)-1].Dim(axis)), nil
+				for d, w := range x.Shape() {
+					if d == axis && lo+w > g.Dim(d) || d != axis && w != g.Dim(d) {
+						return nil, fmt.Errorf("%s: input %v at offset %d along axis %d is not a part of the gradient %v", n.Op, x.Shape(), lo, axis, g.Shape())
+					}
+				}
+				return tensor.SliceAxisInto(alloc.Get(x.Shape()...), g, axis, lo, lo+x.Dim(axis)), nil
 			}},
 		OpDef{Name: "Slice", ReadsOnly: true, Fresh: true,
 			Kernel: func(n *Node, in []Val) (Val, error) {
@@ -239,11 +256,14 @@ func init() {
 			}},
 		// GatherGrad(table, ids, gout) scatters gout's rows back into a
 		// table-shaped gradient.
-		OpDef{Name: "GatherGrad", ReadsOnly: true, Fresh: true, StopGrad: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
+		OpDef{Name: "GatherGrad", ReadsOnly: true, StopGrad: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				if len(in) != 3 {
+					return nil, fmt.Errorf("%s: want 3 inputs, got %d", n.Op, len(in))
+				}
 				table, err := AsTensor(in[0])
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("%s: %v", n.Op, err)
 				}
 				idx, err := asIntSlice(in[1], n)
 				if err != nil {
@@ -251,9 +271,17 @@ func init() {
 				}
 				g, err := AsTensor(in[2])
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("%s: %v", n.Op, err)
 				}
-				return tensor.ScatterAddRows(table.Shape(), idx, g), nil
+				if table.Rank() != 2 || g.Rank() != 2 || g.Dim(0) != len(idx) || g.Dim(1) != table.Dim(1) {
+					return nil, fmt.Errorf("%s: gradient %v for %d rows of a %v table", n.Op, g.Shape(), len(idx), table.Shape())
+				}
+				for _, id := range idx {
+					if id < 0 || id >= table.Dim(0) {
+						return nil, fmt.Errorf("%s: index %d out of range [0,%d)", n.Op, id, table.Dim(0))
+					}
+				}
+				return tensor.ScatterAddRowsInto(alloc.Get(table.Shape()...), idx, g), nil
 			}},
 		OpDef{Name: "OneHot", ReadsOnly: true, Fresh: true, StopGrad: true,
 			Kernel: func(n *Node, in []Val) (Val, error) {

@@ -275,6 +275,60 @@ func CopyInto(dst, a *Tensor) *Tensor {
 	return dst
 }
 
+// SliceAxisInto copies indices [lo, hi) along axis of a into dst, whose
+// shape is a's with that dim hi-lo.
+func SliceAxisInto(dst, a *Tensor, axis, lo, hi int) *Tensor {
+	axis = normAxis(axis, a.Rank())
+	if lo < 0 || hi > a.shape[axis] || lo > hi {
+		panic(fmt.Sprintf("tensor: slice [%d:%d) out of range for dim %d of %v", lo, hi, axis, a.shape))
+	}
+	if len(dst.shape) != len(a.shape) {
+		panic(fmt.Sprintf("tensor: SliceAxisInto destination shape %v for a slice of %v", dst.shape, a.shape))
+	}
+	for d, n := range dst.shape {
+		if want := a.shape[d]; d == axis && n != hi-lo || d != axis && n != want {
+			panic(fmt.Sprintf("tensor: SliceAxisInto destination shape %v for [%d:%d) along dim %d of %v", dst.shape, lo, hi, axis, a.shape))
+		}
+	}
+	inner := 1
+	for _, d := range a.shape[axis+1:] {
+		inner *= d
+	}
+	outer := 1
+	for _, d := range a.shape[:axis] {
+		outer *= d
+	}
+	srcRow := a.shape[axis] * inner
+	dstRow := (hi - lo) * inner
+	for o := 0; o < outer; o++ {
+		copy(dst.data[o*dstRow:(o+1)*dstRow], a.data[o*srcRow+lo*inner:o*srcRow+hi*inner])
+	}
+	return dst
+}
+
+// ScatterAddRowsInto zeroes the rank-2 dst and adds row i of g into row
+// idx[i], in order: the gradient of Gather.
+func ScatterAddRowsInto(dst *Tensor, idx []int, g *Tensor) *Tensor {
+	if dst.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: ScatterAddRowsInto wants a rank-2 destination, got %v", dst.shape))
+	}
+	n := dst.shape[1]
+	if g.Rank() != 2 || g.shape[0] != len(idx) || g.shape[1] != n {
+		panic(fmt.Sprintf("tensor: ScatterAddRowsInto gradient %v for %d rows of %v", g.shape, len(idx), dst.shape))
+	}
+	clear(dst.data)
+	for i, id := range idx {
+		if id < 0 || id >= dst.shape[0] {
+			panic(fmt.Sprintf("tensor: ScatterAddRowsInto index %d out of range [0,%d)", id, dst.shape[0]))
+		}
+		row, src := dst.data[id*n:(id+1)*n], g.data[i*n:(i+1)*n]
+		for j := range row {
+			row[j] += src[j]
+		}
+	}
+	return dst
+}
+
 // FillInto sets every element of dst to v.
 func FillInto(dst *Tensor, v float64) *Tensor {
 	for i := range dst.data {

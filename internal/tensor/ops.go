@@ -197,27 +197,9 @@ func Concat(axis int, ts ...*Tensor) *Tensor {
 
 // SliceAxis extracts indices [lo, hi) along axis.
 func SliceAxis(a *Tensor, axis, lo, hi int) *Tensor {
-	axis = normAxis(axis, a.Rank())
-	if lo < 0 || hi > a.shape[axis] || lo > hi {
-		panic(fmt.Sprintf("tensor: slice [%d:%d) out of range for dim %d of %v", lo, hi, axis, a.shape))
-	}
-	outShape := append([]int(nil), a.shape...)
-	outShape[axis] = hi - lo
-	out := Zeros(outShape...)
-	inner := 1
-	for _, d := range a.shape[axis+1:] {
-		inner *= d
-	}
-	outer := 1
-	for _, d := range a.shape[:axis] {
-		outer *= d
-	}
-	srcRow := a.shape[axis] * inner
-	dstRow := (hi - lo) * inner
-	for o := 0; o < outer; o++ {
-		copy(out.data[o*dstRow:(o+1)*dstRow], a.data[o*srcRow+lo*inner:o*srcRow+hi*inner])
-	}
-	return out
+	shape := append([]int(nil), a.shape...)
+	shape[normAxis(axis, a.Rank())] = hi - lo
+	return SliceAxisInto(Zeros(shape...), a, axis, lo, hi)
 }
 
 // PadSliceGrad scatters upstream gradient g (shaped like the slice result)
@@ -272,18 +254,6 @@ func Gather(table *Tensor, idx []int) *Tensor {
 			panic(fmt.Sprintf("tensor: Gather index %d out of range [0,%d)", id, table.shape[0]))
 		}
 		copy(out.data[i*n:(i+1)*n], table.data[id*n:(id+1)*n])
-	}
-	return out
-}
-
-// ScatterAddRows adds each row of g into out at row idx[i]; the gradient of Gather.
-func ScatterAddRows(tableShape []int, idx []int, g *Tensor) *Tensor {
-	out := Zeros(tableShape...)
-	n := tableShape[1]
-	for i, id := range idx {
-		for j := 0; j < n; j++ {
-			out.data[id*n+j] += g.data[i*n+j]
-		}
 	}
 	return out
 }

@@ -263,7 +263,7 @@ func TestGatherScatter(t *testing.T) {
 	if !Equal(g, want) {
 		t.Fatalf("gather got %v", g)
 	}
-	grad := ScatterAddRows([]int{3, 2}, []int{2, 0, 2}, Full(1, 3, 2))
+	grad := ScatterAddRowsInto(Full(7, 3, 2), []int{2, 0, 2}, Full(1, 3, 2))
 	wantG := FromRows([][]float64{{1, 1}, {0, 0}, {2, 2}})
 	if !Equal(grad, wantG) {
 		t.Fatalf("scatter got %v", grad)
