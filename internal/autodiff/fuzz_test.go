@@ -107,7 +107,7 @@ func tapeMatchesGraph(t *testing.T, prog []byte, store *vars.Store, tp *autodiff
 			return
 		}
 		n := g.Add(op, nil, ports...)
-		out, err := tp.Apply(def, n, handles)
+		out, err := tp.Apply(def, n, handles, true)
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}

@@ -2,14 +2,15 @@
 // differentiation (a "gradient tape") over the op table of internal/graph.
 //
 // The imperative interpreter (internal/minipy) and the executor's tape mode
-// for dynamic graphs (internal/exec) run every differentiable op through
-// Tape.Apply: the op's kernel computes the value at once and the tape records
-// the op. Backprop runs each recorded op's OpDef.Grad rule with the tape as
-// the Emitter, so every op the rule emits is evaluated at once: its Into
-// kernel writes into a buffer rented from the tape's pool, which takes the
-// buffer back at its last use (DESIGN.md §3.1). graph.Gradients runs the
-// very same rules symbolically for static graphs: each derivative is written
-// once, for both engines.
+// for dynamic graphs (internal/exec) run every pure op through Tape.Apply:
+// the op's kernel computes the value at once and the tape records the op.
+// The executor rents those forward values from the tape's pool until the
+// step's Reset; the interpreter keeps them on the heap. Backprop runs each
+// recorded op's OpDef.Grad rule with the tape as the Emitter, so every op the
+// rule emits is evaluated at once: its Into kernel writes into a buffer
+// rented from the tape's pool, which takes the buffer back at its last use
+// (DESIGN.md §3.1). graph.Gradients runs the very same rules symbolically for
+// static graphs: each derivative is written once, for both engines.
 package autodiff
 
 import (
@@ -71,9 +72,12 @@ type record struct {
 // the gradient entries that refer to it, plus one while it belongs to the
 // rule being run (the rule's outputs and its incoming gradient); the tensor
 // returns to the pool when the count reaches zero. A gradient handed out
-// (the returned map, emit) leaves holds: it is never returned to the pool
+// (the returned map, emit) leaves holds and the pool: it is never returned
 // and never written again. Results of ops without an Into kernel stay on the
 // heap and are never pooled.
+//
+// Forward values rented by Apply live until Reset, which returns every one
+// of them but those Keep pinned: the values that escape the step.
 type Tape struct {
 	ops []record
 	// args holds the inputs of every record, back to back.
@@ -95,6 +99,10 @@ type Tape struct {
 	cur   *record
 	add   func(i int, g graph.Val)
 	order []watchedVar
+	// fwd lists the forward values rented since the last Reset; kept holds
+	// those that escape the step and leave the pool instead.
+	fwd  []*tensor.Tensor
+	kept map[*tensor.Tensor]bool
 }
 
 // watch is a watched variable's node and its birth index: len(ops) when it
@@ -127,16 +135,29 @@ func NewPooledTape(pool *tensor.Pool) *Tape {
 		grads:   make(map[int64]*tensor.Tensor),
 		pool:    pool,
 		holds:   make(map[*tensor.Tensor]int32),
+		kept:    make(map[*tensor.Tensor]bool),
 	}
 	t.em.t = t
 	t.add = func(i int, g graph.Val) { t.accum(t.args[t.cur.lo+i], g) }
 	return t
 }
 
-// Reset empties the tape for the next step: it drops every reference to the
-// last step's nodes, values and gradients, and keeps the capacity of its
-// record, argument and gradient tables.
+// Reset empties the tape for the next step: it returns the step's forward
+// rentals to the pool, except those Keep pinned, which leave it; it drops
+// every reference to the last step's nodes, values and gradients; and it
+// keeps the capacity of its record, argument and gradient tables. Nothing
+// may read an unpinned forward value after Reset.
 func (t *Tape) Reset() {
+	for i, v := range t.fwd {
+		if len(t.kept) > 0 && t.kept[v] {
+			t.pool.Disown(v)
+		} else {
+			t.pool.Put(v)
+		}
+		t.fwd[i] = nil
+	}
+	t.fwd = t.fwd[:0]
+	clear(t.kept)
 	clear(t.ops)
 	t.ops = t.ops[:0]
 	clear(t.args)
@@ -175,9 +196,13 @@ func (t *Tape) Watch(name string, v *tensor.Tensor) *Node {
 // plain values, or lists holding tape nodes. When def has a gradient rule and
 // an input is tracked, the op is recorded and the result is a tracked node;
 // otherwise the plain result comes back (a list element as it was, node or
-// not). A nil tape only evaluates, so callers need no tapeless path. n must
-// stay unmodified while the tape lives.
-func (t *Tape) Apply(def *graph.OpDef, n *graph.Node, in []graph.Val) (graph.Val, error) {
+// not). The caller picks where an Into kernel's result lives: rent rents it
+// from the tape's pool until Reset (the executor, whose values die with the
+// step unless pinned with Keep); otherwise it is on the heap (the
+// interpreter, whose values live in its own heap). A nil tape only
+// evaluates, on the heap, so callers need no tapeless path. n must stay
+// unmodified while the tape lives.
+func (t *Tape) Apply(def *graph.OpDef, n *graph.Node, in []graph.Val, rent bool) (graph.Val, error) {
 	var raw []graph.Val
 	if t != nil {
 		raw = t.raw[:0]
@@ -185,7 +210,15 @@ func (t *Tape) Apply(def *graph.OpDef, n *graph.Node, in []graph.Val) (graph.Val
 	for _, v := range in {
 		raw = append(raw, value(v))
 	}
-	out, err := def.Eval(n, raw)
+	var out graph.Val
+	var err error
+	if rent && t != nil && def.Into != nil {
+		if out, err = def.Into(n, raw, t.pool); err == nil {
+			t.fwd = append(t.fwd, out.(*tensor.Tensor))
+		}
+	} else {
+		out, err = def.Eval(n, raw)
+	}
 	if t != nil {
 		clear(raw)
 		t.raw = raw
@@ -194,6 +227,24 @@ func (t *Tape) Apply(def *graph.OpDef, n *graph.Node, in []graph.Val) (graph.Val
 		return nil, err
 	}
 	return t.Record(def, n, in, out), nil
+}
+
+// Keep pins the forward rentals v holds — a node's value, a tensor, or any
+// of those inside lists — so that Reset hands them over to their new holder
+// instead of returning them to the pool. The executor keeps whatever
+// outlives the step: its outputs, the values it commits to the
+// interpreter's heap, the actual value of a failed assertion.
+func (t *Tape) Keep(v graph.Val) {
+	switch x := v.(type) {
+	case *Node:
+		t.kept[x.Value] = true
+	case *tensor.Tensor:
+		t.kept[x] = true
+	case []graph.Val:
+		for _, e := range x {
+			t.Keep(e)
+		}
+	}
 }
 
 // Record wraps out, the value op def computed from in, the way Apply does:
@@ -249,15 +300,17 @@ func value(h graph.Val) graph.Val {
 type eager struct {
 	t *Tape
 	n graph.Node
+	// in is scratch for the inputs of one emission.
+	in []graph.Val
 }
 
-func (e *eager) Emit(op string, attrs map[string]graph.Val, in ...graph.Val) graph.Val {
+func (e *eager) Emit(op string, attrs map[string]graph.Val, args graph.Args) graph.Val {
 	// An Unbroadcast to the shape the gradient already has is the identity.
 	// The graph copies (Into kernels never alias); the tape can share,
 	// because it never writes a gradient another holder refers to.
 	if op == "Unbroadcast" {
-		g, gok := in[0].(*tensor.Tensor)
-		ref, rok := in[1].(*tensor.Tensor)
+		g, gok := args.At(0).(*tensor.Tensor)
+		ref, rok := args.At(1).(*tensor.Tensor)
 		if gok && rok && tensor.SameShape(g, ref) {
 			return g
 		}
@@ -266,20 +319,25 @@ func (e *eager) Emit(op string, attrs map[string]graph.Val, in ...graph.Val) gra
 	if def == nil {
 		panic(fmt.Sprintf("autodiff: gradient rule emitted unknown op %s", op))
 	}
-	// Kernels read attrs during the call only, so one scratch node serves
-	// every emission.
+	// Kernels read attrs and inputs during the call only, so one scratch
+	// node and one input slice serve every emission.
 	e.n.Op, e.n.Attrs = op, attrs
-	if def.Into == nil {
-		// A Kernel result stays on the heap.
-		out, err := def.Eval(&e.n, in)
-		if err != nil {
-			panic(fmt.Sprintf("autodiff: %v", err))
-		}
-		return out
+	in := args.AppendTo(e.in[:0])
+	var out graph.Val
+	var err error
+	if def.Into != nil {
+		out, err = def.Into(&e.n, in, e.t.pool)
+	} else {
+		out, err = def.Eval(&e.n, in)
 	}
-	out, err := def.Into(&e.n, in, e.t.pool)
+	clear(in)
+	e.in = in
 	if err != nil {
 		panic(fmt.Sprintf("autodiff: %v", err))
+	}
+	if def.Into == nil {
+		// A Kernel result stays on the heap.
+		return out
 	}
 	r := out.(*tensor.Tensor)
 	e.t.holds[r] = 1
@@ -307,9 +365,15 @@ func (t *Tape) release(g *tensor.Tensor) {
 	}
 }
 
-// handOut takes g out of the tape's accounting for good: a gradient given
-// to the caller is never returned to the pool and never written again.
-func (t *Tape) handOut(g *tensor.Tensor) { delete(t.holds, g) }
+// handOut takes g out of the tape's accounting and, if rented, out of the
+// pool's for good: a gradient given to the caller is never returned to the
+// pool and never written again.
+func (t *Tape) handOut(g *tensor.Tensor) {
+	if _, ok := t.holds[g]; ok {
+		delete(t.holds, g)
+		t.pool.Disown(g)
+	}
+}
 
 // accum adds gradient g into input handle h: a node's accumulator, or, for a
 // list, each element's share of the list gradient g. The first contribution
@@ -395,6 +459,7 @@ func (t *Tape) GradientStream(loss *Node, emit func(name string, g *tensor.Tenso
 			g := t.grads[v.n.id]
 			if g == nil {
 				g = t.pool.GetZeroed(v.n.Value.Shape()...)
+				t.holds[g] = 1
 			}
 			t.handOut(g)
 			out[v.name] = g

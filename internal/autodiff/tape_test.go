@@ -11,7 +11,7 @@ import (
 
 // op runs a graph op on the tape and returns its result as a node.
 func op(tp *Tape, name string, attrs map[string]graph.Val, in ...graph.Val) *Node {
-	v, err := tp.Apply(graph.Lookup(name), &graph.Node{Op: name, Attrs: attrs}, in)
+	v, err := tp.Apply(graph.Lookup(name), &graph.Node{Op: name, Attrs: attrs}, in, false)
 	if err != nil {
 		panic(err)
 	}
@@ -259,7 +259,7 @@ func TestTapeForwardsListElements(t *testing.T) {
 	b := tensor.FromSlice([]float64{3, 4})
 	list := []graph.Val{a, b}
 	for i, want := range []graph.Val{a, b} {
-		got, err := tp.Apply(graph.Lookup("IndexAny"), &graph.Node{Op: "IndexAny"}, []graph.Val{list, i})
+		got, err := tp.Apply(graph.Lookup("IndexAny"), &graph.Node{Op: "IndexAny"}, []graph.Val{list, i}, true)
 		if err != nil || got != want {
 			t.Fatalf("element %d: got %v (%v), want the element itself", i, got, err)
 		}

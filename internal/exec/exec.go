@@ -14,7 +14,8 @@
 //     state-update semantics of §4.2.3,
 //   - an optional trace tape: when a graph contains dynamic control flow,
 //     tensor edges carry autodiff nodes and gradients are computed from the
-//     executed trace (DESIGN.md §5),
+//     executed trace (DESIGN.md §5); the forward values live in the tape's
+//     pool until the step ends (DESIGN.md §3.1),
 //   - plan-driven buffer reuse: with Options.Pool set (and no tape), every
 //     intermediate tensor is rented from the pool according to the graph's
 //     cached graph.MemoryPlan, elementwise ops write in place when their
@@ -70,6 +71,10 @@ type Options struct {
 	Heap Heap
 	// Tape, when non-nil, makes tensor edges carry autodiff nodes so the
 	// executed trace can be differentiated (dynamic-control-flow graphs).
+	// Pure ops' results are rented from the tape's pool until the tape's
+	// Reset; the run pins the ones that outlive it (Tape.Keep): its
+	// outputs, the values it writes to Heap, a failed assertion's actual
+	// value.
 	Tape *autodiff.Tape
 	// Pool, when non-nil and Tape is nil, enables plan-driven buffer reuse:
 	// intermediate tensors are rented from the pool per the graph's memory
@@ -135,8 +140,8 @@ func IsDead(v graph.Val) bool { _, ok := v.(deadToken); return ok }
 type overlay struct {
 	attrs map[attrKey]any
 	subs  map[subKey]any
-	// order preserves write sequence for deterministic commit.
-	order []func(h Heap) error
+	// writes preserves write sequence for deterministic commit.
+	writes []heapWrite
 }
 
 type attrKey struct {
@@ -147,6 +152,14 @@ type attrKey struct {
 type subKey struct {
 	obj any
 	key string
+}
+
+// heapWrite is one deferred heap write: obj.name = v, or obj[key] = v when
+// sub is set.
+type heapWrite struct {
+	obj, key, v any
+	name        string
+	sub         bool
 }
 
 func newOverlay() *overlay {
@@ -164,7 +177,7 @@ func (o *overlay) getAttr(h Heap, obj any, name string) (any, error) {
 
 func (o *overlay) setAttr(obj any, name string, v any) {
 	o.attrs[attrKey{obj, name}] = v
-	o.order = append(o.order, func(h Heap) error { return h.SetAttr(obj, name, v) })
+	o.writes = append(o.writes, heapWrite{obj: obj, name: name, v: v})
 }
 
 func (o *overlay) getSubscr(h Heap, obj, key any) (any, error) {
@@ -176,13 +189,19 @@ func (o *overlay) getSubscr(h Heap, obj, key any) (any, error) {
 
 func (o *overlay) setSubscr(obj, key any, v any) {
 	o.subs[subKeyOf(obj, key)] = v
-	o.order = append(o.order, func(h Heap) error { return h.SetSubscr(obj, key, v) })
+	o.writes = append(o.writes, heapWrite{obj: obj, key: key, v: v, sub: true})
 }
 
 // commit writes all deferred updates back to the heap, in program order.
 func (o *overlay) commit(h Heap) error {
-	for _, f := range o.order {
-		if err := f(h); err != nil {
+	for _, w := range o.writes {
+		var err error
+		if w.sub {
+			err = h.SetSubscr(w.obj, w.key, w.v)
+		} else {
+			err = h.SetAttr(w.obj, w.name, w.v)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -212,6 +231,14 @@ func (c *ctx) ov() *overlay {
 	return c.overlay
 }
 
+// keep pins the tape's forward rentals in v, which outlive the run (see
+// Tape.Keep); without a tape nothing is rented.
+func (c *ctx) keep(v graph.Val) {
+	if c.opts.Tape != nil {
+		c.opts.Tape.Keep(v)
+	}
+}
+
 // canceled reports whether the run's context (if any) has been canceled,
 // as an error wrapping the cancellation cause — unless a gradient has
 // already left through the sink, after which the run must finish so the
@@ -228,12 +255,20 @@ func (c *ctx) canceled() error {
 // error — including assumption failures — no global state has been mutated.
 func Run(g *graph.Graph, feeds map[string]graph.Val, opts Options) (*Result, error) {
 	c := &ctx{opts: opts}
-	outs, err := runGraph(g, feeds, c)
-	if err != nil {
+	outs := make([]graph.Val, len(g.Outputs))
+	if err := runGraph(g, feeds, outs, c); err != nil {
 		return nil, err
+	}
+	// The outputs and every value written to the heap outlive the run.
+	for _, v := range outs {
+		c.keep(v)
 	}
 	// All assertions passed: commit deferred state, in order.
 	if opts.Heap != nil && c.overlay != nil {
+		for _, w := range c.overlay.writes {
+			c.keep(w.key)
+			c.keep(w.v)
+		}
 		if err := c.overlay.commit(opts.Heap); err != nil {
 			return nil, err
 		}
@@ -267,7 +302,7 @@ type plan struct {
 	kind     []int8  // fast-path kind per node
 	phName   []string
 	varName  []string
-	into     []graph.IntoKernel // destination-passing kernel of kindInto nodes
+	defs     []*graph.OpDef // op definition per node, nil for an unregistered op
 	mem      *graph.MemoryPlan
 	// prof is the graph's always-on op profile; its flat arrays parallel
 	// the plan's, so the scheduler accumulates without map lookups.
@@ -288,7 +323,7 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 		kind:     make([]int8, n),
 		phName:   make([]string, n),
 		varName:  make([]string, n),
-		into:     make([]graph.IntoKernel, n),
+		defs:     make([]*graph.OpDef, n),
 	}
 	consumers := make([][]int32, n)
 	deg := make([]int32, n)
@@ -315,6 +350,7 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 			consumers[j] = append(consumers[j], int32(i))
 			deg[i]++
 		}
+		p.defs[i] = graph.Lookup(nd.Op)
 		switch nd.Op {
 		case "Const":
 			p.kind[i] = kindConst
@@ -325,9 +361,8 @@ func buildPlan(g *graph.Graph, m *Metrics) (*plan, error) {
 			p.kind[i] = kindVariable
 			p.varName[i] = nd.StrAttr("name")
 		default:
-			if def := graph.Lookup(nd.Op); def != nil && def.Into != nil {
+			if def := p.defs[i]; def != nil && def.Into != nil {
 				p.kind[i] = kindInto
-				p.into[i] = def.Into
 			}
 		}
 	}
@@ -521,6 +556,8 @@ type frame struct {
 	bufs  []*tensor.Tensor
 	// feeds is the feed map of a subgraph run (argFeeds).
 	feeds map[string]graph.Val
+	// alloc is the run's allocator for Into kernels under a memory plan.
+	alloc nodeAlloc
 }
 
 // argFeeds maps the placeholders arg0, arg1, ... to args in the frame's own
@@ -588,6 +625,7 @@ func (a *Arena) release(f *frame) {
 	clear(f.vals)
 	clear(f.bufs)
 	clear(f.feeds)
+	f.alloc = nodeAlloc{}
 	a.mu.Lock()
 	ga := f.owner
 	if f == &ga.first {
@@ -741,57 +779,43 @@ func (a *nodeAlloc) prep(ms *memState, i int32, in []graph.Val) {
 	}
 }
 
-// runGraph schedules one (sub)graph to completion and returns its outputs.
-func runGraph(g *graph.Graph, feeds map[string]graph.Val, c *ctx) ([]graph.Val, error) {
+// runGraph schedules one (sub)graph to completion, writing its outputs into
+// outs.
+func runGraph(g *graph.Graph, feeds map[string]graph.Val, outs []graph.Val, c *ctx) error {
 	if len(g.Nodes) == 0 {
-		return nil, nil
+		clear(outs)
+		return nil
 	}
 	p, err := planFor(g, c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fr := c.opts.Arena.acquire(g)
 	defer c.opts.Arena.release(fr)
-	return runNodes(g, p, feeds, c, fr)
+	return runNodes(g, p, feeds, c, fr, outs)
 }
 
-// runArgs runs a subgraph whose placeholders arg0, arg1, ... take args: an
-// Invoke's arguments or a While's loop variables.
-func runArgs(g *graph.Graph, args []graph.Val, c *ctx) ([]graph.Val, error) {
+// runArgs runs a subgraph whose placeholders arg0, arg1, ... take args (an
+// Invoke's arguments or a While's loop variables), writing its outputs into
+// outs, which may be args itself.
+func runArgs(g *graph.Graph, args, outs []graph.Val, c *ctx) error {
 	if len(g.Nodes) == 0 {
-		return nil, nil
+		clear(outs)
+		return nil
 	}
 	p, err := planFor(g, c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fr := c.opts.Arena.acquire(g)
 	defer c.opts.Arena.release(fr)
-	return runNodes(g, p, fr.argFeeds(args), c, fr)
-}
-
-// safeExecNode runs execNode, converting kernel panics (e.g. a shape
-// mismatch on malformed client feeds) into errors: a serving process must
-// survive a bad request.
-func safeExecNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]graph.Val, c *ctx) (out []graph.Val, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("exec: node %d (%s): %v", nd.ID, nd.Op, r)
-		}
-	}()
-	return execNode(g, nd, in, feeds, c)
+	return runNodes(g, p, fr.argFeeds(args), c, fr, outs)
 }
 
 // execFast runs the allocation-free fast paths (Const, Placeholder,
-// Variable, Into kernels) for node i, writing the single output value
-// directly. It is only entered when ms != nil (plan-driven execution, no
-// tape). Kernel panics are converted to errors like safeExecNode.
-func execFast(p *plan, g *graph.Graph, i int32, nd *graph.Node, in []graph.Val, feeds map[string]graph.Val, c *ctx, ms *memState, na *nodeAlloc) (out graph.Val, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("exec: node %d (%s): %v", nd.ID, nd.Op, r)
-		}
-	}()
+// Variable, Into kernels) for node i and returns its single output value.
+// It is only entered when ms != nil (plan-driven execution, no tape).
+func execFast(p *plan, i int32, nd *graph.Node, in []graph.Val, feeds map[string]graph.Val, c *ctx, ms *memState, na *nodeAlloc) (graph.Val, error) {
 	switch p.kind[i] {
 	case kindConst:
 		return nd.Attr("value"), nil
@@ -821,15 +845,27 @@ func execFast(p *plan, g *graph.Graph, i int32, nd *graph.Node, in []graph.Val, 
 		return t.Clone(), nil
 	case kindInto:
 		na.prep(ms, i, in)
-		return p.into[i](nd, in, na)
+		return p.defs[i].Into(nd, in, na)
 	}
 	panic("exec: execFast on generic node")
 }
 
 // runNodes executes the plan's nodes in topological order on the calling
-// goroutine: dead inputs propagate, fast-path kinds write their output port
-// directly, and pooled buffers return on their last consumer.
-func runNodes(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, fr *frame) ([]graph.Val, error) {
+// goroutine: dead inputs propagate, every node writes its outputs into its
+// slots of the value table, pooled buffers return on their last consumer,
+// and the graph's outputs are written into outs. A kernel panic (e.g. a
+// shape mismatch on malformed client feeds) becomes an error naming the
+// node: a serving process must survive a bad request.
+func runNodes(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, fr *frame, outs []graph.Val) (err error) {
+	var nd *graph.Node
+	defer func() {
+		if r := recover(); r != nil {
+			if nd == nil {
+				panic(r)
+			}
+			err = fmt.Errorf("exec: node %d (%s): %v", nd.ID, nd.Op, r)
+		}
+	}()
 	n := len(g.Nodes)
 	numPorts := int(p.portBase[n])
 	var vals []graph.Val
@@ -844,14 +880,21 @@ func runNodes(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, fr *f
 		vals = make([]graph.Val, numPorts)
 	}
 	ms := initMemState(p, c, fr)
-	var na nodeAlloc
+	var na *nodeAlloc
+	if ms != nil {
+		if fr != nil {
+			na = &fr.alloc
+		} else {
+			na = new(nodeAlloc)
+		}
+	}
 	prof := p.prof
 	tick := prof.beginRun()
 	for _, i := range p.topo {
 		if err := c.canceled(); err != nil {
-			return nil, err
+			return err
 		}
-		nd := g.Nodes[i]
+		nd = g.Nodes[i]
 		inPorts := p.inPort[i]
 		if cap(inScratch) < len(inPorts) {
 			inScratch = make([]graph.Val, len(inPorts)+8)
@@ -866,74 +909,55 @@ func runNodes(g *graph.Graph, p *plan, feeds map[string]graph.Val, c *ctx, fr *f
 			}
 		}
 		base := p.portBase[i]
-		ports := int(p.portBase[i+1] - base)
-		switch {
-		case anyDead && nd.Op != "Merge":
-			for o := 0; o < ports; o++ {
-				vals[base+int32(o)] = dead
+		out := vals[base:p.portBase[i+1]]
+		if anyDead && nd.Op != "Merge" {
+			for o := range out {
+				out[o] = dead
 			}
 			prof.skip(i)
 			if c.opts.Stats != nil {
 				c.opts.Stats.OpsSkipped.Add(1)
 			}
-		case ms != nil && p.kind[i] != kindGeneric:
-			timed := i&profileStrideMask == tick
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
+			if ms != nil {
+				ms.releaseInputs(i)
 			}
-			v, err := execFast(p, g, i, nd, in, feeds, c, ms, &na)
-			if timed {
-				prof.record(i, time.Since(t0), c.opts.Metrics, nd.Op)
-			}
-			if c.opts.Stats != nil {
-				c.opts.Stats.OpsExecuted.Add(1)
-			}
-			if err != nil {
-				return nil, err
-			}
-			vals[base] = v
-			for o := 1; o < ports; o++ {
-				vals[base+int32(o)] = nil
-			}
-			ms.adopt(i, v)
-		default:
-			timed := i&profileStrideMask == tick
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			out, err := safeExecNode(g, nd, in, feeds, c)
-			if timed {
-				prof.record(i, time.Since(t0), c.opts.Metrics, nd.Op)
-			}
-			if c.opts.Stats != nil {
-				c.opts.Stats.OpsExecuted.Add(1)
-			}
-			if err != nil {
-				return nil, err
-			}
-			for o := 0; o < ports; o++ {
-				if o < len(out) {
-					vals[base+int32(o)] = out[o]
-				} else {
-					vals[base+int32(o)] = nil
-				}
-			}
-			if ms != nil && len(out) > 0 {
-				ms.adopt(i, out[0])
-			}
+			continue
+		}
+		timed := i&profileStrideMask == tick
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		var err error
+		if ms != nil && p.kind[i] != kindGeneric {
+			out[0], err = execFast(p, i, nd, in, feeds, c, ms, na)
+		} else {
+			err = execNode(nd, p.defs[i], in, out, feeds, c)
+		}
+		if timed {
+			prof.record(i, time.Since(t0), c.opts.Metrics, nd.Op)
+		}
+		if c.opts.Stats != nil {
+			c.opts.Stats.OpsExecuted.Add(1)
+		}
+		if err != nil {
+			return err
 		}
 		if ms != nil {
+			ms.adopt(i, out[0])
 			ms.releaseInputs(i)
 		}
 	}
+	nd = nil
 	if fr != nil {
 		fr.in = inScratch
 	}
-	outs := make([]graph.Val, len(g.Outputs))
-	for i := range g.Outputs {
-		outs[i] = vals[p.outPort[i]]
+	for i := range outs {
+		if i < len(p.outPort) {
+			outs[i] = vals[p.outPort[i]]
+		} else {
+			outs[i] = nil
+		}
 	}
-	return outs, nil
+	return nil
 }

@@ -497,7 +497,7 @@ func TestStatsCounts(t *testing.T) {
 	}
 }
 
-// TestKernelPanicRecovered covers the safeExecNode recovery path: malformed
+// TestKernelPanicRecovered covers runNodes' recovery path: malformed
 // feeds that panic a tensor kernel deep inside the scheduler must surface as
 // errors, never kill the process. This is the property the serving layer relies on to survive bad
 // client requests routed through Engine.Call.

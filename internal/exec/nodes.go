@@ -23,49 +23,41 @@ func unwrap(v graph.Val) graph.Val {
 	return v
 }
 
-func unwrapAll(in []graph.Val) []graph.Val {
-	out := make([]graph.Val, len(in))
-	for i, v := range in {
-		out[i] = unwrap(v)
-	}
-	return out
-}
-
-// execNode dispatches one node. It handles the impure and control-flow
-// operations directly; pure ops fall through to their op-table kernel,
-// evaluated on the heap — under a tape, differentiable ones through
-// Tape.Apply, which records them for backprop.
-func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]graph.Val, c *ctx) ([]graph.Val, error) {
+// execNode runs one node, writing its outputs into out, the node's slots of
+// the run's value table (which start out nil). It handles the impure and
+// control-flow operations directly; pure ops fall through to def's kernel,
+// evaluated on the heap — under a tape through Tape.Apply, which rents the
+// result from the tape's pool and records differentiable ops for backprop.
+// A kernel panic propagates to runNodes, which names the node.
+func execNode(nd *graph.Node, def *graph.OpDef, in, out []graph.Val, feeds map[string]graph.Val, c *ctx) error {
 	switch nd.Op {
 	case "Placeholder":
 		name := nd.StrAttr("name")
 		v, ok := feeds[name]
 		if !ok {
-			return nil, fmt.Errorf("exec: no feed for placeholder %q", name)
+			return fmt.Errorf("exec: no feed for placeholder %q", name)
 		}
-		if c.opts.Tape != nil {
-			if t, ok := v.(*tensor.Tensor); ok {
-				return []graph.Val{autodiff.Const(t)}, nil
-			}
-		}
-		return []graph.Val{v}, nil
+		out[0] = v
+		return nil
 
 	case "Variable":
 		name := nd.StrAttr("name")
 		if c.opts.Store == nil {
-			return nil, fmt.Errorf("exec: Variable %q with no store", name)
+			return fmt.Errorf("exec: Variable %q with no store", name)
 		}
 		t, ok := c.opts.Store.Get(name)
 		if !ok {
-			return nil, fmt.Errorf("exec: unknown variable %q", name)
+			return fmt.Errorf("exec: unknown variable %q", name)
 		}
 		if c.opts.Tape != nil {
-			return []graph.Val{c.opts.Tape.Watch(name, t)}, nil
+			out[0] = c.opts.Tape.Watch(name, t)
+			return nil
 		}
 		// Snapshot the parameter: deferred AssignSub updates mutate the store
 		// tensor in place at commit time, and outputs must reflect the value
 		// read during execution, not the post-update value.
-		return []graph.Val{t.Clone()}, nil
+		out[0] = t.Clone()
+		return nil
 
 	case "AssignSub":
 		// Parameter update var -= lr * input. With a gradient sink the raw
@@ -75,16 +67,16 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		name := nd.StrAttr("name")
 		gt, err := graph.AsTensor(unwrap(in[0]))
 		if err != nil {
-			return nil, fmt.Errorf("exec: AssignSub %q: %v", name, err)
+			return fmt.Errorf("exec: AssignSub %q: %v", name, err)
 		}
 		if sink := c.opts.GradSink; sink != nil {
 			g := gt.Clone()
 			if err := c.canceled(); err != nil {
-				return nil, err
+				return err
 			}
 			c.emitted = true
 			sink(name, g)
-			return []graph.Val{nil}, nil
+			return nil
 		}
 		lr := 1.0
 		if v, ok := nd.Attrs["lr"]; ok {
@@ -92,128 +84,138 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		}
 		store, delta := c.opts.Store, tensor.MulScalar(gt, lr)
 		c.updates = append(c.updates, func() { store.AssignSub(name, delta) })
-		return []graph.Val{nil}, nil
+		return nil
 
 	case "Assert":
 		if c.opts.Stats != nil {
 			c.opts.Stats.AssertsRun.Add(1)
 		}
-		if c.opts.DisableAsserts {
-			return []graph.Val{in[0]}, nil
+		if !c.opts.DisableAsserts {
+			if err := checkAssert(nd, unwrap(in[0])); err != nil {
+				// The failed assumption's actual value outlives the run:
+				// the deopt ledger keeps it.
+				c.keep(err.Actual)
+				return err
+			}
 		}
-		if err := checkAssert(nd, unwrap(in[0])); err != nil {
-			return nil, err
-		}
-		return []graph.Val{in[0]}, nil
+		out[0] = in[0]
+		return nil
 
 	case "Switch":
 		// in[0]=data, in[1]=pred. Out 0 carries data when pred is true,
 		// out 1 when false; the other port gets the dead token.
 		pred, err := graph.AsBool(unwrap(in[1]))
 		if err != nil {
-			return nil, fmt.Errorf("exec: Switch predicate: %v", err)
+			return fmt.Errorf("exec: Switch predicate: %v", err)
 		}
-		if pred {
-			return []graph.Val{in[0], dead}, nil
+		taken, untaken := 0, 1
+		if !pred {
+			taken, untaken = 1, 0
 		}
-		return []graph.Val{dead, in[0]}, nil
+		// A port no node reads has no slot.
+		if taken < len(out) {
+			out[taken] = in[0]
+		}
+		if untaken < len(out) {
+			out[untaken] = dead
+		}
+		return nil
 
 	case "Merge":
+		out[0] = dead
 		for _, v := range in {
 			if !IsDead(v) {
-				return []graph.Val{v}, nil
+				out[0] = v
+				break
 			}
 		}
-		return []graph.Val{dead}, nil
+		return nil
 
 	case "PyGetAttr":
 		obj := unwrap(in[0])
 		name := nd.StrAttr("attr")
 		if c.opts.Heap == nil {
-			return nil, fmt.Errorf("exec: PyGetAttr with no heap")
+			return fmt.Errorf("exec: PyGetAttr with no heap")
 		}
 		v, err := c.ov().getAttr(c.opts.Heap, obj, name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if c.opts.Tape != nil {
-			if t, ok := v.(*tensor.Tensor); ok {
-				return []graph.Val{autodiff.Const(t)}, nil
-			}
-		}
-		return []graph.Val{v}, nil
+		out[0] = v
+		return nil
 
 	case "PySetAttr":
 		obj := unwrap(in[0])
 		name := nd.StrAttr("attr")
 		c.ov().setAttr(obj, name, unwrap(in[1]))
-		return []graph.Val{nil}, nil
+		return nil
 
 	case "PyGetSubscr":
 		obj := unwrap(in[0])
 		key := unwrap(in[1])
 		if c.opts.Heap == nil {
-			return nil, fmt.Errorf("exec: PyGetSubscr with no heap")
+			return fmt.Errorf("exec: PyGetSubscr with no heap")
 		}
 		v, err := c.ov().getSubscr(c.opts.Heap, obj, key)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []graph.Val{v}, nil
+		out[0] = v
+		return nil
 
 	case "PySetSubscr":
 		c.ov().setSubscr(unwrap(in[0]), unwrap(in[1]), unwrap(in[2]))
-		return []graph.Val{nil}, nil
+		return nil
 
 	case "Invoke":
 		fg, ok := nd.Attrs["func"].(*graph.Graph)
 		if !ok {
-			return nil, fmt.Errorf("exec: Invoke without func graph")
+			return fmt.Errorf("exec: Invoke without func graph")
 		}
-		outs, err := runArgs(fg, in, c)
-		if err != nil {
-			return nil, err
-		}
-		return outs, nil
+		return runArgs(fg, in, out, c)
 
 	case "While":
 		// Structured loop: attrs cond/body are subgraphs over loop variables
-		// arg0..argN-1; body returns the next iteration's loop variables.
+		// arg0..argN-1. The node's slots hold the loop state when there is
+		// one per variable, and the body writes the next iteration's loop
+		// variables straight into them.
 		condG, _ := nd.Attrs["cond"].(*graph.Graph)
 		bodyG, _ := nd.Attrs["body"].(*graph.Graph)
 		if condG == nil || bodyG == nil {
-			return nil, fmt.Errorf("exec: While without cond/body")
+			return fmt.Errorf("exec: While without cond/body")
+		}
+		if len(bodyG.Outputs) != len(in) {
+			return fmt.Errorf("exec: While body returned %d values, want %d", len(bodyG.Outputs), len(in))
 		}
 		maxIter := nd.IntAttr("maxIter", 1_000_000)
-		state := append([]graph.Val(nil), in...)
+		state := out
+		if len(out) != len(in) {
+			state = make([]graph.Val, len(in))
+			defer copy(out, state)
+		}
+		copy(state, in)
+		var cond [1]graph.Val
 		for iter := 0; ; iter++ {
 			if iter >= maxIter {
-				return nil, fmt.Errorf("exec: While exceeded %d iterations", maxIter)
+				return fmt.Errorf("exec: While exceeded %d iterations", maxIter)
 			}
 			if err := c.canceled(); err != nil {
-				return nil, err
+				return err
 			}
-			cond, err := runArgs(condG, state, c)
-			if err != nil {
-				return nil, err
+			if err := runArgs(condG, state, cond[:], c); err != nil {
+				return err
 			}
 			ok, err := graph.AsBool(unwrap(cond[0]))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
-				break
+				return nil
 			}
-			next, err := runArgs(bodyG, state, c)
-			if err != nil {
-				return nil, err
+			if err := runArgs(bodyG, state, state, c); err != nil {
+				return err
 			}
-			if len(next) != len(state) {
-				return nil, fmt.Errorf("exec: While body returned %d values, want %d", len(next), len(state))
-			}
-			state = next
 		}
-		return state, nil
 
 	case "Loop":
 		// Structured counted loop emitted by BASE-mode conversion (paper
@@ -227,7 +229,7 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		// Loop outputs: final carried values (C) then accumulated []Val lists (A).
 		body, _ := nd.Attrs["body"].(*graph.Graph)
 		if body == nil {
-			return nil, fmt.Errorf("exec: Loop without body")
+			return fmt.Errorf("exec: Loop without body")
 		}
 		trips := nd.IntAttr("trips", 0)
 		numC := nd.IntAttr("carried", 0)
@@ -235,13 +237,17 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		numS := nd.IntAttr("seqs", 0)
 		numA := nd.IntAttr("accum", 0)
 		if len(in) != numC+numI+numS*trips {
-			return nil, fmt.Errorf("exec: Loop input count %d != %d carried + %d inv + %d seqs * %d trips",
+			return fmt.Errorf("exec: Loop input count %d != %d carried + %d inv + %d seqs * %d trips",
 				len(in), numC, numI, numS, trips)
+		}
+		if len(body.Outputs) != numC+numA {
+			return fmt.Errorf("exec: Loop body returned %d values, want %d", len(body.Outputs), numC+numA)
 		}
 		state := append([]graph.Val(nil), in[:numC]...)
 		accums := make([][]graph.Val, numA)
+		trip := make([]graph.Val, numC+numA)
+		feedsT := make(map[string]graph.Val, numC+numI+numS+1)
 		for t := 0; t < trips; t++ {
-			feedsT := make(map[string]graph.Val, numC+numI+numS+1)
 			for i := 0; i < numC; i++ {
 				feedsT[carriedNames.name(i)] = state[i]
 			}
@@ -252,24 +258,22 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 				feedsT[iterNames.name(s)] = in[numC+numI+s*trips+t]
 			}
 			feedsT["idx"] = t
-			outs, err := runGraph(body, feedsT, c)
-			if err != nil {
-				return nil, err
+			if err := runGraph(body, feedsT, trip, c); err != nil {
+				return err
 			}
-			if len(outs) != numC+numA {
-				return nil, fmt.Errorf("exec: Loop body returned %d values, want %d", len(outs), numC+numA)
-			}
-			copy(state, outs[:numC])
+			copy(state, trip[:numC])
 			for a := 0; a < numA; a++ {
-				accums[a] = append(accums[a], outs[numC+a])
+				accums[a] = append(accums[a], trip[numC+a])
 			}
 		}
-		out := make([]graph.Val, 0, numC+numA)
-		out = append(out, state...)
-		for _, acc := range accums {
-			out = append(out, acc)
+		for i := range out {
+			if i < numC {
+				out[i] = state[i]
+			} else if a := i - numC; a < numA {
+				out[i] = accums[a]
+			}
 		}
-		return out, nil
+		return nil
 
 	case "Print":
 		var b strings.Builder
@@ -280,19 +284,19 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 			fmt.Fprintf(&b, "%v", unwrap(v))
 		}
 		c.printed = append(c.printed, b.String())
-		return []graph.Val{nil}, nil
+		return nil
 
 	case "NoOp":
-		return []graph.Val{nil}, nil
+		return nil
 
 	case "BatchNorm":
-		return execBatchNorm(nd, in, c)
-
+		v, err := execBatchNorm(nd, def, in, c)
+		out[0] = v
+		return err
 	}
 
-	def := graph.Lookup(nd.Op)
 	if !def.Foldable() {
-		return nil, fmt.Errorf("exec: no kernel for op %s", nd.Op)
+		return fmt.Errorf("exec: no kernel for op %s", nd.Op)
 	}
 	var v graph.Val
 	var err error
@@ -301,15 +305,17 @@ func execNode(g *graph.Graph, nd *graph.Node, in []graph.Val, feeds map[string]g
 		// These ops only move values, so tape nodes pass through them as
 		// they are.
 		v, err = def.Kernel(nd, in)
-	case c.opts.Tape != nil && def.Grad != nil:
-		v, err = c.opts.Tape.Apply(def, nd, in)
+	case c.opts.Tape != nil:
+		v, err = c.opts.Tape.Apply(def, nd, in, true)
 	default:
-		v, err = def.Eval(nd, unwrapAll(in))
+		// in is this node's scratch copy of its inputs.
+		for k, x := range in {
+			in[k] = unwrap(x)
+		}
+		v, err = def.Eval(nd, in)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return []graph.Val{v}, nil
+	out[0] = v
+	return err
 }
 
 // feedNames interns the placeholder names prefix0, prefix1, ... that Invoke,
@@ -346,10 +352,8 @@ func (f *feedNames) name(i int) string {
 //	"shape"        — the input tensor's shape must match attr "shape";
 //	                 -1 entries are wildcards (Figure 4 relaxation)
 //	"const"        — the input tensor must equal attr "value" exactly
-type assertMismatch = AssertError
-
-func checkAssert(nd *graph.Node, actual graph.Val) error {
-	fail := func(msg string) error {
+func checkAssert(nd *graph.Node, actual graph.Val) *AssertError {
+	fail := func(msg string) *AssertError {
 		return &AssertError{NodeID: nd.ID, Kind: nd.StrAttr("kind"), Desc: nd.StrAttr("desc") + ": " + msg, Actual: actual}
 	}
 	switch nd.StrAttr("kind") {
@@ -426,7 +430,7 @@ func checkAssert(nd *graph.Node, actual graph.Val) error {
 
 // execBatchNorm runs batch normalization against store-managed statistics.
 // The running-statistic mutation is deferred like any other state update.
-func execBatchNorm(nd *graph.Node, in []graph.Val, c *ctx) ([]graph.Val, error) {
+func execBatchNorm(nd *graph.Node, def *graph.OpDef, in []graph.Val, c *ctx) (graph.Val, error) {
 	xv := unwrap(in[0])
 	x, err := graph.AsTensor(xv)
 	if err != nil {
@@ -452,5 +456,5 @@ func execBatchNorm(nd *graph.Node, in []graph.Val, c *ctx) ([]graph.Val, error) 
 			copy(rv.Data(), rvCopy.Data())
 		})
 	}
-	return []graph.Val{c.opts.Tape.Record(graph.Lookup(nd.Op), nd, in[:1], out)}, nil
+	return c.opts.Tape.Record(def, nd, in[:1], out), nil
 }

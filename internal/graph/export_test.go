@@ -16,3 +16,19 @@ func OpNames() []string {
 	sort.Strings(names)
 	return names
 }
+
+// SharedAttrs returns every attrs map the gradient rules share across
+// calls: the ExtremumGrad and FillLike constants and the memoized Slice and
+// SliceGrad maps built so far.
+func SharedAttrs() []map[string]Val {
+	out := []map[string]Val{fillSumAttrs, fillMeanAttrs}
+	for _, byMax := range extremumAttrs {
+		out = append(out, byMax[:]...)
+	}
+	sliceMemo.Lock()
+	defer sliceMemo.Unlock()
+	for _, m := range sliceMemo.m {
+		out = append(out, m)
+	}
+	return out
+}

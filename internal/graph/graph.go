@@ -116,10 +116,10 @@ func (g *Graph) Add(op string, attrs map[string]Val, inputs ...Port) *Node {
 
 // Emit adds op as a node over the input ports in, making a graph the
 // Emitter that Gradients runs the rules against.
-func (g *Graph) Emit(op string, attrs map[string]Val, in ...Val) Val {
-	ports := make([]Port, len(in))
-	for i, v := range in {
-		ports[i] = v.(Port)
+func (g *Graph) Emit(op string, attrs map[string]Val, in Args) Val {
+	ports := make([]Port, in.Len())
+	for i := range ports {
+		ports[i] = in.At(i).(Port)
 	}
 	return g.Add(op, attrs, ports...).P()
 }

@@ -10,7 +10,9 @@ import (
 // instead of allocating its result it rents the output tensor (and any
 // scratch) from alloc. The plan-driven executor (internal/exec) installs a
 // pool-backed — and, for planned in-place nodes, input-rebinding — allocator;
-// every other caller passes tensor.HeapAlloc through OpDef.Eval.
+// the tape (internal/autodiff) passes its pool, in backprop and for the
+// executor's tape-mode forward ops; every other caller passes
+// tensor.HeapAlloc through OpDef.Eval.
 //
 // Contract: the returned tensor must have been obtained from alloc; scratch
 // rentals must be returned with alloc.Put before the kernel returns; inputs
@@ -24,12 +26,51 @@ type Kernel func(n *Node, in []Val) (Val, error)
 
 // Emitter receives the ops a gradient rule emits and hands back a handle to
 // each result. A *Graph adds them as nodes (Gradients); the eager tape in
-// internal/autodiff evaluates each at once through OpDef.Eval. Handles belong
-// to the emitter — Ports for a graph, values for the tape — and rules only
-// pass them on. Emit reads in during the call only, so a rule may reuse the
-// slice for its next emission.
+// internal/autodiff evaluates each at once. Handles belong to the emitter —
+// Ports for a graph, values for the tape — and rules only pass them on.
+// Emitted attrs maps are never written, so a rule may share one across
+// calls.
 type Emitter interface {
-	Emit(op string, attrs map[string]Val, in ...Val) Val
+	Emit(op string, attrs map[string]Val, in Args) Val
+}
+
+// Args holds the inputs of one emitted op by value: a call through the
+// Emitter interface then allocates nothing, where a variadic slice would
+// escape to the heap on every emission. In builds it.
+type Args struct {
+	n    int
+	inl  [3]Val
+	more []Val // the inputs, when there are more than fit inline
+}
+
+// In packs vs as the inputs of an emitted op. It keeps no reference to vs.
+func In(vs ...Val) Args {
+	a := Args{n: len(vs)}
+	if len(vs) <= len(a.inl) {
+		copy(a.inl[:], vs)
+	} else {
+		a.more = append([]Val(nil), vs...)
+	}
+	return a
+}
+
+// Len is the number of inputs.
+func (a *Args) Len() int { return a.n }
+
+// At is input i.
+func (a *Args) At(i int) Val {
+	if a.more != nil {
+		return a.more[i]
+	}
+	return a.inl[:a.n][i]
+}
+
+// AppendTo appends the inputs to dst.
+func (a *Args) AppendTo(dst []Val) []Val {
+	if a.more != nil {
+		return append(dst, a.more...)
+	}
+	return append(dst, a.inl[:a.n]...)
 }
 
 // GradFunc is an op's gradient rule, written once for both engines. It reads
@@ -122,8 +163,9 @@ func (d *OpDef) FusedCode(arity, pos int) (code tensor.FusedOpCode, ok bool) {
 	return tensor.FusedOpCode(d.Fuse[pos] - 1), true
 }
 
-// Eval runs a pure op on the Go heap: the executor's generic path (no pool),
-// the tape and the constant folder all come through here.
+// Eval runs a pure op on the Go heap: the executor's generic path without a
+// tape, the interpreter's tape and the constant folder all come through
+// here.
 func (d *OpDef) Eval(n *Node, in []Val) (Val, error) {
 	if d.Into != nil {
 		return d.Into(n, in, tensor.HeapAlloc)
@@ -227,41 +269,42 @@ func reduceInto(f func(dst, a *tensor.Tensor) *tensor.Tensor) IntoKernel {
 	}
 }
 
-// allTensors coerces every element of vs (variadic joins, Fused operands).
-func allTensors(n *Node, vs []Val) ([]*tensor.Tensor, error) {
-	ts := make([]*tensor.Tensor, len(vs))
-	for i, v := range vs {
+// appendTensors appends every element of vs, coerced, to dst (variadic
+// joins, Fused operands). A caller passing a stack buffer keeps the common
+// short lists off the heap.
+func appendTensors(dst []*tensor.Tensor, n *Node, vs []Val) ([]*tensor.Tensor, error) {
+	for _, v := range vs {
 		t, err := AsTensor(v)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", n.Op, err)
 		}
-		ts[i] = t
+		dst = append(dst, t)
 	}
-	return ts, nil
+	return dst, nil
 }
 
-func asIntSlice(v Val, n *Node) ([]int, error) {
+// appendInts appends the index list v — ints, a list of ints, or a tensor of
+// them — to dst.
+func appendInts(dst []int, v Val, n *Node) ([]int, error) {
 	switch x := v.(type) {
 	case []int:
-		return x, nil
+		return append(dst, x...), nil
 	case *tensor.Tensor:
-		out := make([]int, x.Size())
-		for i, f := range x.Data() {
-			out[i] = int(f)
+		for _, f := range x.Data() {
+			dst = append(dst, int(f))
 		}
-		return out, nil
+		return dst, nil
 	case []Val:
-		out := make([]int, len(x))
-		for i, e := range x {
+		for _, e := range x {
 			iv, err := AsInt(e)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = iv
+			dst = append(dst, iv)
 		}
-		return out, nil
+		return dst, nil
 	case int:
-		return []int{x}, nil
+		return append(dst, x), nil
 	}
 	return nil, fmt.Errorf("%s: cannot use %T as index list", n.Op, v)
 }

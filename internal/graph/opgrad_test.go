@@ -2,7 +2,9 @@ package graph_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/autodiff"
@@ -201,7 +203,7 @@ func tapeGrads(t *testing.T, c gradCase, w *tensor.Tensor) map[string]*tensor.Te
 
 func apply(t *testing.T, tp *autodiff.Tape, op string, attrs map[string]graph.Val, in ...graph.Val) *autodiff.Node {
 	t.Helper()
-	v, err := tp.Apply(graph.Lookup(op), &graph.Node{Op: op, Attrs: attrs}, in)
+	v, err := tp.Apply(graph.Lookup(op), &graph.Node{Op: op, Attrs: attrs}, in, false)
 	if err != nil {
 		t.Fatalf("%s: %v", op, err)
 	}
@@ -268,4 +270,50 @@ func contains(xs []int, x int) bool {
 		}
 	}
 	return false
+}
+
+// TestSharedRuleAttrsStayUnchanged: the attrs maps the gradient rules build
+// once and share, and the forward attrs a rule passes on (Concat's), come
+// through every per-op case, on both emitters, with their content
+// unchanged: no emitter or kernel writes an emitted attrs map.
+func TestSharedRuleAttrsStayUnchanged(t *testing.T) {
+	run := func() {
+		for _, c := range gradCases() {
+			fwd := maps.Clone(c.attrs)
+			w := tensor.NewRNG(5).Randn(tensorOut(t, c).Shape()...)
+			tapeGrads(t, c, w)
+			graphGrads(t, c, w)
+			if !reflect.DeepEqual(c.attrs, fwd) {
+				t.Errorf("%s: forward attrs %v became %v", c.op, fwd, c.attrs)
+			}
+		}
+	}
+	run()
+	shared := graph.SharedAttrs()
+	if len(shared) < 8 {
+		t.Fatalf("%d shared attrs maps after every case, want the 6 constants and the Slice/Stack memo", len(shared))
+	}
+	before := make([]map[string]graph.Val, len(shared))
+	for i, m := range shared {
+		before[i] = maps.Clone(m)
+	}
+	run()
+	for i, m := range shared {
+		if !reflect.DeepEqual(m, before[i]) {
+			t.Errorf("shared attrs %v became %v", before[i], m)
+		}
+	}
+	if got := graph.SharedAttrs(); len(got) != len(shared) {
+		t.Errorf("%d shared attrs maps after a second pass, %d after the first: the memo rebuilt some", len(got), len(shared))
+	}
+}
+
+// tensorOut is c's forward value.
+func tensorOut(t *testing.T, c gradCase) *tensor.Tensor {
+	t.Helper()
+	out, err := graph.Lookup(c.op).Eval(&graph.Node{Op: c.op, Attrs: c.attrs}, c.in)
+	if err != nil {
+		t.Fatalf("%s: %v", c.op, err)
+	}
+	return out.(*tensor.Tensor)
 }

@@ -9,17 +9,17 @@ import (
 // Convolution and pooling, plus the Im2Col / FromCol family the im2col pass
 // (passes/im2col.go) rewrites convolutions into.
 
-// poolOut returns the pooled output shape of NCHW x.
-func poolOut(x *tensor.Tensor, k, stride int) (n, c, oh, ow int) {
+// poolOut rents the pooled output of NCHW x from alloc.
+func poolOut(alloc tensor.Allocator, x *tensor.Tensor, k, stride int) *tensor.Tensor {
 	sh := x.Shape()
-	return sh[0], sh[1], (sh[2]-k)/stride + 1, (sh[3]-k)/stride + 1
+	return tensor.Rent(alloc, sh[0], sh[1], (sh[2]-k)/stride+1, (sh[3]-k)/stride+1)
 }
 
 // gradPool routes a pooling op's gradient through gradOp(x, gout).
 func gradPool(gradOp string) GradFunc {
 	return func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 		attrs := map[string]Val{"k": n.IntAttr("k", 2), "stride": n.IntAttr("stride", 2)}
-		add(0, e.Emit(gradOp, attrs, in[0], gout))
+		add(0, e.Emit(gradOp, attrs, In(in[0], gout)))
 		return nil
 	}
 }
@@ -37,12 +37,12 @@ func init() {
 				}
 				stride, pad := n.IntAttr("stride", 1), n.IntAttr("pad", 0)
 				nb, oc, oh, ow := tensor.Conv2DShape(x.Shape(), w.Shape(), stride, pad)
-				return tensor.Conv2DInto(alloc.Get(nb, oc, oh, ow), x, w, stride, pad, alloc), nil
+				return tensor.Conv2DInto(tensor.Rent(alloc, nb, oc, oh, ow), x, w, stride, pad, alloc), nil
 			},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				attrs := map[string]Val{"stride": n.IntAttr("stride", 1), "pad": n.IntAttr("pad", 0)}
-				add(0, e.Emit("Conv2DGradInput", attrs, in[0], in[1], gout))
-				add(1, e.Emit("Conv2DGradFilter", attrs, in[0], in[1], gout))
+				add(0, e.Emit("Conv2DGradInput", attrs, In(in[0], in[1], gout)))
+				add(1, e.Emit("Conv2DGradFilter", attrs, In(in[0], in[1], gout)))
 				return nil
 			}},
 		// Conv2DGradInput / Conv2DGradFilter take (x, w, gout).
@@ -72,7 +72,7 @@ func init() {
 					return nil, err
 				}
 				k, stride := n.IntAttr("k", 2), n.IntAttr("stride", 2)
-				return tensor.MaxPool2DInto(alloc.Get(poolOut(x, k, stride)), x, k, stride), nil
+				return tensor.MaxPool2DInto(poolOut(alloc, x, k, stride), x, k, stride), nil
 			}},
 		// MaxPoolGrad(x, gout) recomputes the argmax (cheap at our scales).
 		OpDef{Name: "MaxPoolGrad", ReadsOnly: true, StopGrad: true,
@@ -91,7 +91,7 @@ func init() {
 					return nil, err
 				}
 				k, stride := n.IntAttr("k", 2), n.IntAttr("stride", 2)
-				return tensor.AvgPool2DInto(alloc.Get(poolOut(x, k, stride)), x, k, stride), nil
+				return tensor.AvgPool2DInto(poolOut(alloc, x, k, stride), x, k, stride), nil
 			}},
 		OpDef{Name: "AvgPoolGrad", ReadsOnly: true, StopGrad: true,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
@@ -111,7 +111,7 @@ func init() {
 				}
 				stride, pad := n.IntAttr("stride", 1), n.IntAttr("pad", 0)
 				rows, cols := tensor.Im2ColShape(x.Shape(), w.Shape(), stride, pad)
-				return tensor.Im2ColInto(alloc.Get(rows, cols), x, w, stride, pad, alloc), nil
+				return tensor.Im2ColInto(tensor.Rent(alloc, rows, cols), x, w, stride, pad, alloc), nil
 			}},
 		// Conv2DFromCol(col, w, x): x is read for its shape only (the output
 		// spatial dims are not recoverable from the flattened col matrix).
@@ -123,7 +123,7 @@ func init() {
 				}
 				stride, pad := n.IntAttr("stride", 1), n.IntAttr("pad", 0)
 				nb, oc, oh, ow := tensor.Conv2DShape(x.Shape(), w.Shape(), stride, pad)
-				return tensor.Conv2DFromColInto(alloc.Get(nb, oc, oh, ow), col, w, nb, oh, ow, alloc), nil
+				return tensor.Conv2DFromColInto(tensor.Rent(alloc, nb, oc, oh, ow), col, w, nb, oh, ow, alloc), nil
 			}},
 		// Conv2DGradFilterFromCol(col, gout, w): w is read for its shape only.
 		OpDef{Name: "Conv2DGradFilterFromCol", ReadsOnly: true,

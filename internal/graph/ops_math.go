@@ -13,7 +13,7 @@ import (
 // unbroadcast sends gradient gp to input i of a broadcasting op, summed back
 // to that input's shape.
 func unbroadcast(e Emitter, add func(int, Val), in []Val, i int, gp Val) {
-	add(i, e.Emit("Unbroadcast", nil, gp, in[i]))
+	add(i, e.Emit("Unbroadcast", nil, In(gp, in[i])))
 }
 
 // gradUnary routes a one-input op's gradient through gradOp(x, gout), where x
@@ -24,15 +24,32 @@ func gradUnary(gradOp string, fromOut bool) GradFunc {
 		if fromOut {
 			x = out
 		}
-		add(0, e.Emit(gradOp, nil, x, gout))
+		add(0, e.Emit(gradOp, nil, In(x, gout)))
 		return nil
 	}
 }
 
+// extremumAttrs[max][side] are the attrs of the ExtremumGrad ops that
+// route a Maximum's (max) or a Minimum's gradient to one side. Like every
+// attrs map a rule emits, they are built once and never written.
+var extremumAttrs = [2][2]map[string]Val{
+	{{"max": false, "side": 0}, {"max": false, "side": 1}},
+	{{"max": true, "side": 0}, {"max": true, "side": 1}},
+}
+
+// fillSumAttrs and fillMeanAttrs spread a Sum's and a Mean's gradient.
+var (
+	fillSumAttrs  = map[string]Val{"scale": 1.0}
+	fillMeanAttrs = map[string]Val{"scale": 1.0, "divByCount": true}
+)
+
 func gradExtremum(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-	isMax := n.Op == "Maximum"
-	ga := e.Emit("ExtremumGrad", map[string]Val{"max": isMax, "side": 0}, in[0], in[1], gout)
-	gb := e.Emit("ExtremumGrad", map[string]Val{"max": isMax, "side": 1}, in[0], in[1], gout)
+	attrs := &extremumAttrs[0]
+	if n.Op == "Maximum" {
+		attrs = &extremumAttrs[1]
+	}
+	ga := e.Emit("ExtremumGrad", attrs[0], In(in[0], in[1], gout))
+	gb := e.Emit("ExtremumGrad", attrs[1], In(in[0], in[1], gout))
 	unbroadcast(e, add, in, 0, ga)
 	unbroadcast(e, add, in, 1, gb)
 	return nil
@@ -96,30 +113,30 @@ func init() {
 			Fuse: []uint8{fuseAs(tensor.FusedSub), fuseAs(tensor.FusedRSub)},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				unbroadcast(e, add, in, 0, gout)
-				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, gout))
+				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, In(gout)))
 				return nil
 			}},
 		OpDef{Name: "Mul", Into: zipInto(tensor.MulInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedMul), fuseAs(tensor.FusedMul)},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				unbroadcast(e, add, in, 0, e.Emit("Mul", nil, gout, in[1]))
-				unbroadcast(e, add, in, 1, e.Emit("Mul", nil, gout, in[0]))
+				unbroadcast(e, add, in, 0, e.Emit("Mul", nil, In(gout, in[1])))
+				unbroadcast(e, add, in, 1, e.Emit("Mul", nil, In(gout, in[0])))
 				return nil
 			}},
 		OpDef{Name: "Div", Into: zipInto(tensor.DivInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedDiv), fuseAs(tensor.FusedRDiv)},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				unbroadcast(e, add, in, 0, e.Emit("Div", nil, gout, in[1]))
+				unbroadcast(e, add, in, 0, e.Emit("Div", nil, In(gout, in[1])))
 				// gb = -g*a/b^2
-				num := e.Emit("Mul", nil, gout, in[0])
-				den := e.Emit("Mul", nil, in[1], in[1])
-				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, e.Emit("Div", nil, num, den)))
+				num := e.Emit("Mul", nil, In(gout, in[0]))
+				den := e.Emit("Mul", nil, In(in[1], in[1]))
+				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, In(e.Emit("Div", nil, In(num, den)))))
 				return nil
 			}},
 		OpDef{Name: "Pow", Into: zipInto(tensor.PowInto), ReadsOnly: true, InPlace: true,
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("PowGrad", nil, in[0], in[1], gout))
-				unbroadcast(e, add, in, 1, e.Emit("PowExpGrad", nil, in[0], out, gout))
+				add(0, e.Emit("PowGrad", nil, In(in[0], in[1], gout)))
+				unbroadcast(e, add, in, 1, e.Emit("PowExpGrad", nil, In(in[0], out, gout)))
 				return nil
 			}},
 		OpDef{Name: "Maximum", Into: zipInto(tensor.MaximumInto), ReadsOnly: true, InPlace: true, Grad: gradExtremum,
@@ -130,7 +147,7 @@ func init() {
 		OpDef{Name: "Neg", Into: mapInto(tensor.NegInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedNeg)},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("Neg", nil, gout))
+				add(0, e.Emit("Neg", nil, In(gout)))
 				return nil
 			}},
 		OpDef{Name: "ReLU", Into: mapInto(tensor.ReLUInto), ReadsOnly: true, InPlace: true,
@@ -142,7 +159,7 @@ func init() {
 		OpDef{Name: "Exp", Into: mapInto(tensor.ExpInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedExp)},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("Mul", nil, gout, out))
+				add(0, e.Emit("Mul", nil, In(gout, out)))
 				return nil
 			}},
 		OpDef{Name: "Log", Into: mapInto(tensor.LogInto), ReadsOnly: true, InPlace: true,
@@ -153,12 +170,12 @@ func init() {
 			Grad: gradUnary("SoftmaxGrad", true)},
 		OpDef{Name: "Sum", Into: reduceInto(tensor.SumInto), ReadsOnly: true,
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("FillLike", map[string]Val{"scale": 1.0}, in[0], gout))
+				add(0, e.Emit("FillLike", fillSumAttrs, In(in[0], gout)))
 				return nil
 			}},
 		OpDef{Name: "Mean", Into: reduceInto(tensor.MeanInto), ReadsOnly: true,
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("FillLike", map[string]Val{"scale": 1.0, "divByCount": true}, in[0], gout))
+				add(0, e.Emit("FillLike", fillMeanAttrs, In(in[0], gout)))
 				return nil
 			}},
 
@@ -184,11 +201,11 @@ func init() {
 				if a.Rank() != 2 || b.Rank() != 2 || a.Shape()[1] != b.Shape()[0] {
 					return nil, fmt.Errorf("%s: want [m,k] x [k,n], got %v x %v", n.Op, a.Shape(), b.Shape())
 				}
-				return tensor.MatMulInto(alloc.Get(a.Shape()[0], b.Shape()[1]), a, b), nil
+				return tensor.MatMulInto(tensor.Rent(alloc, a.Shape()[0], b.Shape()[1]), a, b), nil
 			},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("MatMul", nil, gout, e.Emit("Transpose", nil, in[1])))
-				add(1, e.Emit("MatMul", nil, e.Emit("Transpose", nil, in[0]), gout))
+				add(0, e.Emit("MatMul", nil, In(gout, e.Emit("Transpose", nil, In(in[1])))))
+				add(1, e.Emit("MatMul", nil, In(e.Emit("Transpose", nil, In(in[0])), gout)))
 				return nil
 			}},
 		OpDef{Name: "Transpose", ReadsOnly: true,
@@ -200,10 +217,10 @@ func init() {
 				if a.Rank() != 2 {
 					return nil, fmt.Errorf("%s: want rank 2, got %v", n.Op, a.Shape())
 				}
-				return tensor.TransposeInto(alloc.Get(a.Shape()[1], a.Shape()[0]), a), nil
+				return tensor.TransposeInto(tensor.Rent(alloc, a.Shape()[1], a.Shape()[0]), a), nil
 			},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("Transpose", nil, gout))
+				add(0, e.Emit("Transpose", nil, In(gout)))
 				return nil
 			}},
 
@@ -218,8 +235,8 @@ func init() {
 			},
 			// The labels are data: they get no gradient.
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				ce := e.Emit("CrossEntropyGrad", nil, in[0], in[1])
-				add(0, e.Emit("ScaleByScalar", nil, ce, gout))
+				ce := e.Emit("CrossEntropyGrad", nil, In(in[0], in[1]))
+				add(0, e.Emit("ScaleByScalar", nil, In(ce, gout)))
 				return nil
 			}},
 		OpDef{Name: "CrossEntropyGrad", ReadsOnly: true, InPlace: true, StopGrad: true,
@@ -244,9 +261,9 @@ func init() {
 			// MSEGrad is the gradient of the broadcast difference; each side
 			// sums it back to its own shape, the target's negated.
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				d := e.Emit("MSEGrad", nil, in[0], in[1], gout)
+				d := e.Emit("MSEGrad", nil, In(in[0], in[1], gout))
 				unbroadcast(e, add, in, 0, d)
-				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, d))
+				unbroadcast(e, add, in, 1, e.Emit("Neg", nil, In(d)))
 				return nil
 			}},
 		// MSEGrad(pred, target, gout) = 2*gout*(pred-target)/size over the
@@ -445,7 +462,8 @@ func init() {
 				if len(in) < 1 {
 					return nil, fmt.Errorf("Fused: want at least 1 input")
 				}
-				ts, err := allTensors(n, in)
+				var tb [8]*tensor.Tensor
+				ts, err := appendTensors(tb[:0], n, in)
 				if err != nil {
 					return nil, err
 				}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -40,7 +41,7 @@ func resolveReshape(size int, shape []int) ([]int, error) {
 // gradReshapeLike restores the input's shape on the way back (Reshape,
 // ReshapeLike, ExpandDims). ReshapeLike's shape input gets no gradient.
 func gradReshapeLike(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-	add(0, e.Emit("ReshapeLike", nil, gout, in[0]))
+	add(0, e.Emit("ReshapeLike", nil, In(gout, in[0])))
 	return nil
 }
 
@@ -61,6 +62,50 @@ func listIndex(n *Node, i, size int) (int, error) {
 	}
 	return i, nil
 }
+
+// checkRows reports an error unless table is rank 2 and every index in idx
+// names one of its rows.
+func checkRows(n *Node, table *tensor.Tensor, idx []int) error {
+	if table.Rank() != 2 {
+		return fmt.Errorf("%s: want a rank-2 table, got %v", n.Op, table.Shape())
+	}
+	for _, id := range idx {
+		if id < 0 || id >= table.Dim(0) {
+			return fmt.Errorf("%s: index %d out of range [0,%d)", n.Op, id, table.Dim(0))
+		}
+	}
+	return nil
+}
+
+// sliceAttrs returns the attrs {"axis", "lo", "hi"} of a Slice, or, with hi
+// < 0, {"axis", "lo"} of a SliceGrad: the maps the Slice and Stack rules
+// emit. Each distinct map is built once, up to sliceAttrsCap of them, and
+// shared; no one writes an emitted attrs map.
+func sliceAttrs(axis, lo, hi int) map[string]Val {
+	k := [3]int{axis, lo, hi}
+	sliceMemo.Lock()
+	defer sliceMemo.Unlock()
+	if m, ok := sliceMemo.m[k]; ok {
+		return m
+	}
+	m := map[string]Val{"axis": axis, "lo": lo}
+	if hi >= 0 {
+		m["hi"] = hi
+	}
+	if len(sliceMemo.m) < sliceAttrsCap {
+		sliceMemo.m[k] = m
+	}
+	return m
+}
+
+// sliceAttrsCap bounds the memo of sliceAttrs: slices of a few tensors'
+// rows, however many steps run.
+const sliceAttrsCap = 1024
+
+var sliceMemo = struct {
+	sync.Mutex
+	m map[[3]int]map[string]Val
+}{m: make(map[[3]int]map[string]Val)}
 
 func init() {
 	register(
@@ -105,22 +150,27 @@ func init() {
 				}
 				return tensor.CopyInto(alloc.Get(ref.Shape()...), a), nil
 			}},
-		OpDef{Name: "Concat", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
-				ts, err := allTensors(n, in)
+		OpDef{Name: "Concat", ReadsOnly: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				var tb [8]*tensor.Tensor
+				ts, err := appendTensors(tb[:0], n, in)
 				if err != nil {
 					return nil, err
 				}
-				return tensor.Concat(n.IntAttr("axis", 0), ts...), nil
+				axis := n.IntAttr("axis", 0)
+				var sb [8]int
+				shape := tensor.ConcatShape(sb[:0], axis, ts...)
+				return tensor.ConcatInto(tensor.Rent(alloc, shape...), axis, ts...), nil
 			},
 			// Each input gets its own slice of gout, located from the
-			// widths of the inputs up to it at run time.
+			// widths of the inputs up to it at run time. ConcatGradSlice
+			// reads the axis from the forward node's own attrs.
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				attrs := map[string]Val{"axis": n.IntAttr("axis", 0)}
-				args := append(make([]Val, 0, len(in)+1), gout)
+				var buf [4]Val
+				args := append(buf[:0], gout)
 				for i := range in {
 					args = append(args, in[i])
-					add(i, e.Emit("ConcatGradSlice", attrs, args...))
+					add(i, e.Emit("ConcatGradSlice", n.Attrs, In(args...)))
 				}
 				return nil
 			}},
@@ -173,8 +223,7 @@ func init() {
 				return tensor.SliceAxis(a, n.IntAttr("axis", 0), n.IntAttr("lo", 0), n.IntAttr("hi", 0)), nil
 			},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				attrs := map[string]Val{"axis": n.IntAttr("axis", 0), "lo": n.IntAttr("lo", 0)}
-				add(0, e.Emit("SliceGrad", attrs, gout, in[0]))
+				add(0, e.Emit("SliceGrad", sliceAttrs(n.IntAttr("axis", 0), n.IntAttr("lo", 0), -1), In(gout, in[0])))
 				return nil
 			}},
 		// SliceGrad(g, x) places g at [lo, lo+len) along axis of a zero
@@ -189,7 +238,7 @@ func init() {
 			}},
 		OpDef{Name: "Stack", ReadsOnly: true, Fresh: true,
 			Kernel: func(n *Node, in []Val) (Val, error) {
-				ts, err := allTensors(n, in)
+				ts, err := appendTensors(nil, n, in)
 				if err != nil {
 					return nil, err
 				}
@@ -197,8 +246,8 @@ func init() {
 			},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				for i := range in {
-					sl := e.Emit("Slice", map[string]Val{"axis": 0, "lo": i, "hi": i + 1}, gout)
-					add(i, e.Emit("ReshapeLike", nil, sl, in[i]))
+					sl := e.Emit("Slice", sliceAttrs(0, i, i+1), In(gout))
+					add(i, e.Emit("ReshapeLike", nil, In(sl, in[i])))
 				}
 				return nil
 			}},
@@ -211,14 +260,14 @@ func init() {
 				if !ok {
 					return nil, fmt.Errorf("StackList: input is %T, want []Val", in[0])
 				}
-				ts, err := allTensors(n, xs)
+				ts, err := appendTensors(nil, n, xs)
 				if err != nil {
 					return nil, err
 				}
 				return tensor.Stack(ts...), nil
 			},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("Unstack", nil, gout))
+				add(0, e.Emit("Unstack", nil, In(gout)))
 				return nil
 			}},
 		// Unstack splits a tensor along its leading axis into a []Val list.
@@ -238,20 +287,27 @@ func init() {
 				return rows, nil
 			}},
 
-		OpDef{Name: "Gather", ReadsOnly: true, Fresh: true,
-			Kernel: func(n *Node, in []Val) (Val, error) {
+		OpDef{Name: "Gather", ReadsOnly: true,
+			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
+				if len(in) != 2 {
+					return nil, fmt.Errorf("%s: want 2 inputs, got %d", n.Op, len(in))
+				}
 				table, err := AsTensor(in[0])
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("%s: %v", n.Op, err)
 				}
-				idx, err := asIntSlice(in[1], n)
+				var ib [8]int
+				idx, err := appendInts(ib[:0], in[1], n)
 				if err != nil {
 					return nil, err
 				}
-				return tensor.Gather(table, idx), nil
+				if err := checkRows(n, table, idx); err != nil {
+					return nil, err
+				}
+				return tensor.GatherInto(tensor.Rent(alloc, len(idx), table.Dim(1)), table, idx), nil
 			},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("GatherGrad", nil, in[0], in[1], gout))
+				add(0, e.Emit("GatherGrad", nil, In(in[0], in[1], gout)))
 				return nil
 			}},
 		// GatherGrad(table, ids, gout) scatters gout's rows back into a
@@ -265,7 +321,8 @@ func init() {
 				if err != nil {
 					return nil, fmt.Errorf("%s: %v", n.Op, err)
 				}
-				idx, err := asIntSlice(in[1], n)
+				var ib [8]int
+				idx, err := appendInts(ib[:0], in[1], n)
 				if err != nil {
 					return nil, err
 				}
@@ -273,19 +330,17 @@ func init() {
 				if err != nil {
 					return nil, fmt.Errorf("%s: %v", n.Op, err)
 				}
-				if table.Rank() != 2 || g.Rank() != 2 || g.Dim(0) != len(idx) || g.Dim(1) != table.Dim(1) {
-					return nil, fmt.Errorf("%s: gradient %v for %d rows of a %v table", n.Op, g.Shape(), len(idx), table.Shape())
+				if err := checkRows(n, table, idx); err != nil {
+					return nil, err
 				}
-				for _, id := range idx {
-					if id < 0 || id >= table.Dim(0) {
-						return nil, fmt.Errorf("%s: index %d out of range [0,%d)", n.Op, id, table.Dim(0))
-					}
+				if g.Rank() != 2 || g.Dim(0) != len(idx) || g.Dim(1) != table.Dim(1) {
+					return nil, fmt.Errorf("%s: gradient %v for %d rows of a %v table", n.Op, g.Shape(), len(idx), table.Shape())
 				}
 				return tensor.ScatterAddRowsInto(alloc.Get(table.Shape()...), idx, g), nil
 			}},
 		OpDef{Name: "OneHot", ReadsOnly: true, Fresh: true, StopGrad: true,
 			Kernel: func(n *Node, in []Val) (Val, error) {
-				idx, err := asIntSlice(in[0], n)
+				idx, err := appendInts(nil, in[0], n)
 				if err != nil {
 					return nil, err
 				}
@@ -365,7 +420,7 @@ func init() {
 		// forwarded as it is.
 		OpDef{Name: "IndexAny", ReadsOnly: true,
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
-				add(0, e.Emit("IndexAnyGrad", nil, gout, in[0], in[1]))
+				add(0, e.Emit("IndexAnyGrad", nil, In(gout, in[0], in[1])))
 				return nil
 			},
 			Kernel: func(n *Node, in []Val) (Val, error) {

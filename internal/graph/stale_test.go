@@ -50,8 +50,8 @@ type recorder struct {
 	calls []emitted
 }
 
-func (r *recorder) Emit(op string, attrs map[string]graph.Val, in ...graph.Val) graph.Val {
-	in = append([]graph.Val(nil), in...)
+func (r *recorder) Emit(op string, attrs map[string]graph.Val, args graph.Args) graph.Val {
+	in := args.AppendTo(nil)
 	r.calls = append(r.calls, emitted{op, attrs, in})
 	out, err := graph.Lookup(op).Eval(&graph.Node{Op: op, Attrs: attrs}, in)
 	if err != nil {

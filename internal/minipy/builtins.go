@@ -134,7 +134,7 @@ func kwInt(kwargs map[string]Value, name string, def int) (int, error) {
 // when a tape is active and an input is tracked, only evaluated otherwise —
 // with the executor's kernel, and wraps the tensor result.
 func (it *Interp) applyOp(op string, attrs map[string]graph.Val, in ...graph.Val) (Value, error) {
-	v, err := it.Tape.Apply(graph.Lookup(op), &graph.Node{Op: op, Attrs: attrs}, in)
+	v, err := it.Tape.Apply(graph.Lookup(op), &graph.Node{Op: op, Attrs: attrs}, in, false)
 	if err != nil {
 		return nil, err
 	}

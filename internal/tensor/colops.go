@@ -26,7 +26,7 @@ func Im2ColInto(dst, x, w *Tensor, stride, pad int, alloc Allocator) *Tensor {
 	checkDst(dst, []int{n * oh * ow, c * kh * kw}, "Im2ColInto")
 	xp := x
 	if pad > 0 {
-		xp = alloc.Get(n, c, x.shape[2]+2*pad, x.shape[3]+2*pad)
+		xp = Rent(alloc, n, c, x.shape[2]+2*pad, x.shape[3]+2*pad)
 		Pad2DInto(xp, x, pad)
 	}
 	im2colInto(dst, xp, kh, kw, stride, oh, ow)
@@ -58,13 +58,13 @@ func Conv2DFromColInto(dst, col, w *Tensor, n, oh, ow int, alloc Allocator) *Ten
 	checkDst(dst, []int{n, oc, oh, ow}, "Conv2DFromColInto")
 	rows := n * oh * ow
 	checkOperand(col, []int{rows, ckk}, "Conv2DFromColInto", "im2col")
-	wT := alloc.Get(ckk, oc)
+	wT := Rent(alloc, ckk, oc)
 	for j := 0; j < oc; j++ {
 		for k, v := range w.data[j*ckk : (j+1)*ckk] {
 			wT.data[k*oc+j] = v
 		}
 	}
-	mm := alloc.Get(rows, oc)
+	mm := Rent(alloc, rows, oc)
 	matmulRows(mm.data, col.data, wT.data, rows, ckk, oc)
 	// Rearrange [n,oh*ow,oc] -> [n,oc,oh*ow], writing dst in order.
 	pix := oh * ow

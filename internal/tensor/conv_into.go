@@ -208,7 +208,7 @@ func Conv2DInto(dst, x, w *Tensor, stride, pad int, alloc Allocator) *Tensor {
 	n, oc, oh, ow := convGeom(x, w, stride, pad)
 	checkDst(dst, []int{n, oc, oh, ow}, "Conv2DInto")
 	rows, ckk := Im2ColShape(x.shape, w.shape, stride, pad)
-	col := Im2ColInto(alloc.Get(rows, ckk), x, w, stride, pad, alloc)
+	col := Im2ColInto(Rent(alloc, rows, ckk), x, w, stride, pad, alloc)
 	Conv2DFromColInto(dst, col, w, n, oh, ow, alloc)
 	alloc.Put(col)
 	return dst
@@ -225,14 +225,14 @@ func Conv2DGradInputInto(dst, x, w, gout *Tensor, stride, pad int, alloc Allocat
 	checkOperand(gout, []int{n, oc, oh, ow}, "Conv2DGradInputInto", "gradient")
 	c, kh, kw := w.shape[1], w.shape[2], w.shape[3]
 	rows, ckk := n*oh*ow, c*kh*kw
-	gflat := alloc.Get(rows, oc)
+	gflat := Rent(alloc, rows, oc)
 	goutFlatInto(gflat, gout)
-	gcol := alloc.Get(rows, ckk)
+	gcol := Rent(alloc, rows, ckk)
 	matmulRows(gcol.data, gflat.data, w.data, rows, oc, ckk)
 	if pad == 0 {
 		col2imInto(dst, gcol, kh, kw, stride, oh, ow)
 	} else {
-		gxp := alloc.Get(n, c, x.shape[2]+2*pad, x.shape[3]+2*pad)
+		gxp := Rent(alloc, n, c, x.shape[2]+2*pad, x.shape[3]+2*pad)
 		col2imInto(gxp, gcol, kh, kw, stride, oh, ow)
 		Unpad2DInto(dst, gxp, pad)
 		alloc.Put(gxp)
@@ -251,7 +251,7 @@ func Conv2DGradFilterInto(dst, x, w, gout *Tensor, stride, pad int, alloc Alloca
 	n, oc, oh, ow := convGeom(x, w, stride, pad)
 	checkOperand(gout, []int{n, oc, oh, ow}, "Conv2DGradFilterInto", "gradient")
 	rows, ckk := Im2ColShape(x.shape, w.shape, stride, pad)
-	col := Im2ColInto(alloc.Get(rows, ckk), x, w, stride, pad, alloc)
+	col := Im2ColInto(Rent(alloc, rows, ckk), x, w, stride, pad, alloc)
 	Conv2DGradFilterFromColInto(dst, col, gout, alloc)
 	alloc.Put(col)
 	return dst

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -77,7 +78,7 @@ func parallelRanges(n int, flops int, f func(lo, hi int)) {
 // checkDst validates a destination shape.
 func checkDst(dst *Tensor, shape []int, op string) {
 	if !ShapeEq(dst.shape, shape) {
-		panic(fmt.Sprintf("tensor: %s destination shape %v, want %v", op, dst.shape, shape))
+		badShape(op, "destination", dst.shape, shape)
 	}
 }
 
@@ -85,8 +86,17 @@ func checkDst(dst *Tensor, shape []int, op string) {
 // the others.
 func checkOperand(t *Tensor, shape []int, op, name string) {
 	if !ShapeEq(t.shape, shape) {
-		panic(fmt.Sprintf("tensor: %s %s shape %v, want %v", op, name, t.shape, shape))
+		badShape(op, name, t.shape, shape)
 	}
+}
+
+// badShape panics with a shape mismatch. It formats copies of the shapes and
+// is never inlined, so the shapes a check is handed do not escape: a caller
+// may build its wanted shape on the stack.
+//
+//go:noinline
+func badShape(op, what string, got, want []int) {
+	panic(fmt.Sprintf("tensor: %s %s shape %v, want %v", op, what, slices.Clone(got), slices.Clone(want)))
 }
 
 // ---------------------------------------------------------------------------
@@ -325,6 +335,78 @@ func ScatterAddRowsInto(dst *Tensor, idx []int, g *Tensor) *Tensor {
 		for j := range row {
 			row[j] += src[j]
 		}
+	}
+	return dst
+}
+
+// ConcatShape appends to dst the shape of ts joined along axis: the first
+// tensor's shape with the axis summed. It panics when the ranks or the
+// dimensions off the axis disagree.
+func ConcatShape(dst []int, axis int, ts ...*Tensor) []int {
+	if len(ts) == 0 {
+		panic("tensor: Concat of nothing")
+	}
+	rank := ts[0].Rank()
+	axis = normAxis(axis, rank)
+	dst = append(dst, ts[0].shape...)
+	shape := dst[len(dst)-rank:]
+	shape[axis] = 0
+	for _, t := range ts {
+		if t.Rank() != rank {
+			panic("tensor: Concat rank mismatch")
+		}
+		for d := 0; d < rank; d++ {
+			if d != axis && t.shape[d] != ts[0].shape[d] {
+				panic(fmt.Sprintf("tensor: Concat dim %d mismatch: %v vs %v", d, slices.Clone(t.shape), slices.Clone(ts[0].shape)))
+			}
+		}
+		shape[axis] += t.shape[axis]
+	}
+	return dst
+}
+
+// ConcatInto joins ts along axis into dst, whose shape must be their
+// ConcatShape. dst must not alias an input.
+func ConcatInto(dst *Tensor, axis int, ts ...*Tensor) *Tensor {
+	if len(ts) == 0 {
+		panic("tensor: Concat of nothing")
+	}
+	axis = normAxis(axis, ts[0].Rank())
+	var buf [8]int
+	checkDst(dst, ConcatShape(buf[:0], axis, ts...), "ConcatInto")
+	outer := 1
+	for _, d := range dst.shape[:axis] {
+		outer *= d
+	}
+	inner := 1
+	for _, d := range dst.shape[axis+1:] {
+		inner *= d
+	}
+	rowLen := dst.shape[axis] * inner
+	off := 0
+	for _, t := range ts {
+		tlen := t.shape[axis] * inner
+		for o := 0; o < outer; o++ {
+			copy(dst.data[o*rowLen+off:o*rowLen+off+tlen], t.data[o*tlen:(o+1)*tlen])
+		}
+		off += tlen
+	}
+	return dst
+}
+
+// GatherInto writes rows idx of the rank-2 table into dst [len(idx), n]:
+// dst[i] = table[idx[i]].
+func GatherInto(dst, table *Tensor, idx []int) *Tensor {
+	if table.Rank() != 2 {
+		panic("tensor: Gather wants rank-2 table")
+	}
+	n := table.shape[1]
+	checkDst(dst, []int{len(idx), n}, "GatherInto")
+	for i, id := range idx {
+		if id < 0 || id >= table.shape[0] {
+			panic(fmt.Sprintf("tensor: Gather index %d out of range [0,%d)", id, table.shape[0]))
+		}
+		copy(dst.data[i*n:(i+1)*n], table.data[id*n:(id+1)*n])
 	}
 	return dst
 }

@@ -367,3 +367,86 @@ func TestPoolForeignBuffer(t *testing.T) {
 		t.Fatalf("tiny foreign buffer must not join a bin: %+v", s)
 	}
 }
+
+// TestShapeCheckedKernelsAllocateNothing: the kernels that check a shape they
+// compute (the destination of a matmul, a transpose, a convolution, a
+// pooling window, an im2col matrix) allocate nothing when the destination
+// fits and scratch comes from a warm pool: the checked shape stays on the
+// stack, and only a failing check formats it.
+func TestShapeCheckedKernelsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := NewPool()
+	a, b := randT(rng, 3, 4), randT(rng, 4, 5)
+	x, w := randT(rng, 2, 3, 6, 6), randT(rng, 4, 3, 3, 3)
+	mm, tr := Zeros(3, 5), Zeros(4, 3)
+	conv, convPad := Zeros(2, 4, 4, 4), Zeros(2, 4, 6, 6)
+	pooled, col := Zeros(2, 3, 3, 3), Zeros(2*4*4, 3*3*3)
+	for name, f := range map[string]func(){
+		"MatMulInto":        func() { MatMulInto(mm, a, b) },
+		"TransposeInto":     func() { TransposeInto(tr, a) },
+		"Conv2DInto":        func() { Conv2DInto(conv, x, w, 1, 0, pool) },
+		"Conv2DInto padded": func() { Conv2DInto(convPad, x, w, 1, 1, pool) },
+		"MaxPool2DInto":     func() { MaxPool2DInto(pooled, x, 2, 2) },
+		"Im2ColInto":        func() { Im2ColInto(col, x, w, 1, 0, pool) },
+	} {
+		f() // warm the pool's scratch classes
+		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
+		}
+	}
+}
+
+// idleCount drains the idle buffers of shape's class through Get, counting
+// the hits, and puts them back.
+func idleCount(p *Pool, shape ...int) int {
+	var idle []*Tensor
+	for {
+		hits := p.Stats().Hits
+		x := p.Get(shape...)
+		if p.Stats().Hits == hits {
+			p.Disown(x)
+			break
+		}
+		idle = append(idle, x)
+	}
+	for _, x := range idle {
+		p.Put(x)
+	}
+	return len(idle)
+}
+
+// TestPoolRetainsPeakWorkingSet: a size class keeps as many returned
+// buffers as were ever rented from it at once — a tape step's forward
+// activations all come back as hits the next step — and never fewer than
+// poolBinCap, nor more than that bound.
+func TestPoolRetainsPeakWorkingSet(t *testing.T) {
+	p := NewPool()
+	const n = 3 * poolBinCap
+	held := make([]*Tensor, n)
+	for step := 0; step < 2; step++ {
+		before := p.Stats().Hits
+		for i := range held {
+			held[i] = p.Get(1, 8)
+		}
+		if hits := p.Stats().Hits - before; step > 0 && hits != n {
+			t.Fatalf("step %d: %d of %d rentals were hits", step, hits, n)
+		}
+		for _, x := range held {
+			p.Put(x)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		p.Put(Zeros(minPoolClass)) // beyond the peak: dropped
+	}
+	if got := idleCount(p, 1, 8); got != n {
+		t.Errorf("small class retains %d idle buffers, want its peak %d", got, n)
+	}
+	// A class never rented more than a few at once keeps the floor.
+	p.Put(p.Get(100))
+	for i := 0; i < 2*poolBinCap; i++ {
+		p.Put(Zeros(128))
+	}
+	if got := idleCount(p, 100); got != poolBinCap {
+		t.Errorf("128-element class retains %d idle buffers, want the floor %d", got, poolBinCap)
+	}
+}

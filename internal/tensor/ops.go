@@ -156,43 +156,7 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // Concat joins tensors along axis. All other dimensions must agree.
 func Concat(axis int, ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Concat of nothing")
-	}
-	rank := ts[0].Rank()
-	axis = normAxis(axis, rank)
-	outShape := append([]int(nil), ts[0].shape...)
-	outShape[axis] = 0
-	for _, t := range ts {
-		if t.Rank() != rank {
-			panic("tensor: Concat rank mismatch")
-		}
-		for d := 0; d < rank; d++ {
-			if d != axis && t.shape[d] != ts[0].shape[d] {
-				panic(fmt.Sprintf("tensor: Concat dim %d mismatch: %v vs %v", d, t.shape, ts[0].shape))
-			}
-		}
-		outShape[axis] += t.shape[axis]
-	}
-	out := Zeros(outShape...)
-	outer := 1
-	for _, d := range outShape[:axis] {
-		outer *= d
-	}
-	inner := 1
-	for _, d := range outShape[axis+1:] {
-		inner *= d
-	}
-	rowLen := outShape[axis] * inner
-	off := 0
-	for _, t := range ts {
-		tlen := t.shape[axis] * inner
-		for o := 0; o < outer; o++ {
-			copy(out.data[o*rowLen+off:o*rowLen+off+tlen], t.data[o*tlen:(o+1)*tlen])
-		}
-		off += tlen
-	}
-	return out
+	return ConcatInto(Zeros(ConcatShape(nil, axis, ts...)...), axis, ts...)
 }
 
 // SliceAxis extracts indices [lo, hi) along axis.
@@ -247,15 +211,7 @@ func Gather(table *Tensor, idx []int) *Tensor {
 	if table.Rank() != 2 {
 		panic("tensor: Gather wants rank-2 table")
 	}
-	n := table.shape[1]
-	out := Zeros(len(idx), n)
-	for i, id := range idx {
-		if id < 0 || id >= table.shape[0] {
-			panic(fmt.Sprintf("tensor: Gather index %d out of range [0,%d)", id, table.shape[0]))
-		}
-		copy(out.data[i*n:(i+1)*n], table.data[id*n:(id+1)*n])
-	}
-	return out
+	return GatherInto(Zeros(len(idx), table.shape[1]), table, idx)
 }
 
 // OneHot encodes integer class ids into a [len(ids), depth] tensor.

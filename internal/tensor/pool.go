@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -22,14 +24,20 @@ import (
 // or zeroing them. Never Put a tensor that is still referenced elsewhere —
 // the executor's liveness plan is what guarantees this.
 type Pool struct {
-	mu   sync.Mutex
-	bins map[int][]*Tensor
+	mu      sync.Mutex
+	classes [numClasses]poolClass
 
-	gets    atomic.Int64 // total rentals
-	hits    atomic.Int64 // rentals served by reuse
-	puts    atomic.Int64 // returns
-	inUse   atomic.Int64 // elements currently rented
-	maxBins int
+	gets  atomic.Int64 // total rentals
+	hits  atomic.Int64 // rentals served by reuse
+	puts  atomic.Int64 // returns
+	inUse atomic.Int64 // elements currently rented
+}
+
+// poolClass is one size class: its idle buffers, how many of its buffers
+// are rented right now, and the most that ever were at once.
+type poolClass struct {
+	idle      []*Tensor
+	out, peak int
 }
 
 // PoolStats is a point-in-time snapshot of pool activity.
@@ -45,42 +53,51 @@ type PoolStats struct {
 	InUseElems int64
 }
 
-// poolBinCap bounds how many free tensors one size class retains; beyond it,
-// returned buffers are dropped for the garbage collector. Replayed graphs
-// have a small working set, so a shallow bin is enough and bounds worst-case
-// retention.
+// poolBinCap is the fewest idle tensors one size class retains; beyond
+// max(poolBinCap, the class's peak concurrent rentals) returned buffers are
+// dropped for the garbage collector. A replayed static graph has a small
+// working set, so its classes keep the shallow floor. A tape-mode step
+// holds all its forward activations until the step ends, so their class
+// keeps as many buffers as one step rents — the next step's rentals are all
+// hits — and never more than it once needed at a time.
 const poolBinCap = 64
 
 // minPoolClass is the smallest size class; anything at or below it shares a
 // bin (scalars and tiny reductions are common and interchangeable).
 const minPoolClass = 64
 
-// NewPool returns an empty tensor pool.
-func NewPool() *Pool {
-	return &Pool{bins: make(map[int][]*Tensor)}
-}
+// numClasses covers every element count an int can hold.
+const numClasses = 58
 
-// sizeClass rounds n up to its bin: minPoolClass or the next power of two.
-func sizeClass(n int) int {
-	c := minPoolClass
-	for c < n {
-		c <<= 1
+// NewPool returns an empty tensor pool.
+func NewPool() *Pool { return &Pool{} }
+
+// classOf returns the index and element count of the smallest size class
+// holding n elements: minPoolClass, or the next power of two.
+func classOf(n int) (idx, size int) {
+	if n <= minPoolClass {
+		return 0, minPoolClass
 	}
-	return c
+	idx = bits.Len(uint(n-1)) - bits.Len(minPoolClass-1)
+	return idx, minPoolClass << idx
 }
 
 // Get rents a tensor of the given shape with UNSPECIFIED contents. The
 // caller must overwrite every element (or call GetZeroed).
 func (p *Pool) Get(shape ...int) *Tensor {
 	n := NumElements(shape)
-	class := sizeClass(n)
+	idx, size := classOf(n)
 	p.gets.Add(1)
 	p.inUse.Add(int64(n))
 	p.mu.Lock()
-	bin := p.bins[class]
-	if len(bin) > 0 {
-		t := bin[len(bin)-1]
-		p.bins[class] = bin[:len(bin)-1]
+	c := &p.classes[idx]
+	if c.out++; c.out > c.peak {
+		c.peak = c.out
+	}
+	if k := len(c.idle); k > 0 {
+		t := c.idle[k-1]
+		c.idle[k-1] = nil
+		c.idle = c.idle[:k-1]
 		p.mu.Unlock()
 		p.hits.Add(1)
 		t.shape = append(t.shape[:0], shape...)
@@ -90,7 +107,7 @@ func (p *Pool) Get(shape ...int) *Tensor {
 	p.mu.Unlock()
 	// Miss: allocate at the class size so the buffer is reusable by every
 	// shape in the bin.
-	data := make([]float64, n, class)
+	data := make([]float64, n, size)
 	return &Tensor{shape: append(make([]int, 0, 4), shape...), data: data}
 }
 
@@ -109,16 +126,34 @@ func (p *Pool) Put(t *Tensor) {
 	if t == nil || cap(t.data) < minPoolClass {
 		return
 	}
-	class := minPoolClass
-	for class<<1 <= cap(t.data) {
-		class <<= 1
-	}
+	idx := bits.Len(uint(cap(t.data))) - bits.Len(minPoolClass)
 	p.puts.Add(1)
 	p.inUse.Add(int64(-len(t.data)))
 	t.data = t.data[:0]
 	p.mu.Lock()
-	if len(p.bins[class]) < poolBinCap {
-		p.bins[class] = append(p.bins[class], t)
+	c := &p.classes[idx]
+	if c.out > 0 {
+		c.out--
+	}
+	if len(c.idle) < max(poolBinCap, c.peak) {
+		c.idle = append(c.idle, t)
+	}
+	p.mu.Unlock()
+}
+
+// Disown takes a tensor rented with Get out of the pool's accounting for
+// good: it stops counting as in use, and its holder keeps it. It must never
+// be Put. A gradient handed to an optimizer, or an activation that escapes a
+// tape-mode step, leaves the pool this way.
+func (p *Pool) Disown(t *Tensor) {
+	if t == nil {
+		return
+	}
+	idx, _ := classOf(len(t.data))
+	p.inUse.Add(int64(-len(t.data)))
+	p.mu.Lock()
+	if c := &p.classes[idx]; c.out > 0 {
+		c.out--
 	}
 	p.mu.Unlock()
 }
@@ -144,6 +179,17 @@ type Allocator interface {
 	// Put returns a scratch tensor obtained from Get/GetZeroed. Kernels call
 	// it only for internal scratch, never for the returned output.
 	Put(t *Tensor)
+}
+
+// Rent gets a tensor of the given shape from a. A *Pool is called
+// directly, so the shape stays on the caller's stack; through the interface
+// every shape argument escapes to the heap. Kernels rent shapes they
+// compute, as opposed to an existing tensor's Shape(), through here.
+func Rent(a Allocator, shape ...int) *Tensor {
+	if p, ok := a.(*Pool); ok {
+		return p.Get(shape...)
+	}
+	return orHeap(a).Get(slices.Clone(shape)...)
 }
 
 // heapAllocator is the default Allocator: plain garbage-collected tensors.

@@ -11,6 +11,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -78,7 +79,7 @@ func NumElements(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in %v", slices.Clone(shape)))
 		}
 		n *= d
 	}
