@@ -318,284 +318,94 @@ func (c *Converter) functionGraph(ex *minipy.CallExpr, fn *minipy.FuncVal, self 
 
 // --- builtin mapping -----------------------------------------------------------
 
-// builtinCall maps a whitelisted external function onto graph operations.
+// builtinCall maps a whitelisted external function onto graph operations: a
+// builtin with a signature through emitOp, the others through their own
+// case in bespokeCall.
 func (c *Converter) builtinCall(ex *minipy.CallExpr, name string, args []*sym, kwargs map[string]*sym) (*sym, error) {
 	b := c.reg.Get(name)
 	if b == nil {
 		return nil, notConvertible(ex, "unknown builtin %q", name)
 	}
-	if b.GraphOp == "" {
-		return nil, notConvertible(ex, "builtin %q has no graph representation (whitelist, §4.3.1)", name)
+	if b.Sig == nil {
+		return c.bespokeCall(ex, name, args)
 	}
+	if name == "stack" && len(args) == 1 && args[0].isRuntimeList() {
+		n := c.g.Add("StackList", nil, args[0].port)
+		return &sym{kind: kDyn, port: n.P()}, nil
+	}
+	return c.emitOp(ex, name, b.Sig, args, kwargs)
+}
 
-	tensorIn := func(i int) (graph.Port, error) {
-		if i >= len(args) {
-			return graph.Port{}, notConvertible(ex, "%s: missing argument %d", name, i)
-		}
-		return c.asTensorPort(args[i], ex)
-	}
-	staticInt := func(i int) (int, error) {
-		if i >= len(args) {
-			return 0, notConvertible(ex, "%s: missing argument %d", name, i)
-		}
-		n, ok := args[i].staticInt()
-		if !ok {
-			return 0, notConvertible(ex, "%s: argument %d must be build-time int", name, i)
-		}
-		return n, nil
-	}
-	kwStatic := func(key string, def int) (int, error) {
-		v, ok := kwargs[key]
-		if !ok {
-			return def, nil
-		}
-		n, ok := v.staticInt()
-		if !ok {
-			return 0, notConvertible(ex, "%s: keyword %s must be build-time int", name, key)
-		}
-		return n, nil
-	}
-
-	switch name {
-	case "matmul":
-		a, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		bp, err := tensorIn(1)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add("MatMul", nil, a, bp)
-		if sa, ok := c.shapes[a]; ok {
-			if sb, ok2 := c.shapes[bp]; ok2 && len(sa) == 2 && len(sb) == 2 {
-				c.shapes[n.P()] = []int{sa[0], sb[1]}
+// emitOp emits a signature builtin as its op. The call is parsed by the
+// signature the interpreter runs (minipy.Signature.BuildAttrs), so the two
+// agree on arity, keywords and attrs, and the output's shape comes from the
+// op's OpDef.Shape.
+func (c *Converter) emitOp(ex *minipy.CallExpr, name string, s *minipy.Signature, args []*sym, kwargs map[string]*sym) (*sym, error) {
+	vals := make([]minipy.Value, len(args))
+	for i, a := range args {
+		if i < len(s.Args) && s.Args[i].Kind.BuildTime() {
+			v, err := c.symToValue(a, ex)
+			if err != nil {
+				return nil, notConvertible(ex, "%s: %s must be known at build time", name, s.Args[i].Name)
 			}
+			vals[i] = v
 		}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "relu", "sigmoid", "tanh", "exp", "log", "softmax":
-		op := map[string]string{"relu": "ReLU", "sigmoid": "Sigmoid", "tanh": "Tanh",
-			"exp": "Exp", "log": "Log", "softmax": "Softmax"}[name]
-		a, err := tensorIn(0)
+	}
+	kw := make(map[string]minipy.Value, len(kwargs))
+	for k, a := range kwargs {
+		v, err := c.symToValue(a, ex)
 		if err != nil {
-			return nil, err
+			return nil, notConvertible(ex, "%s: keyword %s must be known at build time", name, k)
 		}
-		n := c.g.Add(op, nil, a)
-		c.copyShape(n.P(), a)
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "reduce_sum", "reduce_mean":
-		op := "Sum"
-		if name == "reduce_mean" {
-			op = "Mean"
-		}
-		a, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add(op, nil, a)
-		c.shapes[n.P()] = []int{}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "reshape":
-		a, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		sh, err := c.staticShape(args, 1, ex)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add("Reshape", map[string]graph.Val{"shape": sh}, a)
-		if in, ok := c.shapes[a]; ok {
-			c.shapes[n.P()] = resolveReshape(in, sh)
-		}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "transpose":
-		a, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add("Transpose", nil, a)
-		if in, ok := c.shapes[a]; ok && len(in) == 2 {
-			c.shapes[n.P()] = []int{in[1], in[0]}
-		}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "concat", "stack":
-		if len(args) < 1 {
-			return nil, notConvertible(ex, "%s wants a list argument", name)
-		}
-		if args[0].kind == kDyn && args[0].isRef {
-			// Runtime list from a Loop accumulator: StackList.
-			if name != "stack" {
-				return nil, notConvertible(ex, "concat of runtime lists is not supported; use stack")
-			}
-			n := c.g.Add("StackList", nil, args[0].port)
-			return &sym{kind: kDyn, port: n.P()}, nil
-		}
-		if args[0].kind != kSeq {
-			return nil, notConvertible(ex, "%s wants a build-time list", name)
-		}
-		axis := 0
-		if name == "concat" {
-			var err error
-			axis, err = staticInt(1)
+		kw[k] = v
+	}
+	attrs, err := s.BuildAttrs(name, vals, kw)
+	if err != nil {
+		return nil, notConvertible(ex, "%v", err)
+	}
+	var ports []graph.Port
+	var shapes [][]int
+	for i, p := range s.Args {
+		switch p.Kind {
+		case minipy.ParamTensor:
+			port, err := c.asTensorPort(args[i], ex)
 			if err != nil {
 				return nil, err
 			}
-		}
-		ports := make([]graph.Port, len(args[0].seq.elems))
-		widths := make([]int, len(ports))
-		widthsKnown := true
-		for i, el := range args[0].seq.elems {
-			p, err := c.asTensorPort(el, ex)
-			if err != nil {
-				return nil, err
+			ports, shapes = append(ports, port), append(shapes, c.shapeOf(port))
+		case minipy.ParamTensorList:
+			if args[i].kind != kSeq || len(args[i].seq.elems) == 0 {
+				return nil, notConvertible(ex, "%s wants a non-empty build-time list", name)
 			}
-			ports[i] = p
-			if sh, ok := c.shapes[p]; ok {
-				ax := axis
-				if name == "stack" {
-					widthsKnown = true
-				} else {
-					if ax < 0 {
-						ax += len(sh)
-					}
-					if ax >= 0 && ax < len(sh) && sh[ax] >= 0 {
-						widths[i] = sh[ax]
-					} else {
-						widthsKnown = false
-					}
+			for _, el := range args[i].seq.elems {
+				port, err := c.asTensorPort(el, ex)
+				if err != nil {
+					return nil, err
 				}
-			} else {
-				widthsKnown = false
+				ports, shapes = append(ports, port), append(shapes, c.shapeOf(port))
 			}
-		}
-		if name == "stack" {
-			n := c.g.Add("Stack", nil, ports...)
-			if sh, ok := c.shapes[ports[0]]; ok {
-				c.shapes[n.P()] = append([]int{len(ports)}, sh...)
+		case minipy.ParamIndices:
+			port, sh, err := c.indexArg(args[i], ex)
+			if err != nil {
+				return nil, err
 			}
-			return &sym{kind: kDyn, port: n.P()}, nil
+			ports, shapes = append(ports, port), append(shapes, sh)
 		}
-		n := c.g.Add("Concat", map[string]graph.Val{"axis": axis}, ports...)
-		if sh, ok := c.shapes[ports[0]]; ok && widthsKnown {
-			out := append([]int(nil), sh...)
-			ax := axis
-			if ax < 0 {
-				ax += len(sh)
-			}
-			total := 0
-			for _, w := range widths {
-				total += w
-			}
-			out[ax] = total
-			c.shapes[n.P()] = out
+	}
+	n := c.g.Add(s.Op, attrs, ports...)
+	if rule := graph.Lookup(s.Op).Shape; rule != nil {
+		if sh, ok := rule(attrs, shapes); ok {
+			c.shapes[n.P()] = sh
 		}
-		return &sym{kind: kDyn, port: n.P()}, nil
+	}
+	return &sym{kind: kDyn, port: n.P()}, nil
+}
 
-	case "conv2d":
-		x, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		w, err := tensorIn(1)
-		if err != nil {
-			return nil, err
-		}
-		stride, err := kwStatic("stride", 1)
-		if err != nil {
-			return nil, err
-		}
-		pad, err := kwStatic("pad", 0)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add("Conv2D", map[string]graph.Val{"stride": stride, "pad": pad}, x, w)
-		if sx, ok := c.shapes[x]; ok {
-			if sw, ok2 := c.shapes[w]; ok2 && len(sx) == 4 && len(sw) == 4 {
-				oh := (sx[2]+2*pad-sw[2])/stride + 1
-				ow := (sx[3]+2*pad-sw[3])/stride + 1
-				c.shapes[n.P()] = []int{sx[0], sw[0], oh, ow}
-			}
-		}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "max_pool", "avg_pool":
-		op := "MaxPool"
-		if name == "avg_pool" {
-			op = "AvgPool"
-		}
-		x, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		k, err := staticInt(1)
-		if err != nil {
-			return nil, err
-		}
-		stride, err := staticInt(2)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add(op, map[string]graph.Val{"k": k, "stride": stride}, x)
-		if sx, ok := c.shapes[x]; ok && len(sx) == 4 {
-			c.shapes[n.P()] = []int{sx[0], sx[1], (sx[2]-k)/stride + 1, (sx[3]-k)/stride + 1}
-		}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "embedding":
-		table, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		ids, err := c.indexArg(args, 1, ex)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add("Gather", nil, table, ids.port)
-		if st, ok := c.shapes[table]; ok && len(st) == 2 {
-			if cnt, ok2 := ids.count(); ok2 {
-				c.shapes[n.P()] = []int{cnt, st[1]}
-			}
-		}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "one_hot":
-		ids, err := c.indexArg(args, 0, ex)
-		if err != nil {
-			return nil, err
-		}
-		depth, err := staticInt(1)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add("OneHot", map[string]graph.Val{"depth": depth}, ids.port)
-		if cnt, ok := ids.count(); ok {
-			c.shapes[n.P()] = []int{cnt, depth}
-		}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "cross_entropy", "mse":
-		op := "CrossEntropy"
-		if name == "mse" {
-			op = "MSE"
-		}
-		a, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		bp, err := tensorIn(1)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add(op, nil, a, bp)
-		c.shapes[n.P()] = []int{}
-		return &sym{kind: kDyn, port: n.P()}, nil
-
+// bespokeCall converts the builtins that are not one op each: it is their
+// only converter definition, and a builtin without a case here or a
+// signature has no graph representation.
+func (c *Converter) bespokeCall(ex *minipy.CallExpr, name string, args []*sym) (*sym, error) {
+	switch name {
 	case "variable":
 		vname, ok := args[0].staticStr()
 		if !ok {
@@ -611,7 +421,7 @@ func (c *Converter) builtinCall(ex *minipy.CallExpr, name string, args []*sym, k
 		return &sym{kind: kDyn, port: n.P()}, nil
 
 	case "batch_norm":
-		x, err := tensorIn(0)
+		x, err := c.asTensorPort(args[0], ex)
 		if err != nil {
 			return nil, err
 		}
@@ -663,14 +473,10 @@ func (c *Converter) builtinCall(ex *minipy.CallExpr, name string, args []*sym, k
 		switch a.kind {
 		case kSeq:
 			return &sym{kind: kStatic, val: minipy.IntVal(len(a.seq.elems))}, nil
-		case kStatic:
-			if r, ok := a.val.(minipy.RangeVal); ok {
-				return &sym{kind: kStatic, val: minipy.IntVal(r.Len())}, nil
-			}
-			if s, ok := a.val.(minipy.StrVal); ok {
-				return &sym{kind: kStatic, val: minipy.IntVal(len(s))}, nil
-			}
 		case kDyn:
+			if a.isRef && !a.isRuntimeList() {
+				break // Len reads runtime lists and tensors, not the heap
+			}
 			if !a.isRef {
 				if sh, ok := c.shapes[a.port]; ok && len(sh) > 0 && sh[0] >= 0 {
 					return &sym{kind: kStatic, val: minipy.IntVal(sh[0])}, nil
@@ -679,72 +485,16 @@ func (c *Converter) builtinCall(ex *minipy.CallExpr, name string, args []*sym, k
 			n := c.g.Add("Len", nil, a.port)
 			return &sym{kind: kDyn, port: n.P()}, nil
 		}
+		if s, ok, err := c.fold(ex, name, args); ok {
+			return s, err
+		}
 		return nil, notConvertible(ex, "len() of %s", a.describe())
 
 	case "range":
-		ints := make([]int64, len(args))
-		for i := range args {
-			n, ok := args[i].staticInt()
-			if !ok {
-				return nil, notConvertible(ex, "range() bounds must be build-time ints")
-			}
-			ints[i] = int64(n)
+		if s, ok, err := c.fold(ex, name, args); ok {
+			return s, err
 		}
-		switch len(ints) {
-		case 1:
-			return &sym{kind: kStatic, val: minipy.RangeVal{Stop: ints[0], Step: 1}}, nil
-		case 2:
-			return &sym{kind: kStatic, val: minipy.RangeVal{Start: ints[0], Stop: ints[1], Step: 1}}, nil
-		case 3:
-			return &sym{kind: kStatic, val: minipy.RangeVal{Start: ints[0], Stop: ints[1], Step: ints[2]}}, nil
-		}
-		return nil, notConvertible(ex, "range() wants 1-3 arguments")
-
-	case "slice_rows", "slice_cols":
-		axis := 0
-		if name == "slice_cols" {
-			axis = 1
-		}
-		x, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := staticInt(1)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := staticInt(2)
-		if err != nil {
-			return nil, err
-		}
-		nn := c.g.Add("Slice", map[string]graph.Val{"axis": axis, "lo": lo, "hi": hi}, x)
-		if sh, ok := c.shapes[x]; ok && axis < len(sh) {
-			out := append([]int(nil), sh...)
-			out[axis] = hi - lo
-			c.shapes[nn.P()] = out
-		}
-		return &sym{kind: kDyn, port: nn.P()}, nil
-
-	case "argmax":
-		x, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		axis, err := staticInt(1)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add("Argmax", map[string]graph.Val{"axis": axis}, x)
-		return &sym{kind: kDyn, port: n.P()}, nil
-
-	case "abs":
-		x, err := tensorIn(0)
-		if err != nil {
-			return nil, err
-		}
-		n := c.g.Add("Abs", nil, x)
-		c.copyShape(n.P(), x)
-		return &sym{kind: kDyn, port: n.P()}, nil
+		return nil, notConvertible(ex, "range() bounds must be build-time ints")
 
 	case "print":
 		ports := make([]graph.Port, len(args))
@@ -759,70 +509,65 @@ func (c *Converter) builtinCall(ex *minipy.CallExpr, name string, args []*sym, k
 		c.g.Updates = append(c.g.Updates, n)
 		return &sym{kind: kStatic, val: minipy.None}, nil
 
-	case "int", "float":
-		if args[0].kind == kStatic {
-			v, err := c.reg.Get(name).Fn(c.scratch, []minipy.Value{args[0].val}, nil)
+	case "int", "float", "abs", "min", "max":
+		// Build-time numbers fold to the interpreter's Python value.
+		if s, ok, err := c.fold(ex, name, args); ok {
+			return s, err
+		}
+		switch {
+		case name == "abs" && len(args) == 1:
+			x, err := c.asTensorPort(args[0], ex)
 			if err != nil {
-				return nil, notConvertible(ex, "%s: %v", name, err)
+				return nil, err
 			}
-			return &sym{kind: kStatic, val: v}, nil
-		}
-		return args[0], nil // graph values are float tensors already
-
-	case "min", "max":
-		allStatic := true
-		vals := make([]minipy.Value, len(args))
-		for i, a := range args {
-			if a.kind != kStatic {
-				allStatic = false
-				break
-			}
-			vals[i] = a.val
-		}
-		if allStatic {
-			v, err := c.reg.Get(name).Fn(c.scratch, vals, nil)
-			if err != nil {
-				return nil, notConvertible(ex, "%s: %v", name, err)
-			}
-			return &sym{kind: kStatic, val: v}, nil
-		}
-		if len(args) == 2 {
+			n := c.g.Add("Abs", nil, x)
+			c.copyShape(n.P(), x)
+			return &sym{kind: kDyn, port: n.P()}, nil
+		case (name == "min" || name == "max") && len(args) == 2:
 			op := "Maximum"
 			if name == "min" {
 				op = "Minimum"
 			}
-			a, err := tensorIn(0)
+			a, err := c.asTensorPort(args[0], ex)
 			if err != nil {
 				return nil, err
 			}
-			bp, err := tensorIn(1)
+			b, err := c.asTensorPort(args[1], ex)
 			if err != nil {
 				return nil, err
 			}
-			n := c.g.Add(op, nil, a, bp)
-			c.inferBroadcast(n, a, bp)
+			n := c.g.Add(op, nil, a, b)
+			c.inferBroadcast(n, a, b)
 			return &sym{kind: kDyn, port: n.P()}, nil
 		}
-		return nil, notConvertible(ex, "dynamic %s over sequences", name)
+		// int() and float() of a runtime value are Python numbers, which
+		// a graph does not compute.
+		return nil, notConvertible(ex, "%s() of a runtime value", name)
 	}
-	return nil, notConvertible(ex, "builtin %q mapping is not implemented", name)
+	return nil, notConvertible(ex, "builtin %q has no graph representation (whitelist, §4.3.1)", name)
 }
 
-// indexArg lowers an index-list argument (static int list, int tensor, or
-// dynamic value) to a port.
-type idxArg struct {
-	port graph.Port
-	n    int
-	ok   bool
+// fold runs a hand-written builtin at build time when every argument is a
+// build-time value; ok is false when one is not.
+func (c *Converter) fold(ex *minipy.CallExpr, name string, args []*sym) (s *sym, ok bool, err error) {
+	vals := make([]minipy.Value, len(args))
+	for i, a := range args {
+		if a.kind != kStatic {
+			return nil, false, nil
+		}
+		vals[i] = a.val
+	}
+	v, err := c.reg.Get(name).Fn(c.scratch, vals, nil)
+	if err != nil {
+		return nil, true, notConvertible(ex, "%s: %v", name, err)
+	}
+	return &sym{kind: kStatic, val: v}, true, nil
 }
 
-func (i idxArg) count() (int, bool) { return i.n, i.ok }
-
-func (c *Converter) indexArg(args []*sym, i int, at minipy.Node) (idxArg, error) {
-	if i >= len(args) {
-		return idxArg{}, notConvertible(at, "missing index argument %d", i)
-	}
-	a := args[i]
+// indexArg lowers an index-list argument (a build-time int or int list, a
+// list with runtime elements, or an int tensor) to a port, with its shape
+// for OpDef.Shape: the list's length when known.
+func (c *Converter) indexArg(a *sym, at minipy.Node) (graph.Port, []int, error) {
 	switch a.kind {
 	case kSeq:
 		ints := make([]int, len(a.seq.elems))
@@ -836,32 +581,28 @@ func (c *Converter) indexArg(args []*sym, i int, at minipy.Node) (idxArg, error)
 			ints[j] = n
 		}
 		if allStatic {
-			return idxArg{port: c.g.ConstVal(ints).P(), n: len(ints), ok: true}, nil
+			return c.g.ConstVal(ints).P(), []int{len(ints)}, nil
 		}
 		// Dynamic elements: pack into a runtime []Val.
 		ports := make([]graph.Port, len(a.seq.elems))
 		for j, el := range a.seq.elems {
 			p, err := c.asAnyPort(el, at)
 			if err != nil {
-				return idxArg{}, err
+				return graph.Port{}, nil, err
 			}
 			ports[j] = p
 		}
-		pack := c.g.Add("Pack", nil, ports...)
-		return idxArg{port: pack.P(), n: len(ports), ok: true}, nil
+		return c.g.Add("Pack", nil, ports...).P(), []int{len(ports)}, nil
 	case kDyn:
 		// A tensor of ids with a known rank-1 shape has a known count, so
 		// downstream shapes stay static (specialization).
-		if sh, ok := c.shapes[a.port]; ok && len(sh) == 1 && sh[0] >= 0 {
-			return idxArg{port: a.port, n: sh[0], ok: true}, nil
-		}
-		return idxArg{port: a.port}, nil
+		return a.port, c.shapeOf(a.port), nil
 	case kStatic:
 		if n, ok := a.staticInt(); ok {
-			return idxArg{port: c.g.ConstVal([]int{n}).P(), n: 1, ok: true}, nil
+			return c.g.ConstVal([]int{n}).P(), []int{1}, nil
 		}
 	}
-	return idxArg{}, notConvertible(at, "cannot use %s as indices", a.describe())
+	return graph.Port{}, nil, notConvertible(at, "cannot use %s as indices", a.describe())
 }
 
 func (c *Converter) staticShape(args []*sym, i int, at minipy.Node) ([]int, error) {
@@ -903,29 +644,4 @@ func (c *Converter) symToValue(s *sym, at minipy.Node) (minipy.Value, error) {
 		return &minipy.ListVal{Items: items}, nil
 	}
 	return nil, notConvertible(at, "value is not build-time constant")
-}
-
-// resolveReshape resolves -1 dims of a reshape target given the input shape.
-func resolveReshape(in, target []int) []int {
-	n := 1
-	for _, d := range in {
-		if d < 0 {
-			return target
-		}
-		n *= d
-	}
-	out := append([]int(nil), target...)
-	known := 1
-	infer := -1
-	for i, d := range out {
-		if d == -1 {
-			infer = i
-		} else {
-			known *= d
-		}
-	}
-	if infer >= 0 && known > 0 && n%known == 0 {
-		out[infer] = n / known
-	}
-	return out
 }

@@ -190,6 +190,11 @@ func ConvertCall(fn *minipy.FuncVal, args []minipy.Value, prof *profile.Profile,
 	if ret == nil {
 		ret = &sym{kind: kStatic, val: minipy.None}
 	}
+	if _, isTensor := ret.val.(*minipy.TensorVal); ret.kind == kStatic && !isTensor {
+		// A graph's output is a tensor: it would turn the interpreter's
+		// Python value into one.
+		return nil, notConvertible(fn.Def, "return value is the Python value %s", ret.val.Repr())
+	}
 	lossPort, err := c.asTensorPort(ret, fn.Def)
 	if err != nil {
 		return nil, notConvertible(fn.Def, "return value: %v", err)

@@ -496,3 +496,29 @@ def loss(x):
 		}
 	}
 }
+
+// TestSignatureBuiltinsHaveNoBespokeCase: a builtin with a signature is
+// converted by emitOp alone. bespokeCall has no case for it, and the op it
+// names is registered.
+func TestSignatureBuiltinsHaveNoBespokeCase(t *testing.T) {
+	reg := minipy.DefaultRegistry()
+	c := &Converter{reg: reg, g: graph.New(), shapes: map[graph.Port][]int{}, scratch: minipy.NewInterp(reg)}
+	n := 0
+	for _, name := range reg.Names() {
+		b := reg.Get(name)
+		if b.Sig == nil {
+			continue
+		}
+		n++
+		if graph.Lookup(b.Sig.Op) == nil {
+			t.Errorf("%s: op %s is not registered", name, b.Sig.Op)
+		}
+		_, err := c.bespokeCall(&minipy.CallExpr{}, name, nil)
+		if err == nil || !strings.Contains(err.Error(), "no graph representation") {
+			t.Errorf("%s: bespokeCall has a case for it (%v)", name, err)
+		}
+	}
+	if n != 23 {
+		t.Errorf("%d builtins with a signature, want 23", n)
+	}
+}

@@ -146,10 +146,6 @@ func (c *Converter) expr(x minipy.Expr, e *env) (*sym, error) {
 
 // --- operators --------------------------------------------------------------
 
-var binOpNode = map[string]string{
-	"+": "Add", "-": "Sub", "*": "Mul", "/": "Div", "**": "Pow",
-}
-
 func (c *Converter) binop(at minipy.Node, op string, l, r *sym) (*sym, error) {
 	// Static × static: evaluate with real interpreter semantics.
 	if l.kind == kStatic && r.kind == kStatic {
@@ -164,8 +160,7 @@ func (c *Converter) binop(at minipy.Node, op string, l, r *sym) (*sym, error) {
 		merged := append(append([]*sym{}, l.seq.elems...), r.seq.elems...)
 		return &sym{kind: kSeq, seq: &seqSym{elems: merged, isTuple: l.seq.isTuple}}, nil
 	}
-	switch op {
-	case "+", "-", "*", "/", "**":
+	if gop, ok := minipy.BinOps[op]; ok {
 		lp, err := c.asTensorPort(l, at)
 		if err != nil {
 			return nil, err
@@ -174,9 +169,11 @@ func (c *Converter) binop(at minipy.Node, op string, l, r *sym) (*sym, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := c.g.Add(binOpNode[op], nil, lp, rp)
+		n := c.g.Add(gop, nil, lp, rp)
 		c.inferBroadcast(n, lp, rp)
 		return &sym{kind: kDyn, port: n.P()}, nil
+	}
+	switch op {
 	case "==", "!=", "<", "<=", ">", ">=":
 		lp, err := c.asTensorPort(l, at)
 		if err != nil {
@@ -358,8 +355,9 @@ func (c *Converter) index(ex *minipy.IndexExpr, e *env) (*sym, error) {
 		return nil, notConvertible(ex, "subscript on %s", obj.describe())
 	case kDyn:
 		if obj.isRef {
-			if _, isList := obj.exemplar.(*minipy.ListVal); isList && obj.exemplar != nil {
-				// Runtime list (e.g. Loop accumulator output): IndexList.
+			if obj.isRuntimeList() {
+				// A Loop accumulator's runtime list: IndexList. A list on
+				// the heap is read through PyGetSubscr below.
 				kp, err := c.asAnyPort(key, ex)
 				if err != nil {
 					return nil, err
@@ -437,6 +435,16 @@ func scalarToGo(v minipy.Value) graph.Val {
 }
 
 // --- shape inference helpers ---------------------------------------------------
+
+// shapeOf is p's shape as OpDef.Shape takes it: nil when unknown, empty
+// (not nil) when rank 0.
+func (c *Converter) shapeOf(p graph.Port) []int {
+	sh, ok := c.shapes[p]
+	if ok && sh == nil {
+		return []int{}
+	}
+	return sh
+}
 
 func (c *Converter) copyShape(dst, src graph.Port) {
 	if sh, ok := c.shapes[src]; ok {

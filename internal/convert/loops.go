@@ -272,10 +272,10 @@ func (c *Converter) loopOpFor(st *minipy.ForStmt, items []*sym, e *env) error {
 		e.set(name, &sym{kind: kDyn, port: loop.Out(i)})
 	}
 	for i, name := range accumNames {
-		// The accumulator output is a runtime []Val list; downstream use is
-		// via stack()/len(), handled by kDyn+isRef with a list exemplar.
+		// The accumulator output is a runtime []Val list, read by stack(),
+		// len() and subscripts.
 		e.set(name, &sym{kind: kDyn, port: loop.Out(len(carried) + i), isRef: true,
-			exemplar: &minipy.ListVal{}})
+			exemplar: runtimeList})
 	}
 	return nil
 }

@@ -40,6 +40,14 @@ type sym struct {
 	accum    *accumInfo   // kAccum
 }
 
+// runtimeList is the exemplar of a Loop accumulator's output, a runtime
+// []Val list that IndexList, StackList and Len read. A list reached on the
+// heap keeps its own exemplar and is read through PyGetSubscr.
+var runtimeList = &minipy.ListVal{}
+
+// isRuntimeList reports whether s is a Loop accumulator's runtime list.
+func (s *sym) isRuntimeList() bool { return s.kind == kDyn && s.exemplar == runtimeList }
+
 type seqSym struct {
 	elems   []*sym
 	isTuple bool

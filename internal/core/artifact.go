@@ -41,10 +41,13 @@ import (
 // graph (version 2: PowGrad, SliceGrad and ConcatGradSlice take shapes and
 // exponents as inputs, and a Variable's gradient sums every read; version 3:
 // Abs has a gradient rule, so a program using abs trains a static graph
-// where it trained on the tape before). The CI
+// where it trained on the tape before; version 4: int()/float() of a runtime
+// value and a Python-value return no longer convert, and a list on a heap
+// object is read through PyGetSubscr, so graphs persisted for such programs
+// computed what the interpreter does not). The CI
 // snapshot fixture must be regenerated in the same change (the cold-start
 // workflow fails with a clear message otherwise).
-const ArtifactVersion = 3
+const ArtifactVersion = 4
 
 // Artifact metric help strings.
 const (

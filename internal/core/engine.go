@@ -339,7 +339,7 @@ func NewEngineShared(cfg Config, store *vars.Store, cache *GraphCache) *Engine {
 		registerPoolMetrics(oreg, e.pool)
 	}
 	reg := minipy.DefaultRegistry().Clone()
-	reg.Register(&minipy.Builtin{Name: "optimize", Stateful: true,
+	reg.Register(&minipy.Builtin{Name: "optimize",
 		Fn: func(it *minipy.Interp, args []minipy.Value, kwargs map[string]minipy.Value) (minipy.Value, error) {
 			if len(args) != 1 {
 				return nil, errors.New("optimize(fn) wants one callable")

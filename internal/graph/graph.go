@@ -50,8 +50,11 @@ type Node struct {
 func (n *Node) Attr(key string) Val { return n.Attrs[key] }
 
 // IntAttr returns an integer attribute with a default.
-func (n *Node) IntAttr(key string, def int) int {
-	if v, ok := n.Attrs[key]; ok {
+func (n *Node) IntAttr(key string, def int) int { return intAttr(n.Attrs, key, def) }
+
+// intAttr is attrs' integer attribute key, or def.
+func intAttr(attrs map[string]Val, key string, def int) int {
+	if v, ok := attrs[key]; ok {
 		switch x := v.(type) {
 		case int:
 			return x

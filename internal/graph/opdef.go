@@ -124,6 +124,12 @@ type OpDef struct {
 	// becoming the step's extra operand; zero means the op has no pointwise
 	// form in that orientation. Nil keeps the op out of fusion.
 	Fuse []uint8
+	// Shape is the output shape rule of an op a builtin signature emits:
+	// in[i] is input i's shape (an index list's is its length), nil when
+	// unknown; a rank-0 shape is empty, not nil. ok is false when the known
+	// shapes do not fix the output's. The converter records the result so
+	// that len(), .shape and tensor indexing fold at build time.
+	Shape func(attrs map[string]Val, in [][]int) (shape []int, ok bool)
 }
 
 var ops = map[string]*OpDef{}
@@ -175,6 +181,15 @@ func (d *OpDef) Eval(n *Node, in []Val) (Val, error) {
 	}
 	return d.Kernel(n, in)
 }
+
+// --- shape rules ---------------------------------------------------------------
+
+// sameShape is the Shape rule of an op whose output has its input's shape.
+func sameShape(_ map[string]Val, in [][]int) ([]int, bool) { return in[0], in[0] != nil }
+
+// scalarShape is the Shape rule of a reduction to a scalar, whatever its
+// inputs' shapes.
+func scalarShape(map[string]Val, [][]int) ([]int, bool) { return []int{}, true }
 
 // --- kernel adapters and input coercion --------------------------------------
 

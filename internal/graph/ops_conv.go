@@ -15,6 +15,19 @@ func poolOut(alloc tensor.Allocator, x *tensor.Tensor, k, stride int) *tensor.Te
 	return tensor.Rent(alloc, sh[0], sh[1], (sh[2]-k)/stride+1, (sh[3]-k)/stride+1)
 }
 
+// poolShape is the Shape rule of the NCHW pooling ops (poolOut's shape).
+func poolShape(attrs map[string]Val, in [][]int) ([]int, bool) {
+	sh := in[0]
+	if len(sh) != 4 {
+		return nil, false
+	}
+	k, stride := intAttr(attrs, "k", 2), intAttr(attrs, "stride", 2)
+	if stride < 1 {
+		return nil, false
+	}
+	return []int{sh[0], sh[1], (sh[2]-k)/stride + 1, (sh[3]-k)/stride + 1}, true
+}
+
 // gradPool routes a pooling op's gradient through gradOp(x, gout).
 func gradPool(gradOp string) GradFunc {
 	return func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
@@ -27,6 +40,14 @@ func gradPool(gradOp string) GradFunc {
 func init() {
 	register(
 		OpDef{Name: "Conv2D", ReadsOnly: true,
+			Shape: func(attrs map[string]Val, in [][]int) ([]int, bool) {
+				stride := intAttr(attrs, "stride", 1)
+				if len(in[0]) != 4 || len(in[1]) != 4 || stride < 1 {
+					return nil, false
+				}
+				nb, oc, oh, ow := tensor.Conv2DShape(in[0], in[1], stride, intAttr(attrs, "pad", 0))
+				return []int{nb, oc, oh, ow}, true
+			},
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				x, w, err := t2(n, in)
 				if err != nil {
@@ -65,7 +86,7 @@ func init() {
 					n.IntAttr("stride", 1), n.IntAttr("pad", 0), alloc), nil
 			}},
 
-		OpDef{Name: "MaxPool", ReadsOnly: true, Grad: gradPool("MaxPoolGrad"),
+		OpDef{Name: "MaxPool", ReadsOnly: true, Grad: gradPool("MaxPoolGrad"), Shape: poolShape,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				x, err := t1(n, in)
 				if err != nil {
@@ -84,7 +105,7 @@ func init() {
 				return tensor.MaxPool2DGradInto(alloc.Get(x.Shape()...), x,
 					n.IntAttr("k", 2), n.IntAttr("stride", 2), g), nil
 			}},
-		OpDef{Name: "AvgPool", ReadsOnly: true, Grad: gradPool("AvgPoolGrad"),
+		OpDef{Name: "AvgPool", ReadsOnly: true, Grad: gradPool("AvgPoolGrad"), Shape: poolShape,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				x, err := t1(n, in)
 				if err != nil {

@@ -150,30 +150,30 @@ func init() {
 				add(0, e.Emit("Neg", nil, In(gout)))
 				return nil
 			}},
-		OpDef{Name: "ReLU", Into: mapInto(tensor.ReLUInto), ReadsOnly: true, InPlace: true,
+		OpDef{Name: "ReLU", Into: mapInto(tensor.ReLUInto), ReadsOnly: true, InPlace: true, Shape: sameShape,
 			Fuse: []uint8{fuseAs(tensor.FusedReLU)}, Grad: gradUnary("ReLUGrad", false)},
-		OpDef{Name: "Sigmoid", Into: mapInto(tensor.SigmoidInto), ReadsOnly: true, InPlace: true,
+		OpDef{Name: "Sigmoid", Into: mapInto(tensor.SigmoidInto), ReadsOnly: true, InPlace: true, Shape: sameShape,
 			Fuse: []uint8{fuseAs(tensor.FusedSigmoid)}, Grad: gradUnary("SigmoidGradFromOut", true)},
-		OpDef{Name: "Tanh", Into: mapInto(tensor.TanhInto), ReadsOnly: true, InPlace: true,
+		OpDef{Name: "Tanh", Into: mapInto(tensor.TanhInto), ReadsOnly: true, InPlace: true, Shape: sameShape,
 			Fuse: []uint8{fuseAs(tensor.FusedTanh)}, Grad: gradUnary("TanhGradFromOut", true)},
-		OpDef{Name: "Exp", Into: mapInto(tensor.ExpInto), ReadsOnly: true, InPlace: true,
+		OpDef{Name: "Exp", Into: mapInto(tensor.ExpInto), ReadsOnly: true, InPlace: true, Shape: sameShape,
 			Fuse: []uint8{fuseAs(tensor.FusedExp)},
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				add(0, e.Emit("Mul", nil, In(gout, out)))
 				return nil
 			}},
-		OpDef{Name: "Log", Into: mapInto(tensor.LogInto), ReadsOnly: true, InPlace: true,
+		OpDef{Name: "Log", Into: mapInto(tensor.LogInto), ReadsOnly: true, InPlace: true, Shape: sameShape,
 			Fuse: []uint8{fuseAs(tensor.FusedLog)}, Grad: gradUnary("LogGrad", false)},
 		OpDef{Name: "Abs", Into: mapInto(tensor.AbsInto), ReadsOnly: true, InPlace: true,
 			Fuse: []uint8{fuseAs(tensor.FusedAbs)}, Grad: gradUnary("AbsGrad", false)},
-		OpDef{Name: "Softmax", Into: mapInto(tensor.SoftmaxInto), ReadsOnly: true, InPlace: true,
+		OpDef{Name: "Softmax", Into: mapInto(tensor.SoftmaxInto), ReadsOnly: true, InPlace: true, Shape: sameShape,
 			Grad: gradUnary("SoftmaxGrad", true)},
-		OpDef{Name: "Sum", Into: reduceInto(tensor.SumInto), ReadsOnly: true,
+		OpDef{Name: "Sum", Into: reduceInto(tensor.SumInto), ReadsOnly: true, Shape: scalarShape,
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				add(0, e.Emit("FillLike", fillSumAttrs, In(in[0], gout)))
 				return nil
 			}},
-		OpDef{Name: "Mean", Into: reduceInto(tensor.MeanInto), ReadsOnly: true,
+		OpDef{Name: "Mean", Into: reduceInto(tensor.MeanInto), ReadsOnly: true, Shape: scalarShape,
 			Grad: func(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
 				add(0, e.Emit("FillLike", fillMeanAttrs, In(in[0], gout)))
 				return nil
@@ -193,6 +193,12 @@ func init() {
 			}},
 
 		OpDef{Name: "MatMul", ReadsOnly: true,
+			Shape: func(_ map[string]Val, in [][]int) ([]int, bool) {
+				if len(in[0]) != 2 || len(in[1]) != 2 {
+					return nil, false
+				}
+				return []int{in[0][0], in[1][1]}, true
+			},
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				a, b, err := t2(n, in)
 				if err != nil {
@@ -209,6 +215,12 @@ func init() {
 				return nil
 			}},
 		OpDef{Name: "Transpose", ReadsOnly: true,
+			Shape: func(_ map[string]Val, in [][]int) ([]int, bool) {
+				if len(in[0]) != 2 {
+					return nil, false
+				}
+				return []int{in[0][1], in[0][0]}, true
+			},
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				a, err := t1(n, in)
 				if err != nil {
@@ -225,7 +237,7 @@ func init() {
 			}},
 
 		// The loss kernels broadcast their second operand.
-		OpDef{Name: "CrossEntropy", ReadsOnly: true,
+		OpDef{Name: "CrossEntropy", ReadsOnly: true, Shape: scalarShape,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				logits, labels, _, err := logitsAndLabels(n, in)
 				if err != nil {
@@ -247,7 +259,7 @@ func init() {
 				}
 				return tensor.CrossEntropyGradInto(alloc.Get(shape...), logits, labels), nil
 			}},
-		OpDef{Name: "MSE", ReadsOnly: true,
+		OpDef{Name: "MSE", ReadsOnly: true, Shape: scalarShape,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				pred, target, err := t2(n, in)
 				if err != nil {

@@ -38,6 +38,62 @@ func resolveReshape(size int, shape []int) ([]int, error) {
 	return out, nil
 }
 
+// reshapeShape is Reshape's Shape rule: the target with its -1 dim
+// resolved against the input's element count, or the target as it stands
+// when the input has a dim known only at run time or no dim can be inferred.
+func reshapeShape(attrs map[string]Val, in [][]int) ([]int, bool) {
+	target, ok := attrs["shape"].([]int)
+	if !ok || in[0] == nil {
+		return nil, false
+	}
+	n := 1
+	for _, d := range in[0] {
+		if d < 0 {
+			return target, true
+		}
+		n *= d
+	}
+	out := append([]int(nil), target...)
+	known, infer := 1, -1
+	for i, d := range out {
+		if d == -1 {
+			infer = i
+		} else {
+			known *= d
+		}
+	}
+	if infer >= 0 && known > 0 && n%known == 0 {
+		out[infer] = n / known
+	}
+	return out, true
+}
+
+// concatShape is Concat's Shape rule: every input's width along the axis
+// must be known.
+func concatShape(attrs map[string]Val, in [][]int) ([]int, bool) {
+	if len(in) == 0 || in[0] == nil {
+		return nil, false
+	}
+	axis := intAttr(attrs, "axis", 0)
+	total := 0
+	for _, sh := range in {
+		ax := axis
+		if ax < 0 {
+			ax += len(sh)
+		}
+		if sh == nil || ax < 0 || ax >= len(sh) || sh[ax] < 0 {
+			return nil, false
+		}
+		total += sh[ax]
+	}
+	out := append([]int(nil), in[0]...)
+	if axis < 0 {
+		axis += len(out)
+	}
+	out[axis] = total
+	return out, true
+}
+
 // gradReshapeLike restores the input's shape on the way back (Reshape,
 // ReshapeLike, ExpandDims). ReshapeLike's shape input gets no gradient.
 func gradReshapeLike(e Emitter, n *Node, in []Val, out, gout Val, add func(int, Val)) error {
@@ -122,7 +178,7 @@ func init() {
 			},
 			Grad: gradIdentity},
 
-		OpDef{Name: "Reshape", ReadsOnly: true, Grad: gradReshapeLike,
+		OpDef{Name: "Reshape", ReadsOnly: true, Grad: gradReshapeLike, Shape: reshapeShape,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				a, err := t1(n, in)
 				if err != nil {
@@ -150,7 +206,7 @@ func init() {
 				}
 				return tensor.CopyInto(alloc.Get(ref.Shape()...), a), nil
 			}},
-		OpDef{Name: "Concat", ReadsOnly: true,
+		OpDef{Name: "Concat", ReadsOnly: true, Shape: concatShape,
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				var tb [8]*tensor.Tensor
 				ts, err := appendTensors(tb[:0], n, in)
@@ -215,6 +271,15 @@ func init() {
 				return tensor.SliceAxisInto(alloc.Get(x.Shape()...), g, axis, lo, lo+x.Dim(axis)), nil
 			}},
 		OpDef{Name: "Slice", ReadsOnly: true, Fresh: true,
+			Shape: func(attrs map[string]Val, in [][]int) ([]int, bool) {
+				axis := intAttr(attrs, "axis", 0)
+				if axis < 0 || axis >= len(in[0]) {
+					return nil, false
+				}
+				out := append([]int(nil), in[0]...)
+				out[axis] = intAttr(attrs, "hi", 0) - intAttr(attrs, "lo", 0)
+				return out, true
+			},
 			Kernel: func(n *Node, in []Val) (Val, error) {
 				a, err := t1(n, in)
 				if err != nil {
@@ -237,6 +302,12 @@ func init() {
 				return tensor.PadSliceGrad(g, x.Shape(), n.IntAttr("axis", 0), n.IntAttr("lo", 0)), nil
 			}},
 		OpDef{Name: "Stack", ReadsOnly: true, Fresh: true,
+			Shape: func(_ map[string]Val, in [][]int) ([]int, bool) {
+				if len(in) == 0 || in[0] == nil {
+					return nil, false
+				}
+				return append([]int{len(in)}, in[0]...), true
+			},
 			Kernel: func(n *Node, in []Val) (Val, error) {
 				ts, err := appendTensors(nil, n, in)
 				if err != nil {
@@ -288,6 +359,12 @@ func init() {
 			}},
 
 		OpDef{Name: "Gather", ReadsOnly: true,
+			Shape: func(_ map[string]Val, in [][]int) ([]int, bool) {
+				if len(in[0]) != 2 || len(in[1]) != 1 || in[1][0] < 0 {
+					return nil, false
+				}
+				return []int{in[1][0], in[0][1]}, true
+			},
 			Into: func(n *Node, in []Val, alloc tensor.Allocator) (Val, error) {
 				if len(in) != 2 {
 					return nil, fmt.Errorf("%s: want 2 inputs, got %d", n.Op, len(in))
@@ -339,6 +416,12 @@ func init() {
 				return tensor.ScatterAddRowsInto(alloc.Get(table.Shape()...), idx, g), nil
 			}},
 		OpDef{Name: "OneHot", ReadsOnly: true, Fresh: true, StopGrad: true,
+			Shape: func(attrs map[string]Val, in [][]int) ([]int, bool) {
+				if len(in[0]) != 1 || in[0][0] < 0 {
+					return nil, false
+				}
+				return []int{in[0][0], intAttr(attrs, "depth", 0)}, true
+			},
 			Kernel: func(n *Node, in []Val) (Val, error) {
 				idx, err := appendInts(nil, in[0], n)
 				if err != nil {

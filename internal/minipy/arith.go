@@ -282,12 +282,13 @@ func (it *Interp) compare(n Node, op string, l, r Value) (Value, error) {
 	return BoolVal(res), nil
 }
 
-// binopOps names the graph op of each tensor arithmetic operator.
-var binopOps = map[string]string{"+": "Add", "-": "Sub", "*": "Mul", "/": "Div", "**": "Pow"}
+// BinOps names the graph op of each tensor arithmetic operator, for the
+// interpreter and the converter alike.
+var BinOps = map[string]string{"+": "Add", "-": "Sub", "*": "Mul", "/": "Div", "**": "Pow"}
 
 func (it *Interp) tensorBinop(n Node, op string, l, r *autodiff.Node) (Value, error) {
 	it.dispatchDelay()
-	gop, ok := binopOps[op]
+	gop, ok := BinOps[op]
 	if !ok {
 		return nil, it.rte(n, "unsupported tensor operator %s", op)
 	}

@@ -3,7 +3,10 @@ package minipy
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/autodiff"
 	"repro/internal/graph"
@@ -12,18 +15,212 @@ import (
 )
 
 // Builtin is one external function exposed to minipy programs. The registry
-// is the paper's whitelist (§4.3.1): GraphOp tells the speculative graph
-// generator which symbolic operation represents the call; builtins with an
-// empty GraphOp have no graph representation, so a call to one marks the
-// function imperative-only.
+// is the paper's whitelist (§4.3.1): a builtin converts into a graph when it
+// has a signature (the one op it is) or the converter has a case for it;
+// every other builtin has no graph representation, so a call to one keeps
+// the function imperative.
 type Builtin struct {
 	Name string
 	Fn   func(it *Interp, args []Value, kwargs map[string]Value) (Value, error)
-	// GraphOp is the symbolic op emitted for this call ("" = not convertible).
-	GraphOp string
-	// Stateful builtins mutate external state; in graph mode their execution
-	// is deferred until all assumptions validate (§4.3.1).
-	Stateful bool
+	// Sig declares a builtin that is exactly one graph op. Fn then runs Sig
+	// (callOp), and the converter emits the op from the same Sig. Nil for
+	// the builtins written by hand.
+	Sig *Signature
+}
+
+// ParamKind says how one argument of a signature builtin reaches its op.
+type ParamKind uint8
+
+const (
+	// ParamTensor is one op input: a tensor, or a number as a rank-0 tensor.
+	ParamTensor ParamKind = iota
+	// ParamTensorList is a non-empty list of tensors, one op input each.
+	ParamTensorList
+	// ParamIndices is one op input: a list of ints or an int tensor.
+	ParamIndices
+	// ParamInt is a build-time int: the attr named after the param.
+	ParamInt
+	// ParamShape is a build-time list of ints: the attr named after the
+	// param.
+	ParamShape
+)
+
+// BuildTime reports whether an argument of kind k becomes an attr, so a
+// graph needs its value when it is built.
+func (k ParamKind) BuildTime() bool { return k >= ParamInt }
+
+// Param is one parameter of a Signature.
+type Param struct {
+	// Name is the keyword, and a build-time param's attr key.
+	Name string
+	Kind ParamKind
+	// Default is a keyword param's value when the call leaves it out.
+	Default int
+}
+
+// Signature is the single definition of a builtin that is one graph op:
+// the interpreter parses a call with it and runs Op on its tape, and the
+// converter parses the same call with it and emits Op (DESIGN.md "Adding a
+// builtin"). The op's OpDef.Shape gives the converter the output's shape.
+type Signature struct {
+	Op string
+	// Attrs are the op's fixed attrs (slice_rows' axis).
+	Attrs map[string]graph.Val
+	// Args are the positional params, all required.
+	Args []Param
+	// Kw are the keyword-only params: build-time ints with a default.
+	Kw []Param
+}
+
+// BuildAttrs checks a call's arity and keywords against s and parses its
+// build-time arguments into the op's attrs (nil when there are none).
+// args[i] is positional argument i; only the build-time ones are read, so
+// the converter passes nil for the others.
+func (s *Signature) BuildAttrs(name string, args []Value, kwargs map[string]Value) (map[string]graph.Val, error) {
+	if len(args) != len(s.Args) {
+		return nil, fmt.Errorf("%s takes %d arguments, got %d", s.usage(name), len(s.Args), len(args))
+	}
+	for k := range kwargs {
+		if !slices.ContainsFunc(s.Kw, func(p Param) bool { return p.Name == k }) {
+			return nil, fmt.Errorf("%s got an unexpected keyword %s", s.usage(name), k)
+		}
+	}
+	attrs := maps.Clone(s.Attrs)
+	set := func(p Param, v Value) error {
+		var a graph.Val
+		if p.Kind == ParamShape {
+			sh, err := intList(v)
+			if err != nil {
+				return fmt.Errorf("%s: %s: %v", s.usage(name), p.Name, err)
+			}
+			a = sh
+		} else {
+			n, ok := AsInt(v)
+			if !ok {
+				return fmt.Errorf("%s: %s wants an int, got %s", s.usage(name), p.Name, v.TypeName())
+			}
+			a = int(n)
+		}
+		if attrs == nil {
+			attrs = map[string]graph.Val{}
+		}
+		attrs[p.Name] = a
+		return nil
+	}
+	for i, p := range s.Args {
+		if p.Kind.BuildTime() {
+			if err := set(p, args[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, p := range s.Kw {
+		v, ok := kwargs[p.Name]
+		if !ok {
+			v = IntVal(p.Default)
+		}
+		if err := set(p, v); err != nil {
+			return nil, err
+		}
+	}
+	return attrs, nil
+}
+
+// usage renders s as a call, e.g. conv2d(x, w, stride=1, pad=0).
+func (s *Signature) usage(name string) string {
+	parts := make([]string, 0, len(s.Args)+len(s.Kw))
+	for _, p := range s.Args {
+		parts = append(parts, p.Name)
+	}
+	for _, p := range s.Kw {
+		parts = append(parts, fmt.Sprintf("%s=%d", p.Name, p.Default))
+	}
+	return name + "(" + strings.Join(parts, ", ") + ")"
+}
+
+// callOp is the interpreter side of a signature builtin: it parses the call
+// and runs the op through applyOp.
+func (it *Interp) callOp(name string, s *Signature, args []Value, kwargs map[string]Value) (Value, error) {
+	attrs, err := s.BuildAttrs(name, args, kwargs)
+	if err != nil {
+		return nil, err
+	}
+	in := make([]graph.Val, 0, len(args))
+	for i, p := range s.Args {
+		switch p.Kind {
+		case ParamTensor:
+			x, err := argTensor(args, i)
+			if err != nil {
+				return nil, err
+			}
+			in = append(in, x)
+		case ParamTensorList:
+			items, err := unpack(args[i])
+			if err != nil {
+				return nil, fmt.Errorf("%s: want a list of tensors, got %s", p.Name, args[i].TypeName())
+			}
+			if len(items) == 0 {
+				return nil, fmt.Errorf("%s of an empty list", name)
+			}
+			for j, v := range items {
+				tv, ok := v.(*TensorVal)
+				if !ok {
+					return nil, fmt.Errorf("%s element %d is %s, not tensor", name, j, v.TypeName())
+				}
+				in = append(in, tv.Node)
+			}
+		case ParamIndices:
+			ids, err := valueToIntSlice(args[i])
+			if err != nil {
+				return nil, err
+			}
+			in = append(in, ids)
+		}
+	}
+	return it.applyOp(s.Op, attrs, in...)
+}
+
+// opBuiltins declares the builtins that are one graph op each.
+func opBuiltins() map[string]*Signature {
+	param := func(name string, kind ParamKind) Param { return Param{Name: name, Kind: kind} }
+	x := param("x", ParamTensor)
+	unary := func(op string) *Signature { return &Signature{Op: op, Args: []Param{x}} }
+	binary := func(op, a, b string) *Signature {
+		return &Signature{Op: op, Args: []Param{param(a, ParamTensor), param(b, ParamTensor)}}
+	}
+	pool := func(op string) *Signature {
+		return &Signature{Op: op, Args: []Param{x, param("k", ParamInt), param("stride", ParamInt)}}
+	}
+	slice := func(axis int) *Signature {
+		return &Signature{Op: "Slice", Attrs: map[string]graph.Val{"axis": axis},
+			Args: []Param{x, param("lo", ParamInt), param("hi", ParamInt)}}
+	}
+	tensors := param("tensors", ParamTensorList)
+	return map[string]*Signature{
+		"matmul":        binary("MatMul", "a", "b"),
+		"relu":          unary("ReLU"),
+		"sigmoid":       unary("Sigmoid"),
+		"tanh":          unary("Tanh"),
+		"exp":           unary("Exp"),
+		"log":           unary("Log"),
+		"softmax":       unary("Softmax"),
+		"reduce_sum":    unary("Sum"),
+		"reduce_mean":   unary("Mean"),
+		"transpose":     unary("Transpose"),
+		"reshape":       {Op: "Reshape", Args: []Param{x, param("shape", ParamShape)}},
+		"concat":        {Op: "Concat", Args: []Param{tensors, param("axis", ParamInt)}},
+		"stack":         {Op: "Stack", Args: []Param{tensors}},
+		"conv2d":        {Op: "Conv2D", Args: []Param{x, param("w", ParamTensor)}, Kw: []Param{{Name: "stride", Kind: ParamInt, Default: 1}, {Name: "pad", Kind: ParamInt}}},
+		"max_pool":      pool("MaxPool"),
+		"avg_pool":      pool("AvgPool"),
+		"embedding":     {Op: "Gather", Args: []Param{param("table", ParamTensor), param("ids", ParamIndices)}},
+		"one_hot":       {Op: "OneHot", Args: []Param{param("ids", ParamIndices), param("depth", ParamInt)}},
+		"cross_entropy": binary("CrossEntropy", "pred", "target"),
+		"mse":           binary("MSE", "pred", "target"),
+		"argmax":        {Op: "Argmax", Args: []Param{x, param("axis", ParamInt)}},
+		"slice_rows":    slice(0),
+		"slice_cols":    slice(1),
+	}
 }
 
 // Registry maps builtin names to implementations.
@@ -88,24 +285,22 @@ func argTensor(args []Value, i int) (*autodiff.Node, error) {
 	return nil, fmt.Errorf("argument %d: want tensor, got %s", i, args[i].TypeName())
 }
 
-func argInt(args []Value, i int) (int, error) {
-	if i >= len(args) {
-		return 0, fmt.Errorf("missing argument %d", i)
-	}
-	n, ok := AsInt(args[i])
-	if !ok {
-		return 0, fmt.Errorf("argument %d: want int, got %s", i, args[i].TypeName())
-	}
-	return int(n), nil
-}
-
 func argShape(args []Value, i int) ([]int, error) {
 	if i >= len(args) {
 		return nil, fmt.Errorf("missing shape argument %d", i)
 	}
-	items, err := unpack(args[i])
+	sh, err := intList(args[i])
 	if err != nil {
-		return nil, fmt.Errorf("argument %d: want shape list, got %s", i, args[i].TypeName())
+		return nil, fmt.Errorf("argument %d: %v", i, err)
+	}
+	return sh, nil
+}
+
+// intList reads a shape: a list or tuple of ints.
+func intList(v Value) ([]int, error) {
+	items, err := unpack(v)
+	if err != nil {
+		return nil, fmt.Errorf("want shape list, got %s", v.TypeName())
 	}
 	out := make([]int, len(items))
 	for j, v := range items {
@@ -116,18 +311,6 @@ func argShape(args []Value, i int) ([]int, error) {
 		out[j] = int(n)
 	}
 	return out, nil
-}
-
-func kwInt(kwargs map[string]Value, name string, def int) (int, error) {
-	v, ok := kwargs[name]
-	if !ok {
-		return def, nil
-	}
-	n, ok := AsInt(v)
-	if !ok {
-		return 0, fmt.Errorf("keyword %s: want int", name)
-	}
-	return int(n), nil
 }
 
 // applyOp runs graph op on the interpreter's tape — recorded for backprop
@@ -152,38 +335,6 @@ func tensorResult(v graph.Val) (Value, error) {
 	return nil, fmt.Errorf("tensor op returned %T", v)
 }
 
-// unaryBuiltin registers a one-tensor-in, one-tensor-out builtin that runs
-// its graph op.
-func unaryBuiltin(name, graphOp string) *Builtin {
-	return &Builtin{
-		Name:    name,
-		GraphOp: graphOp,
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 1); err != nil {
-				return nil, err
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp(graphOp, nil, x)
-		},
-	}
-}
-
-// tensorArgs returns the tape nodes of the tensor elements of a list.
-func tensorArgs(name string, items []Value) ([]graph.Val, error) {
-	in := make([]graph.Val, len(items))
-	for i := range items {
-		tv, ok := items[i].(*TensorVal)
-		if !ok {
-			return nil, fmt.Errorf("%s element %d is %s, not tensor", name, i, items[i].TypeName())
-		}
-		in[i] = tv.Node
-	}
-	return in, nil
-}
-
 // DefaultRegistry builds the standard builtin set shared by all engines:
 // Python-style builtins (print, len, range, ...) plus the DL framework
 // functions (matmul, conv2d, ...) that the paper's whitelist covers.
@@ -191,7 +342,7 @@ func DefaultRegistry() *Registry {
 	r := NewRegistry()
 
 	// ---- Python builtins -------------------------------------------------
-	r.Register(&Builtin{Name: "print", GraphOp: "Print", Stateful: true,
+	r.Register(&Builtin{Name: "print",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			for i, a := range args {
 				if i > 0 {
@@ -202,7 +353,7 @@ func DefaultRegistry() *Registry {
 			it.Out.WriteString("\n")
 			return None, nil
 		}})
-	r.Register(&Builtin{Name: "len", GraphOp: "Len",
+	r.Register(&Builtin{Name: "len",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 1); err != nil {
 				return nil, err
@@ -226,7 +377,7 @@ func DefaultRegistry() *Registry {
 			}
 			return nil, fmt.Errorf("object of type %s has no len()", args[0].TypeName())
 		}})
-	r.Register(&Builtin{Name: "range", GraphOp: "Range",
+	r.Register(&Builtin{Name: "range",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			switch len(args) {
 			case 1:
@@ -253,7 +404,7 @@ func DefaultRegistry() *Registry {
 			}
 			return nil, errors.New("range() wants 1-3 arguments")
 		}})
-	r.Register(&Builtin{Name: "int", GraphOp: "Cast",
+	r.Register(&Builtin{Name: "int",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 1); err != nil {
 				return nil, err
@@ -267,7 +418,7 @@ func DefaultRegistry() *Registry {
 			}
 			return IntVal(int64(f)), nil
 		}})
-	r.Register(&Builtin{Name: "float", GraphOp: "Cast",
+	r.Register(&Builtin{Name: "float",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 1); err != nil {
 				return nil, err
@@ -278,7 +429,7 @@ func DefaultRegistry() *Registry {
 			}
 			return FloatVal(f), nil
 		}})
-	r.Register(&Builtin{Name: "abs", GraphOp: "Abs",
+	r.Register(&Builtin{Name: "abs",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 1); err != nil {
 				return nil, err
@@ -299,14 +450,14 @@ func DefaultRegistry() *Registry {
 			}
 			return nil, fmt.Errorf("abs() cannot handle %s", args[0].TypeName())
 		}})
-	r.Register(&Builtin{Name: "min", GraphOp: "Min",
+	r.Register(&Builtin{Name: "min",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if v, ok, err := tensorExtremum(it, args, false); ok {
 				return v, err
 			}
 			return minMax(args, true)
 		}})
-	r.Register(&Builtin{Name: "max", GraphOp: "Max",
+	r.Register(&Builtin{Name: "max",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if v, ok, err := tensorExtremum(it, args, true); ok {
 				return v, err
@@ -315,7 +466,7 @@ func DefaultRegistry() *Registry {
 		}})
 
 	// ---- container methods -----------------------------------------------
-	r.Register(&Builtin{Name: "list.append", GraphOp: "ListAppend", Stateful: true,
+	r.Register(&Builtin{Name: "list.append",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 2); err != nil {
 				return nil, err
@@ -324,7 +475,7 @@ func DefaultRegistry() *Registry {
 			l.Items = append(l.Items, args[1])
 			return None, nil
 		}})
-	r.Register(&Builtin{Name: "list.pop", GraphOp: "", Stateful: true,
+	r.Register(&Builtin{Name: "list.pop",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			l := args[0].(*ListVal)
 			if len(l.Items) == 0 {
@@ -348,7 +499,7 @@ func DefaultRegistry() *Registry {
 			l.Items = append(l.Items[:idx], l.Items[idx+1:]...)
 			return v, nil
 		}})
-	r.Register(&Builtin{Name: "list.extend", GraphOp: "", Stateful: true,
+	r.Register(&Builtin{Name: "list.extend",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 2); err != nil {
 				return nil, err
@@ -361,7 +512,7 @@ func DefaultRegistry() *Registry {
 			l.Items = append(l.Items, items...)
 			return None, nil
 		}})
-	r.Register(&Builtin{Name: "list.reverse", GraphOp: "", Stateful: true,
+	r.Register(&Builtin{Name: "list.reverse",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			l := args[0].(*ListVal)
 			for i, j := 0, len(l.Items)-1; i < j; i, j = i+1, j-1 {
@@ -369,7 +520,7 @@ func DefaultRegistry() *Registry {
 			}
 			return None, nil
 		}})
-	r.Register(&Builtin{Name: "dict.get", GraphOp: "",
+	r.Register(&Builtin{Name: "dict.get",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			d := args[0].(*DictVal)
 			if len(args) < 2 {
@@ -387,7 +538,7 @@ func DefaultRegistry() *Registry {
 			}
 			return None, nil
 		}})
-	r.Register(&Builtin{Name: "dict.keys", GraphOp: "",
+	r.Register(&Builtin{Name: "dict.keys",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			d := args[0].(*DictVal)
 			keys := make([]string, 0, len(d.Entries))
@@ -401,7 +552,7 @@ func DefaultRegistry() *Registry {
 			}
 			return &ListVal{Items: items}, nil
 		}})
-	r.Register(&Builtin{Name: "dict.values", GraphOp: "",
+	r.Register(&Builtin{Name: "dict.values",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			d := args[0].(*DictVal)
 			keys := make([]string, 0, len(d.Entries))
@@ -417,7 +568,7 @@ func DefaultRegistry() *Registry {
 		}})
 
 	// ---- tensor constructors ----------------------------------------------
-	r.Register(&Builtin{Name: "zeros", GraphOp: "Zeros",
+	r.Register(&Builtin{Name: "zeros",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			sh, err := argShape(args, 0)
 			if err != nil {
@@ -425,7 +576,7 @@ func DefaultRegistry() *Registry {
 			}
 			return NewTensor(tensor.Zeros(sh...)), nil
 		}})
-	r.Register(&Builtin{Name: "ones", GraphOp: "Ones",
+	r.Register(&Builtin{Name: "ones",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			sh, err := argShape(args, 0)
 			if err != nil {
@@ -433,7 +584,7 @@ func DefaultRegistry() *Registry {
 			}
 			return NewTensor(tensor.Full(1, sh...)), nil
 		}})
-	r.Register(&Builtin{Name: "constant", GraphOp: "Const",
+	r.Register(&Builtin{Name: "constant",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			if err := wantArgs(args, 1); err != nil {
 				return nil, err
@@ -444,7 +595,7 @@ func DefaultRegistry() *Registry {
 			}
 			return NewTensor(t), nil
 		}})
-	r.Register(&Builtin{Name: "randn", GraphOp: "", Stateful: true, // consumes RNG state
+	r.Register(&Builtin{Name: "randn",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			sh, err := argShape(args, 0)
 			if err != nil {
@@ -452,7 +603,7 @@ func DefaultRegistry() *Registry {
 			}
 			return NewTensor(it.rng().Randn(sh...)), nil
 		}})
-	r.Register(&Builtin{Name: "variable", GraphOp: "Variable",
+	r.Register(&Builtin{Name: "variable",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			// variable(name, shape) — Xavier-initialized trainable parameter
 			// fetched from (or created in) the shared store.
@@ -480,126 +631,15 @@ func DefaultRegistry() *Registry {
 		}})
 
 	// ---- tensor math (whitelisted framework functions) ---------------------
-	// Each runs its GraphOp through applyOp: the executor's kernel forward,
-	// the op's OpDef.Grad rule backward.
-	r.Register(&Builtin{Name: "matmul", GraphOp: "MatMul",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 2); err != nil {
-				return nil, err
-			}
-			a, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			b, err := argTensor(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("MatMul", nil, a, b)
-		}})
-	for _, u := range [][2]string{
-		{"relu", "ReLU"}, {"sigmoid", "Sigmoid"}, {"tanh", "Tanh"}, {"exp", "Exp"}, {"log", "Log"},
-		{"softmax", "Softmax"}, {"reduce_sum", "Sum"}, {"reduce_mean", "Mean"}, {"transpose", "Transpose"},
-	} {
-		r.Register(unaryBuiltin(u[0], u[1]))
+	// Each is one op: the executor's kernel forward, the op's OpDef.Grad
+	// rule backward.
+	for name, sig := range opBuiltins() {
+		r.Register(&Builtin{Name: name, Sig: sig,
+			Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
+				return it.callOp(name, sig, args, kwargs)
+			}})
 	}
-	r.Register(&Builtin{Name: "reshape", GraphOp: "Reshape",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 2); err != nil {
-				return nil, err
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			sh, err := argShape(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("Reshape", map[string]graph.Val{"shape": sh}, x)
-		}})
-	r.Register(&Builtin{Name: "concat", GraphOp: "Concat",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			// concat(list_of_tensors, axis)
-			if len(args) != 2 {
-				return nil, errors.New("concat(tensors, axis) wants 2 arguments")
-			}
-			items, err := unpack(args[0])
-			if err != nil {
-				return nil, err
-			}
-			axis, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			in, err := tensorArgs("concat", items)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("Concat", map[string]graph.Val{"axis": axis}, in...)
-		}})
-	r.Register(&Builtin{Name: "stack", GraphOp: "Stack",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 1); err != nil {
-				return nil, err
-			}
-			items, err := unpack(args[0])
-			if err != nil {
-				return nil, err
-			}
-			if len(items) == 0 {
-				return nil, errors.New("stack of empty list")
-			}
-			in, err := tensorArgs("stack", items)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("Stack", nil, in...)
-		}})
-	r.Register(&Builtin{Name: "conv2d", GraphOp: "Conv2D",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if len(args) != 2 {
-				return nil, errors.New("conv2d(x, w, stride=1, pad=0)")
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			w, err := argTensor(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			stride, err := kwInt(kwargs, "stride", 1)
-			if err != nil {
-				return nil, err
-			}
-			pad, err := kwInt(kwargs, "pad", 0)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("Conv2D", map[string]graph.Val{"stride": stride, "pad": pad}, x, w)
-		}})
-	r.Register(poolBuiltin("max_pool", "MaxPool"))
-	r.Register(poolBuiltin("avg_pool", "AvgPool"))
-	r.Register(&Builtin{Name: "embedding", GraphOp: "Gather",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			// embedding(table, ids): ids is a list of ints or an int tensor.
-			if err := wantArgs(args, 2); err != nil {
-				return nil, err
-			}
-			table, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			ids, err := valueToIntSlice(args[1])
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("Gather", nil, table, ids)
-		}})
-	r.Register(lossBuiltin("cross_entropy", "CrossEntropy"))
-	r.Register(lossBuiltin("mse", "MSE"))
-	r.Register(&Builtin{Name: "batch_norm", GraphOp: "BatchNorm", Stateful: true,
+	r.Register(&Builtin{Name: "batch_norm",
 		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
 			// batch_norm(x, name, training): gamma/beta/running stats are
 			// store-managed by name. The train/eval branch lives in the
@@ -635,108 +675,11 @@ func DefaultRegistry() *Registry {
 			// the train/eval divergence the experiments exercise.
 			return tensorResult(it.Tape.Record(graph.Lookup("BatchNorm"), batchNormNode, []graph.Val{x}, out))
 		}})
-	r.Register(&Builtin{Name: "argmax", GraphOp: "Argmax",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 2); err != nil {
-				return nil, err
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			axis, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("Argmax", map[string]graph.Val{"axis": axis}, x)
-		}})
-	r.Register(sliceBuiltin("slice_rows", 0))
-	r.Register(sliceBuiltin("slice_cols", 1))
-	r.Register(&Builtin{Name: "one_hot", GraphOp: "OneHot",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 2); err != nil {
-				return nil, err
-			}
-			ids, err := valueToIntSlice(args[0])
-			if err != nil {
-				return nil, err
-			}
-			depth, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("OneHot", map[string]graph.Val{"depth": depth}, ids)
-		}})
 	return r
 }
 
 // batchNormNode carries BatchNorm's (empty) attrs for the tape.
 var batchNormNode = &graph.Node{Op: "BatchNorm"}
-
-// poolBuiltin registers name(x, k, stride) running pooling op graphOp.
-func poolBuiltin(name, graphOp string) *Builtin {
-	return &Builtin{Name: name, GraphOp: graphOp,
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("%s(x, k, stride)", name)
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			k, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			stride, err := argInt(args, 2)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp(graphOp, map[string]graph.Val{"k": k, "stride": stride}, x)
-		}}
-}
-
-// lossBuiltin registers name(pred, target) running loss op graphOp.
-func lossBuiltin(name, graphOp string) *Builtin {
-	return &Builtin{Name: name, GraphOp: graphOp,
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if err := wantArgs(args, 2); err != nil {
-				return nil, err
-			}
-			pred, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			target, err := argTensor(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp(graphOp, nil, pred, target)
-		}}
-}
-
-// sliceBuiltin registers name(x, lo, hi), a Slice of [lo, hi) along axis.
-func sliceBuiltin(name string, axis int) *Builtin {
-	return &Builtin{Name: name, GraphOp: "Slice",
-		Fn: func(it *Interp, args []Value, kwargs map[string]Value) (Value, error) {
-			if len(args) != 3 {
-				return nil, fmt.Errorf("%s(x, lo, hi)", name)
-			}
-			x, err := argTensor(args, 0)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := argInt(args, 1)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := argInt(args, 2)
-			if err != nil {
-				return nil, err
-			}
-			return it.applyOp("Slice", map[string]graph.Val{"axis": axis, "lo": lo, "hi": hi}, x)
-		}}
-}
 
 // tensorExtremum handles two-argument element-wise min/max when either
 // operand is a (possibly multi-element) tensor.
